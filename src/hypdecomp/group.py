@@ -94,12 +94,6 @@ class GroupSpec:
         g = self.generators[abs(letter) - 1]
         return g if letter > 0 else lorentz_inverse(g)
 
-    def matrix_of_word(self, word) -> np.ndarray:
-        A = np.eye(self.dimension + 1)
-        for letter in word:
-            A = A @ self.letter_matrix(letter)
-        return A
-
     def word_ball(self, word_bound: int):
         """All group elements of word length <= word_bound, BFS order."""
         if word_bound in self._ball_cache:
@@ -230,11 +224,18 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
             op = OrbitPoint(point=q, word=el.word, cusp_id=cusp_id,
                             matrix=el.matrix)
             _merge_insert(buckets, points, op)
-    points.sort(key=lambda op: (round(op.point[0], 9),
-                                tuple(np.round(op.point, 9))))
+    points.sort(key=_canonical_key)
     for i, op in enumerate(points):
         op.index = i
     return points
+
+
+def _canonical_key(op):
+    # the same values as (round(x0, 9), tuple(np.round(point, 9))), but
+    # numpy's scalar round leaves a pymalloc arena allocated after each
+    # large orbit, so memory crept up run after run in one process
+    r = np.round(op.point, 9)
+    return r[0], tuple(r)
 
 
 _GRID = 1e-6

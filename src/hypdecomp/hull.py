@@ -3,8 +3,10 @@
 Written for point sets in strictly convex position with frequent exact
 coplanarities (canonical decompositions are often non-simplicial), so
 the orientation predicate is a floating-point evaluation with an error
-filter and an exact-rational fallback: binary floats are rationals, so
-the fallback sign is exact and the hull topology is never guessed.
+filter and an exact integer (power-of-two scaled) fallback: every binary
+float is n / 2^k, so scaling all coordinates by the largest 2^k turns
+them into integers and the fallback sign is exact; the hull topology is
+never guessed.
 
 Insertion is sequential in the given point order; the whole computation
 is deterministic.  Facets are simplicial; coplanar groups are merged by
@@ -14,15 +16,29 @@ the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import hypot
+from operator import mul, sub
 
 import numpy as np
 
 from .minkowski import GeometryError
 
 # |det| below FILTER_REL * (product of row norms) is re-evaluated exactly.
+# In the closed forms below each monomial of the determinant is rounded at
+# most 14 times for 4x4 (4 row differences, 2 + 2 for the 2x2 minors, 1
+# product, 5 additions), and the monomials sum in absolute value to
+# perm|M| <= prod ||row||_1 <= 16 prod ||row||_2.  So the float error is
+# at most 14 * 16 * 2^-53 * prod ||row||_2 < 2.5e-14 * prod ||row||_2,
+# a 400th of FILTER_REL (3x3: 8 roundings, factor 3^1.5).
 FILTER_REL = 1e-11
+
+# The bound above ignores underflow and overflow.  With every row norm in
+# [2^-250, 2^250] no product of entries overflows and the absolute error
+# of underflowed products stays far below the filter threshold; rows
+# outside that range go to the exact path.
+_ROW_NORM_MIN = 2.0 ** -250
+_ROW_NORM_MAX = 2.0 ** 250
 
 
 @dataclass
@@ -33,20 +49,46 @@ class Facet:
     offset: float            # normal @ x = offset on the facet plane
 
 
-def _det_exact(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-            total += sign * rows[0][j] * _det_exact(minor)
-        sign = -sign
-    return total
+def _det3(a, b, c):
+    """3x3 determinant by cofactors of the first row (ints or floats)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = c
+    return (a0 * (b1 * c2 - b2 * c1)
+            - a1 * (b0 * c2 - b2 * c0)
+            + a2 * (b0 * c1 - b1 * c0))
+
+
+def _det4(a, b, c, d):
+    """4x4 determinant from the 2x2 minors of rows a, b and of rows c, d."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c0, c1, c2, c3 = c
+    d0, d1, d2, d3 = d
+    s01 = a0 * b1 - a1 * b0
+    s02 = a0 * b2 - a2 * b0
+    s03 = a0 * b3 - a3 * b0
+    s12 = a1 * b2 - a2 * b1
+    s13 = a1 * b3 - a3 * b1
+    s23 = a2 * b3 - a3 * b2
+    t01 = c0 * d1 - c1 * d0
+    t02 = c0 * d2 - c2 * d0
+    t03 = c0 * d3 - c3 * d0
+    t12 = c1 * d2 - c2 * d1
+    t13 = c1 * d3 - c3 * d1
+    t23 = c2 * d3 - c3 * d2
+    return (s01 * t23 - s02 * t13 + s03 * t12
+            + s12 * t03 - s13 * t02 + s23 * t01)
+
+
+_DET = {3: _det3, 4: _det4}
+
+
+def _dyadic(values):
+    """Exact (numerators, e) with values[j] == numerators[j] / 2^e."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    e = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (e + 1 - den.bit_length()) for num, den in ratios], e
 
 
 class OrientPredicate:
@@ -54,41 +96,62 @@ class OrientPredicate:
 
     def __init__(self, points, mode: str = "auto"):
         self.points = np.asarray(points, dtype=float)
+        d = self.points.shape[1]
+        if d not in _DET:
+            raise GeometryError(f"orientation implemented for R^3 and R^4 "
+                                f"only, got R^{d}")
         self.mode = mode
-        self._frac = {}
         self.exact_evals = 0
-
-    def _frac_row(self, i):
-        row = self._frac.get(i)
-        if row is None:
-            row = tuple(Fraction(float(c)) for c in self.points[i])
-            self._frac[i] = row
-        return row
+        self._det = _DET[d]
+        self._rows = self.points.tolist()
+        # all coordinates as integers over the common denominator 2^_exp
+        nums, self._exp = _dyadic(self.points.ravel().tolist())
+        self._ints = [tuple(nums[k:k + d]) for k in range(0, len(nums), d)]
 
     def sign(self, base_ids, q_id=None, q_point=None) -> int:
-        pts = self.points
-        p0 = pts[base_ids[0]]
-        rows = [pts[i] - p0 for i in base_ids[1:]]
-        rows.append((pts[q_id] if q_point is None else np.asarray(q_point, float)) - p0)
-        M = np.array(rows)
-        det = float(np.linalg.det(M))
-        scale = float(np.prod(np.linalg.norm(M, axis=1)))
-        if self.mode != "always" and abs(det) > FILTER_REL * max(scale, 1e-300):
-            return 1 if det > 0 else -1
+        if self.mode != "always":
+            rows = self._rows
+            p0 = rows[base_ids[0]]
+            diffs = [list(map(sub, rows[i], p0)) for i in base_ids[1:]]
+            q = rows[q_id] if q_point is None else q_point
+            diffs.append(list(map(sub, q, p0)))
+            det = self._det(*diffs)
+            scale = 1.0
+            for r in diffs:
+                norm = hypot(*r)
+                if not _ROW_NORM_MIN <= norm <= _ROW_NORM_MAX:
+                    break
+                scale *= norm
+            else:
+                if abs(det) > FILTER_REL * scale:
+                    return 1 if det > 0 else -1
         # exact path
         self.exact_evals += 1
-        r0 = self._frac_row(base_ids[0])
-        frows = []
-        for i in base_ids[1:]:
-            ri = self._frac_row(i)
-            frows.append([a - b for a, b in zip(ri, r0)])
         if q_point is None:
-            rq = self._frac_row(q_id)
-        else:
-            rq = tuple(Fraction(float(c)) for c in q_point)
-        frows.append([a - b for a, b in zip(rq, r0)])
-        d = _det_exact(frows)
-        return (d > 0) - (d < 0)
+            return self._exact_sign(base_ids, self._ints[q_id])
+        q, e = _dyadic(q_point)
+        if e <= self._exp:
+            return self._exact_sign(base_ids, [c << (self._exp - e) for c in q])
+        # q has the finer denominator: bring the points to it instead
+        return self._exact_sign(base_ids, q, shift=e - self._exp)
+
+    def _exact_sign(self, base_ids, q, shift: int = 0, q_weight: int = 1) -> int:
+        """Exact sign with q given as ints on the points' scale times 2^shift.
+
+        ``q_weight`` > 1 means q is q_weight times the query point (an
+        integer sum standing for a mean); both scalings are positive and
+        leave the sign unchanged.
+        """
+        base = [self._ints[i] for i in base_ids]
+        if shift:
+            base = [[c << shift for c in r] for r in base]
+        p0 = base[0]
+        rows = [list(map(sub, r, p0)) for r in base[1:]]
+        if q_weight != 1:
+            p0 = [q_weight * c for c in p0]
+        rows.append(list(map(sub, q, p0)))
+        det = self._det(*rows)
+        return (det > 0) - (det < 0)
 
 
 def _initial_simplex(pred: OrientPredicate):
@@ -156,9 +219,10 @@ class IncrementalHull:
         self.pred = OrientPredicate(points, exact_mode)
         simplex = _initial_simplex(self.pred)
         self._centroid = points[simplex].mean(axis=0)
-        self._centroid_frac = tuple(
-            sum(Fraction(float(points[i][j])) for i in simplex) / (d + 1)
-            for j in range(d))
+        self._centroid_row = self._centroid.tolist()
+        # d+1 times the centroid, exactly, on the predicate's integer scale
+        self._centroid_sum = [sum(c) for c in
+                              zip(*(self.pred._ints[i] for i in simplex))]
         self.facets: list = []
         for omit in range(d + 1):
             vs = tuple(sorted(simplex[k] for k in range(d + 1) if k != omit))
@@ -169,18 +233,12 @@ class IncrementalHull:
             self._insert(q)
 
     def _orient_centroid(self, vs) -> int:
-        s = self.pred.sign(vs, q_point=self._centroid)
+        s = self.pred.sign(vs, q_point=self._centroid_row)
         if s == 0:
             # centroid exactly on the plane cannot happen for a valid facet;
-            # re-check with the exact fraction centroid to be sure
-            r0 = self.pred._frac_row(vs[0])
-            rows = []
-            for i in vs[1:]:
-                ri = self.pred._frac_row(i)
-                rows.append([a - b for a, b in zip(ri, r0)])
-            rows.append([a - b for a, b in zip(self._centroid_frac, r0)])
-            dd = _det_exact(rows)
-            s = (dd > 0) - (dd < 0)
+            # re-check with the exact centroid (not the rounded one) to be sure
+            s = self.pred._exact_sign(vs, self._centroid_sum,
+                                      q_weight=self.dim + 1)
         return s
 
     def _add_facet(self, vs):
@@ -194,17 +252,22 @@ class IncrementalHull:
                                  offset=offset))
 
     def _outside(self, facet: Facet, q: int) -> bool:
-        # cheap float screen first, exact only near the plane
-        margin = self.points[q] @ facet.normal - facet.offset
-        scale = max(1.0, abs(facet.offset))
-        if margin > 1e-7 * scale:
-            return True
-        if margin < -1e-7 * scale:
-            return False
+        """Exact visibility for q inside the float screen's band."""
         return facet.sign * self.pred.sign(facet.vertices, q) > 0
 
     def _insert(self, q: int):
-        visible = [f for f in self.facets if self._outside(f, q)]
+        # one float margin per facet, in plain floats (numpy per facet is
+        # slower, and stacked planes per insertion raise the peak memory);
+        # exact only inside the band
+        x = self.pred._rows[q]
+        visible, kept = [], []
+        for f in self.facets:
+            margin = sum(map(mul, f.normal.tolist(), x)) - f.offset
+            band = 1e-7 * max(1.0, abs(f.offset))
+            if margin > band or (not margin < -band and self._outside(f, q)):
+                visible.append(f)
+            else:
+                kept.append(f)
         if not visible:
             return
         ridge_count = {}
@@ -212,8 +275,7 @@ class IncrementalHull:
             for ridge in combinations(f.vertices, self.dim - 1):
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
         horizon = [r for r, c in ridge_count.items() if c == 1]
-        visible_set = set(id(f) for f in visible)
-        self.facets = [f for f in self.facets if id(f) not in visible_set]
+        self.facets = kept
         for ridge in horizon:
             self._add_facet(tuple(sorted(ridge + (q,))))
 
@@ -234,6 +296,3 @@ class IncrementalHull:
             out.update(f.vertices)
         return sorted(out)
 
-
-def convex_hull(points, exact_mode: str = "auto") -> IncrementalHull:
-    return IncrementalHull(points, exact_mode)

@@ -421,7 +421,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", dest="json_path", help="write JSON report")
     parser.add_argument("--svg", dest="svg_path", help="write SVG (n = 2 only)")
     parser.add_argument("--exact", action="store_true",
-                        help="force exact-rational hull predicates")
+                        help="force exact integer (power-of-two scaled) hull "
+                             "predicates")
     args = parser.parse_args(argv)
 
     try:

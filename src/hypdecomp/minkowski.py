@@ -82,11 +82,6 @@ def classify(x, eps: float = LIGHTLIKE_EPS) -> CausalClass:
     return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
 
 
-def is_future_lightlike(x, eps: float = LIGHTLIKE_EPS) -> bool:
-    x = np.asarray(x, dtype=float)
-    return classify(x, eps) is CausalClass.LIGHTLIKE and x[0] > 0
-
-
 def is_isometry(A, tol: float = ISOMETRY_TOL) -> bool:
     """True iff A preserves the form and the upper sheet.
 

@@ -69,6 +69,15 @@ class TestOrbit:
         for x, y in zip(a, b):
             assert x.word == y.word and np.array_equal(x.point, y.point)
 
+    def test_canonical_order_matches_rounded_key(self, spec_3ps, spec_fig8):
+        # reference order: height rounded to 1e-9 (numpy scalar round),
+        # then all coordinates rounded to 1e-9
+        for g, wb, hb in ((spec_3ps.group, 6, 80.0), (spec_fig8.group, 5, 16.0)):
+            pts = orbit(g, wb, hb)
+            ref = sorted(pts, key=lambda op: (round(op.point[0], 9),
+                                              tuple(np.round(op.point, 9))))
+            assert [op.index for op in ref] == list(range(len(pts)))
+
     def test_monotone_in_word_bound(self, spec_3ps):
         small = OrbitSet(orbit(spec_3ps.group, 4, 20.0))
         big = OrbitSet(orbit(spec_3ps.group, 5, 20.0))

@@ -1,21 +1,43 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hypdecomp.hull import IncrementalHull, OrientPredicate, _det_exact
+from hypdecomp.doubling import symmetrize_decorations
+from hypdecomp.group import orbit
+from hypdecomp.hull import IncrementalHull, OrientPredicate, _det3, _det4
 from hypdecomp.minkowski import GeometryError
-from fractions import Fraction
+
+
+def _fraction_det(rows):
+    """Oracle: Laplace expansion over Fractions."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            total += (-1) ** j * a * _fraction_det(minor)
+    return total
+
+
+def _oracle_sign(points):
+    """Exact sign of det[p1-p0, ..., pd-p0] from the float coordinates."""
+    fr = [[Fraction(float(c)) for c in p] for p in points]
+    d = _fraction_det([[a - b for a, b in zip(p, fr[0])] for p in fr[1:]])
+    return (d > 0) - (d < 0)
 
 
 class TestExactDet:
     def test_small_cases(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-        assert _det_exact(rows) == -2
+        assert _det3([1, 2, 0], [3, 4, 0], [0, 0, 1]) == -2
 
     def test_matches_float_det(self, rng):
         for _ in range(20):
-            M = rng.integers(-5, 5, size=(4, 4)).astype(float)
-            rows = [[Fraction(x) for x in r] for r in M]
-            assert float(_det_exact(rows)) == pytest.approx(np.linalg.det(M), abs=1e-6)
+            M = rng.integers(-5, 5, size=(4, 4))
+            rows = [[int(x) for x in r] for r in M]
+            assert _det4(*rows) == pytest.approx(np.linalg.det(M), abs=1e-6)
 
 
 class TestOrientPredicate:
@@ -32,6 +54,105 @@ class TestOrientPredicate:
         pred = OrientPredicate(pts, "always")
         pred.sign((0, 1, 2), 3)
         assert pred.exact_evals == 1
+
+    def test_query_point_finer_than_points(self):
+        # q's denominator 2^70 is finer than every input point's; both
+        # tests are below the float filter and take the exact path
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        for mode in ("auto", "always"):
+            pred = OrientPredicate(pts, mode)
+            assert pred.sign((0, 1, 2), q_point=[0.25, 0.5, 2.0 ** -70]) == 1
+            assert pred.sign((0, 1, 2), q_point=[0.25, 0.5, 0.0]) == 0
+            assert pred.exact_evals == 2
+
+    def test_unsupported_dimension(self):
+        with pytest.raises(GeometryError):
+            OrientPredicate(np.eye(2))
+
+
+NON_DYADIC = [0.1, 0.3, 1.0 / 3.0, -0.1, -0.3, -1.0 / 3.0, 2.0 / 3.0, 0.7, 0.0]
+# coordinates whose exponents span 1e-300 .. 1e300, plus subnormals
+WIDE = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.floats(-2.0 ** -1022, 2.0 ** -1022),
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1.0]),
+)
+
+
+@st.composite
+def _point_sets(draw, coords):
+    d = draw(st.sampled_from([3, 4]))
+    return [[draw(coords) for _ in range(d)] for _ in range(d + 1)]
+
+
+@st.composite
+def _row_scaled_sets(draw):
+    # one decimal exponent per row; pairs of rows near 1e-158 have
+    # 2x2 minors that underflow, and rows near 1e150 magnify the loss
+    d = draw(st.sampled_from([3, 4]))
+    pts = [[0.0] * d]
+    for _ in range(d):
+        e = draw(st.one_of(st.integers(-300, 300),
+                           st.integers(-165, -150), st.integers(140, 160)))
+        pts.append([draw(st.floats(-1.0, 1.0)) * 10.0 ** e for _ in range(d)])
+    return pts
+
+
+@st.composite
+def _coplanar_sets(draw):
+    # every point on the hyperplane x_{d-1} = s * x_0 through the origin
+    d = draw(st.sampled_from([3, 4]))
+    s = draw(st.sampled_from([1.0, -1.0]))
+    pts = []
+    for _ in range(d + 1):
+        row = [draw(st.sampled_from(NON_DYADIC)) for _ in range(d - 1)]
+        pts.append(row + [s * row[0]])
+    return pts
+
+
+def _check_against_oracle(pts):
+    d = len(pts[0])
+    expected = _oracle_sign(pts)
+    for mode in ("auto", "always"):
+        pred = OrientPredicate(np.array(pts), mode)
+        assert pred.sign(tuple(range(d)), d) == expected
+        # the same test with q passed as an outside point
+        pred = OrientPredicate(np.array(pts[:d]), mode)
+        assert pred.sign(tuple(range(d)), q_point=pts[d]) == expected
+    return expected
+
+
+class TestOrientPredicateOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_point_sets(st.floats(-10.0, 10.0)))
+    def test_random_rows(self, pts):
+        _check_against_oracle(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coplanar_sets())
+    def test_exactly_coplanar_non_dyadic(self, pts):
+        assert _check_against_oracle(pts) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_point_sets(WIDE))
+    def test_exponent_spread(self, pts):
+        _check_against_oracle(pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_scaled_sets())
+    @example([[0.0] * 4,
+              [-2.0647375880591597e-162, 2.0824549642979478e-162,
+               -2.0933992489194484e-163, 6.102873481427692e-163],
+              [2.1387606775308573e-162, -7.858783085478972e-163,
+               -1.3519266670294559e-162, 9.036398072013027e-163],
+              [9.328409088940876e+144, 4.9761522870943554e+144,
+               -1.0457017526734847e+145, -8.914421438844654e+143],
+              [-2.894621833599295e+144, -1.4828407173694998e+145,
+               9.022940906877454e+144, 8.905205712824054e+144]])
+    def test_row_exponent_spread(self, pts):
+        # the example underflows in the float filter's 2x2 minors
+        _check_against_oracle(pts)
 
 
 class TestIncrementalHull3D:
@@ -103,3 +224,20 @@ class TestIncrementalHull4D:
         for f in hull.facets:
             margin = pts @ f.normal - f.offset
             assert np.max(margin) < 1e-9 * max(1.0, abs(f.offset))
+
+
+class TestKnotOrbitRegression:
+    def test_auto_and_always_agree_on_stability_orbit(self, spec_fig8):
+        # the enlarged orbit the stability certificate builds for the knot
+        g, o = spec_fig8.group, spec_fig8.options
+        gs = symmetrize_decorations(g, margin=o.margin,
+                                    word_bound=min(4, o.word_bound),
+                                    height_bound=o.height_bound)
+        ops = orbit(gs, o.word_bound + 1, 2.0 * o.height_bound)
+        P = np.array([op.point for op in ops])
+        assert P.shape == (102, 4)
+        a = IncrementalHull(P, "auto")
+        b = IncrementalHull(P, "always")
+        assert sorted(f.vertices for f in a.facets) == \
+            sorted(f.vertices for f in b.facets)
+        assert a.pred.exact_evals < b.pred.exact_evals
