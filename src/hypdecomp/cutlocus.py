@@ -22,7 +22,7 @@ from .decorations import horoball_distance, short_cut
 from .ep_hull import (Decomposition, HullFace, assemble_decomposition,
                       count_face_classes)
 from .group import GroupSpec, OrbitSet, orbit
-from .matching import GammaClasses, find_group_element
+from .matching import GammaClasses, find_group_element, greedy_deviation
 from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 
 STRATUM_TOL = 1e-8
@@ -456,21 +456,9 @@ def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
         used.add(cj)
         B = np.array([op.point for op in b.cell_points[cj]])
         img = A @ M.T
-        dev = _set_deviation(img, B)
+        dev = greedy_deviation(img, B)
         worst = max(worst, dev)
         if dev > tol * max(1.0, float(np.max(np.abs(B)))):
             return CrossValidation(False, f"cell {ci} vertices deviate by {dev}",
                                    ci, worst)
     return CrossValidation(True, "decompositions agree", len(a.cells), worst)
-
-
-def _set_deviation(A, B) -> float:
-    used = np.zeros(len(B), dtype=bool)
-    worst = 0.0
-    for a_row in A:
-        d = np.max(np.abs(B - a_row), axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        worst = max(worst, float(d[j]))
-    return worst

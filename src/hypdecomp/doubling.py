@@ -17,11 +17,10 @@ from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell
 from .group import (GroupSpec, _matrix_key, lorentz_inverse, orbit,
                     reflection_normal)
-from .matching import find_group_element, set_match
+from .matching import PAIR_TOL, find_group_element, match_index, set_match
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_product)
 
-PAIR_TOL = 1e-6
 ORTHO_TOL = 1e-8
 
 
@@ -248,8 +247,7 @@ def check_hull_symmetry(faces, points, tau, height_bound: float) -> SymmetryRepo
             continue
         checked += 1
         scale = max(1.0, float(np.max(np.abs(img))))
-        if not any(B.shape == img.shape and set_match(img, B, PAIR_TOL * scale)
-                   for B in face_sets):
+        if match_index(face_sets, img, PAIR_TOL * scale) is None:
             unmatched.append(f.vertex_ids)
     return SymmetryReport(unmatched=unmatched, skipped=skipped, checked=checked)
 
@@ -386,7 +384,7 @@ def _is_cell_edge(cell: IdealCell, a: int, b: int) -> bool:
     return count >= 2
 
 
-def external_orthogonality(mc: MixedCell, tol: float = ORTHO_TOL) -> float:
+def external_orthogonality(mc: MixedCell) -> float:
     """Worst deviation of external/internal angles from pi/2 (radians)."""
     if mc.kind != "truncated":
         return 0.0
@@ -514,7 +512,7 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
                 errors.append((ci, str(exc)))
                 continue
             worst = external_orthogonality(mc)
-            if worst > 1e-6:
+            if worst > ORTHO_TOL:
                 errors.append((ci, f"external face not orthogonal ({worst})"))
             cells_out.append(mc)
         else:

@@ -13,19 +13,19 @@ height horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .group import GroupSpec, OrbitSet, orbit
 from .hull import IncrementalHull
-from .matching import find_group_element, set_match
+from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
                         hyperboloid_to_klein, lorentz_product, minkowski_form)
 
 SUPPORT_RESIDUAL_TOL = 1e-8
 COPLANAR_TOL = 1e-8
 CONVEX_SIDE_TOL = 1e-7
-PAIR_TOL = 1e-6
 
 
 @dataclass
@@ -131,31 +131,14 @@ def hull_faces(points, exact_mode: str = "auto"):
         w = -(J @ f.normal) / b
         if classify(w) is CausalClass.TIMELIKE and w[0] > 0:
             ep.append((f, w))
+
     # merge ridge-connected facets with equal supports
-    parent = list(range(len(ep)))
+    def same_support(i, j):
+        wi, wj = ep[i][1], ep[j][1]
+        return np.max(np.abs(wi - wj)) <= COPLANAR_TOL * np.max(np.abs(wi + wj))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    ridge_map = {}
-    for i, (f, _) in enumerate(ep):
-        from itertools import combinations
-        for ridge in combinations(f.vertices, d - 1):
-            ridge_map.setdefault(ridge, []).append(i)
-    for inc in ridge_map.values():
-        if len(inc) == 2:
-            i, j = inc
-            wi, wj = ep[i][1], ep[j][1]
-            if np.max(np.abs(wi - wj)) <= COPLANAR_TOL * np.max(np.abs(wi + wj)):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(ep)):
-        groups.setdefault(find(i), []).append(i)
     faces = []
-    for members in groups.values():
+    for members in _merge_coplanar([f.vertices for f, _ in ep], same_support):
         vs = sorted(set(v for i in members for v in ep[i][0].vertices))
         try:
             w = support_vector(coords[vs], tol=1e-5)
@@ -171,6 +154,50 @@ def hull_faces(points, exact_mode: str = "auto"):
 
 def _face_sort_key(face: HullFace, coords):
     return tuple(sorted(tuple(np.round(coords[v], 9)) for v in face.vertex_ids))
+
+
+class _UnionFind:
+    """Disjoint sets over hashable items (path halving)."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def groups(self):
+        """Lists of items per set, each in item order, sets by first item."""
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def _merge_coplanar(facets, same_plane):
+    """Group simplicial facets that share a ridge and one plane.
+
+    ``facets`` are vertex tuples of one size; facets i and j meeting in
+    a ridge (all vertices but one) merge when ``same_plane(i, j)``.
+    Returns the groups as ascending facet index lists.
+    """
+    uf = _UnionFind(range(len(facets)))
+    ridge_map = {}
+    for i, vs in enumerate(facets):
+        for ridge in combinations(vs, len(vs) - 1):
+            ridge_map.setdefault(ridge, []).append(i)
+    for inc in ridge_map.values():
+        if len(inc) == 2 and same_plane(*inc):
+            uf.union(*inc)
+    return uf.groups()
 
 
 def certified_faces(faces, height_bound: float):
@@ -195,43 +222,36 @@ def face_sets_equal(faces_a, points_a, faces_b, points_b, tol: float = PAIR_TOL)
         return False
     ca = np.array([op.point for op in points_a])
     cb = np.array([op.point for op in points_b])
-    sets_a = [ca[list(f.vertex_ids)] for f in faces_a]
-    sets_b = [cb[list(f.vertex_ids)] for f in faces_b]
-    used = [False] * len(sets_b)
-    for A in sets_a:
-        hit = False
-        for j, B in enumerate(sets_b):
-            if not used[j] and set_match(A, B, tol * max(1.0, float(np.max(np.abs(A))))):
-                used[j] = True
-                hit = True
-                break
-        if not hit:
+    unused = [cb[list(f.vertex_ids)] for f in faces_b]
+    for f in faces_a:
+        A = ca[list(f.vertex_ids)]
+        j = match_index(unused, A, tol * max(1.0, float(np.max(np.abs(A)))))
+        if j is None:
             return False
+        del unused[j]
     return True
 
 
-def stability_certificate(g: GroupSpec, word_bound: int, height_bound: float,
-                          exact_mode: str = "auto") -> bool:
-    """True iff the certified face set is unchanged under larger bounds."""
-    pts_a = OrbitSet(orbit(g, word_bound, height_bound))
-    pts_b = OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound))
+def stability_certificate(g: GroupSpec, points, faces, word_bound: int,
+                          height_bound: float, exact_mode: str = "auto") -> bool:
+    """True iff the certified faces are unchanged under larger bounds.
 
-    def faces_of(pts):
-        if len(pts) < g.dimension + 1:
-            return []       # no hull at all, vacuously no faces
-        return [f for f in hull_faces(pts, exact_mode)
-                if f.max_height <= height_bound / 2.0]
-
+    ``points`` is the orbit at (word_bound, height_bound) and ``faces``
+    its certified faces; only the orbit at (word_bound + 1,
+    2 * height_bound) and its hull are built here.
+    """
+    big = OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound))
     try:
-        faces_a = faces_of(pts_a)
-        faces_b = faces_of(pts_b)
+        # too few points for a hull: vacuously no faces
+        big_faces = (certified_faces(hull_faces(big, exact_mode), height_bound)
+                     if len(big) >= g.dimension + 1 else [])
     except GeometryError:
         return False
-    if not faces_a:
+    if not faces:
         # nothing certified: stable only when the orbit itself is already
         # complete (e.g. a trivial group), never when data is still growing
-        return len(pts_a) == len(pts_b) and not faces_b
-    return face_sets_equal(faces_a, pts_a.points, faces_b, pts_b.points)
+        return len(points) == len(big) and not big_faces
+    return face_sets_equal(faces, points, big_faces, big)
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +273,17 @@ def _polytope_facets_3d(klein):
 
     Returns sorted local-index tuples, coplanar triangles merged.
     """
-    hull = IncrementalHull(klein, "auto")
-    fac = hull.facets
-    parent = list(range(len(fac)))
+    fac = IncrementalHull(klein, "auto").facets
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def same_plane(i, j):
+        ni, oi = fac[i].normal, fac[i].offset
+        nj, oj = fac[j].normal, fac[j].offset
+        return min(np.max(np.abs(ni - nj)) + abs(oi - oj),
+                   np.max(np.abs(ni + nj)) + abs(oi + oj)) <= COPLANAR_TOL * 10
 
-    from itertools import combinations
-    ridge_map = {}
-    for i, f in enumerate(fac):
-        for ridge in combinations(f.vertices, 2):
-            ridge_map.setdefault(ridge, []).append(i)
-    for inc in ridge_map.values():
-        if len(inc) == 2:
-            i, j = inc
-            ni, oi = fac[i].normal, fac[i].offset
-            nj, oj = fac[j].normal, fac[j].offset
-            if min(np.max(np.abs(ni - nj)) + abs(oi - oj),
-                   np.max(np.abs(ni + nj)) + abs(oi + oj)) <= COPLANAR_TOL * 10:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(fac)):
-        groups.setdefault(find(i), []).append(i)
+    groups = _merge_coplanar([f.vertices for f in fac], same_plane)
     return sorted(tuple(sorted(set(v for i in members for v in fac[i].vertices)))
-                  for members in groups.values())
+                  for members in groups)
 
 
 def ideal_cell_from_points(ops, support, dimension: int) -> IdealCell:
@@ -372,20 +375,6 @@ class _FaceClasses:
         return lorentz_inverse(Rj) @ Ri
 
 
-def _face_coord_sets(faces, coords):
-    return [coords[list(f.vertex_ids)] for f in faces]
-
-
-def _lookup_face(face_sets, centroids, img, tol):
-    c = img.mean(axis=0)
-    close = np.nonzero(np.max(np.abs(centroids - c), axis=1) <= tol)[0]
-    for idx in close:
-        B = face_sets[idx]
-        if B.shape == img.shape and set_match(img, B, tol):
-            return int(idx)
-    return None
-
-
 def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                            all_faces=None) -> Decomposition:
     """Group certified faces into orbits and pair their facets.
@@ -402,7 +391,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     coords = np.array([op.point for op in ops])
     dim = g.dimension + 1
 
-    face_sets = _face_coord_sets(all_faces, coords)
+    face_sets = [coords[list(f.vertex_ids)] for f in all_faces]
     centroids = np.array([fs.mean(axis=0) for fs in face_sets])
     scale = max(1.0, float(np.max(np.abs(coords))))
     tol = PAIR_TOL * scale
@@ -414,9 +403,11 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     for i, fs in enumerate(face_sets):
         for m in letters:
             img = fs @ m.T
-            j = _lookup_face(face_sets, centroids, img, tol)
-            if j is not None and j != i:
-                uf.union(i, j, m)
+            close = np.nonzero(np.max(np.abs(centroids - img.mean(axis=0)),
+                                      axis=1) <= tol)[0]
+            k = match_index((face_sets[j] for j in close), img, tol)
+            if k is not None and close[k] != i:
+                uf.union(i, int(close[k]), m)
 
     # fallback: merge remaining certified components pairwise
     roots = sorted({uf.find(i)[0] for i in certified_idx})
@@ -485,7 +476,10 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
             cj = class_of[nb_root]
             M = uf.matrix_between(nb, order[cj])
             img = np.array([ops[v].point for v in facet_global]) @ M.T
-            fj = _find_facet(cells[cj], cell_points[cj], img)
+            fj = match_index((np.array([cell_points[cj][v].point for v in f])
+                              for f in cells[cj].facets), img,
+                             PAIR_TOL * max(1.0, float(np.max(np.abs(img)))),
+                             query_first=False)
             if fj is None:
                 unpaired.append(((ci, fi), "no matching facet on paired cell"))
                 continue
@@ -493,16 +487,6 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     return Decomposition(dimension=g.dimension, cells=cells,
                          cell_points=cell_points, pairings=pairings,
                          unpaired=unpaired, class_sizes=class_sizes)
-
-
-def _find_facet(cell: IdealCell, cops, target_coords):
-    scale = max(1.0, float(np.max(np.abs(target_coords))))
-    for fi, facet in enumerate(cell.facets):
-        own = np.array([cops[v].point for v in facet])
-        if own.shape == target_coords.shape and set_match(own, target_coords,
-                                                          PAIR_TOL * scale):
-            return fi
-    return None
 
 
 def count_face_classes(dec: Decomposition, k: int) -> int:
@@ -513,41 +497,25 @@ def count_face_classes(dec: Decomposition, k: int) -> int:
     pairings.
     """
     n = dec.dimension
-    items = {}
-    for ci, cell in enumerate(dec.cells):
-        for sub in _k_faces(cell, k, n):
-            items[(ci, sub)] = (ci, sub)
-    parent = {key: key for key in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = _UnionFind((ci, sub) for ci, cell in enumerate(dec.cells)
+                    for sub in _k_faces(cell, k, n))
     for (ci, fi), pairing in dec.pairings.items():
         cj, fj = pairing.target
         facet = dec.cells[ci].facets[fi]
         M = pairing.matrix
+        subs_j = _k_faces(dec.cells[cj], k, n)
+        own_j = [np.array([dec.cell_points[cj][v].point for v in sub_j])
+                 for sub_j in subs_j]
         for sub in _k_faces(dec.cells[ci], k, n):
             if not set(sub) <= set(facet):
                 continue
             img = np.array([dec.cell_points[ci][v].point for v in sub]) @ M.T
-            match = None
-            for sub_j in _k_faces(dec.cells[cj], k, n):
-                own = np.array([dec.cell_points[cj][v].point for v in sub_j])
-                if own.shape == img.shape and set_match(own, img,
-                                                        PAIR_TOL * max(1.0, float(np.max(np.abs(img))))):
-                    match = sub_j
-                    break
-            if match is not None:
-                union((ci, sub), (cj, match))
-    return len({find(key) for key in items})
+            j = match_index(own_j, img,
+                            PAIR_TOL * max(1.0, float(np.max(np.abs(img)))),
+                            query_first=False)
+            if j is not None:
+                uf.union((ci, sub), (cj, subs_j[j]))
+    return len(uf.groups())
 
 
 def _k_faces(cell: IdealCell, k: int, n: int):

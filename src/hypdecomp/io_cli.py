@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,22 +20,16 @@ import numpy as np
 from .cutlocus import (CutComplex, cross_validate, cut_locus_complex,
                        dual_count_identity, dual_decomposition,
                        enumerate_return_paths)
-from .doubling import (MixedDecomposition, SymmetrizeError, check_hull_symmetry,
-                       quotient_classify, symmetrize_decorations)
-from .ep_hull import (assemble_decomposition, certified_faces, hull_faces,
-                      stability_certificate)
+from .doubling import (ORTHO_TOL, MixedDecomposition, SymmetrizeError,
+                       check_hull_symmetry, quotient_classify,
+                       symmetrize_decorations)
+from .ep_hull import (COPLANAR_TOL, assemble_decomposition, certified_faces,
+                      hull_faces, stability_certificate)
 from .group import GroupSpec, OrbitSet, orbit, validate_group, validate_reflection
-from .minkowski import GeometryError
+from .matching import PAIR_TOL
+from .minkowski import LIGHTLIKE_EPS, GeometryError
 
 SCHEMA_VERSION = 1
-
-TOLERANCES = {
-    "lightlike": 1e-9,
-    "pair_match": 1e-6,
-    "coplanar_merge": 1e-8,
-    "orthogonality": 1e-8,
-    "cross_validation": 1e-7,
-}
 
 
 class SpecError(ValueError):
@@ -52,6 +45,16 @@ class PipelineOptions:
     tol: float = 1e-7          # cross-validation matching tolerance
     algorithm: str = "both"
     exact: bool = False
+
+
+# The tolerances the code reads, as declared in the JSON report.
+TOLERANCES = {
+    "lightlike": LIGHTLIKE_EPS,
+    "pair_match": PAIR_TOL,
+    "coplanar_merge": COPLANAR_TOL,
+    "orthogonality": ORTHO_TOL,
+    "cross_validation": PipelineOptions.tol,
+}
 
 
 @dataclass
@@ -77,7 +80,6 @@ class RunReport:
     dual_decomposition: object = None
     cut_complex: CutComplex = None
     return_paths: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -153,10 +155,8 @@ def run(spec: ManifoldSpec) -> RunReport:
     g = spec.group
     opts = spec.options
     certs = {}
-    timings = {}
     exact_mode = "always" if opts.exact else "auto"
 
-    t0 = time.perf_counter()
     report = validate_group(g)
     certs["group_valid"] = Certificate(report.ok, str(report))
     refl_ok = True
@@ -166,9 +166,7 @@ def run(spec: ManifoldSpec) -> RunReport:
         refl_ok &= ok
         details.append(f"reflection {i}: {'certified' if ok else 'not certified'}")
     certs["reflection_conjugation"] = Certificate(refl_ok, "; ".join(details))
-    timings["validate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     try:
         gs = symmetrize_decorations(g, margin=opts.margin,
                                     word_bound=min(4, opts.word_bound),
@@ -176,21 +174,17 @@ def run(spec: ManifoldSpec) -> RunReport:
         certs["decoration_symmetry"] = Certificate(True)
     except SymmetrizeError as exc:
         certs["decoration_symmetry"] = Certificate(False, str(exc))
-        return RunReport(spec=spec, certificates=certs, timings=timings)
-    timings["symmetrize"] = time.perf_counter() - t0
+        return RunReport(spec=spec, certificates=certs)
 
-    t0 = time.perf_counter()
     points = OrbitSet(orbit(gs, opts.word_bound, opts.height_bound))
-    timings["orbit"] = time.perf_counter() - t0
 
-    rep = RunReport(spec=spec, certificates=certs, timings=timings)
+    rep = RunReport(spec=spec, certificates=certs)
     ep_dec = None
     if opts.algorithm in ("ep", "both"):
-        t0 = time.perf_counter()
         try:
             faces = hull_faces(points, exact_mode)
             cert = certified_faces(faces, opts.height_bound)
-            stable = stability_certificate(gs, opts.word_bound,
+            stable = stability_certificate(gs, points, cert, opts.word_bound,
                                            opts.height_bound, exact_mode)
             certs["ep_stability"] = Certificate(
                 stable, "" if stable else "face set changes under larger bounds")
@@ -209,11 +203,9 @@ def run(spec: ManifoldSpec) -> RunReport:
             rep.ep_decomposition = ep_dec
         except GeometryError as exc:
             certs["ep_stability"] = Certificate(False, f"hull stage failed: {exc}")
-        timings["ep"] = time.perf_counter() - t0
 
     dual_dec = None
     if opts.algorithm in ("cutlocus", "both"):
-        t0 = time.perf_counter()
         try:
             paths = enumerate_return_paths(gs, opts.length_bound,
                                            opts.word_bound, opts.height_bound,
@@ -237,18 +229,14 @@ def run(spec: ManifoldSpec) -> RunReport:
         except GeometryError as exc:
             certs["cutlocus_stability"] = Certificate(
                 False, f"cut locus stage failed: {exc}")
-        timings["cutlocus"] = time.perf_counter() - t0
 
     if opts.algorithm == "both" and ep_dec is not None and dual_dec is not None:
-        t0 = time.perf_counter()
         cv = cross_validate(ep_dec, dual_dec, gs, opts.word_bound,
                             tol=opts.tol)
         certs["cross_validation"] = Certificate(cv.ok, cv.detail)
-        timings["cross_validate"] = time.perf_counter() - t0
 
     base = ep_dec if ep_dec is not None else dual_dec
     if base is not None:
-        t0 = time.perf_counter()
         mixed = quotient_classify(base, gs, opts.word_bound)
         certs["quotient_consistent"] = Certificate(
             mixed.ok and not mixed.unpaired,
@@ -256,7 +244,6 @@ def run(spec: ManifoldSpec) -> RunReport:
             + (f"; {len(mixed.unpaired)} unpaired quotient facets"
                if mixed.unpaired else ""))
         rep.mixed = mixed
-        timings["quotient"] = time.perf_counter() - t0
     return rep
 
 

@@ -16,11 +16,32 @@ import numpy as np
 from .group import GroupSpec, inverse_word_matrix
 from .minkowski import lorentz_gram
 
-MATCH_TOL = 1e-6
+PAIR_TOL = 1e-6
 
 
 def _scale(A, B) -> float:
     return max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
+
+
+def greedy_deviation(A, B, tol: float = np.inf) -> float:
+    """Worst distance of the greedy pairing of A's rows with B's.
+
+    Each row of A in turn takes the nearest unused row of B (max-norm).
+    The walk stops at the first distance above ``tol`` and returns it.
+    """
+    used = np.zeros(len(B), dtype=bool)
+    worst = 0.0
+    for a in A:
+        d = np.max(np.abs(B - a), axis=1)
+        d[used] = np.inf
+        j = int(np.argmin(d))
+        dj = float(d[j])
+        if dj > tol:
+            return dj
+        used[j] = True
+        if dj > worst:
+            worst = dj
+    return worst
 
 
 def set_match(A, B, tol: float) -> bool:
@@ -29,15 +50,20 @@ def set_match(A, B, tol: float) -> bool:
     B = np.atleast_2d(B)
     if A.shape != B.shape:
         return False
-    used = np.zeros(len(B), dtype=bool)
-    for a in A:
-        d = np.max(np.abs(B - a), axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            return False
-        used[j] = True
-    return True
+    return greedy_deviation(A, B, tol) <= tol
+
+
+def match_index(candidates, query, tol: float, query_first: bool = True):
+    """Index of the first candidate set matching ``query``, or None.
+
+    Candidates of another shape never match.  ``query_first`` picks the
+    side whose rows lead the greedy pairing of ``set_match``.
+    """
+    for i, B in enumerate(candidates):
+        if (set_match(query, B, tol) if query_first
+                else set_match(B, query, tol)):
+            return i
+    return None
 
 
 def _gram_key(coords):
@@ -59,7 +85,7 @@ def _ball_stack(g: GroupSpec, word_bound: int):
 
 
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
-                       src_points=None, dst_points=None, tol: float = MATCH_TOL):
+                       src_points=None, dst_points=None, tol: float = PAIR_TOL):
     """Group element mapping the source set onto the destination set.
 
     ``src_points`` / ``dst_points`` are optional lists of OrbitPoint
@@ -105,7 +131,7 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
 class GammaClasses:
     """Deterministic grouping of decorated point sets into group orbits."""
 
-    def __init__(self, g: GroupSpec, word_bound: int, tol: float = MATCH_TOL):
+    def __init__(self, g: GroupSpec, word_bound: int, tol: float = PAIR_TOL):
         self.g = g
         self.word_bound = word_bound
         self.tol = tol

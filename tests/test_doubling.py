@@ -186,6 +186,16 @@ class TestQuotient:
         for mc in report_fig3.mixed.cells:
             assert external_orthogonality(mc) <= 1e-8
 
+    def test_orthogonality_checked_at_declared_tolerance(
+            self, report_fig3, g_fig3_sym, monkeypatch):
+        # 5e-8 exceeds the 1e-8 the JSON report declares for orthogonality
+        import hypdecomp.doubling as doubling
+        assert doubling.ORTHO_TOL < 5e-8
+        monkeypatch.setattr(doubling, "external_orthogonality", lambda mc: 5e-8)
+        mixed = quotient_classify(report_fig3.ep_decomposition, g_fig3_sym,
+                                  report_fig3.spec.options.word_bound)
+        assert any("not orthogonal" in msg for _, msg in mixed.errors)
+
     def test_external_face_on_polar_hyperplane(self, report_fig3):
         #  H(v) contains the wall section: <x, u> = 0 on every section vertex
         for mc in report_fig3.mixed.cells:

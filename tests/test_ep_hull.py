@@ -112,16 +112,27 @@ class TestHullFaces:
             assert f.support[0] > 0
 
 
+def stability_at(g, word_bound, height_bound):
+    """The stability certificate on the base orbit and faces run() builds."""
+    pts = OrbitSet(orbit(g, word_bound, height_bound))
+    # too few points for a hull: no faces
+    faces = (certified_faces(hull_faces(pts), height_bound)
+             if len(pts) >= g.dimension + 1 else [])
+    return stability_certificate(g, pts, faces, word_bound, height_bound)
+
+
 class TestStability:
     def test_trivial_group_vacuous(self):
         g = GroupSpec(2, [], [], [np.array([1.0, 0.0, 1.0])])
-        assert stability_certificate(g, 3, 10.0)
+        assert stability_at(g, 3, 10.0)
 
     def test_thrice_punctured_stable(self, spec_3ps):
-        assert stability_certificate(spec_3ps.group, 6, 20.0)
+        assert stability_at(spec_3ps.group, 6, 20.0)
 
     def test_low_word_bound_unstable(self, spec_fig8):
-        assert not stability_certificate(spec_fig8.group, 1, 8.0)
+        # three orbit points at word bound 1: no hull, no faces
+        assert len(orbit(spec_fig8.group, 1, 8.0)) == 3
+        assert not stability_at(spec_fig8.group, 1, 8.0)
 
 
 class TestProjectFace:

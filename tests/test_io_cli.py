@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -140,6 +141,37 @@ def load_and_copy(spec):
     from hypdecomp.io_cli import load_spec
     from hypdecomp.fixtures import fixture_path
     return load_spec(fixture_path(spec.name))
+
+
+# SHA-256 of the canonical JSON of each shipped fixture at its own
+# bounds; a refactor must leave every byte of it unchanged.
+GOLDEN_SHA256 = {
+    "thrice_punctured_sphere":
+        "b996e42bec4a6ec012e5a2f69d77b9556223218c2c9d5fbede3b9a094aae80cf",
+    "once_punctured_torus":
+        "03794b54e851c1f3896dc7312171ee0fcda894d4282664e3d5eb95187bedc825",
+    "figure3_surface":
+        "6dc962e0daabf904b450124e554654e655ae7aa19029b12a9e9277d200e70f38",
+    "figure_eight_knot":
+        "764b8b10e4c840d7a2626fdf978349d67147345f537fdd6393473a797ddfd6a9",
+    "figure_eight_knot --exact":
+        "566b32fb2dce5e1dce8501e546f925812505705d9d58170079f092522a70e858",
+}
+
+
+def _sha256(report):
+    return hashlib.sha256(emit(report, "json")).hexdigest()
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize("name", sorted(NAMES))
+    def test_fixture_json_unchanged(self, name, all_reports):
+        assert _sha256(all_reports[name]) == GOLDEN_SHA256[name]
+
+    def test_exact_figure_eight_json_unchanged(self, spec_fig8):
+        spec = load_and_copy(spec_fig8)
+        spec.options.exact = True
+        assert _sha256(run(spec)) == GOLDEN_SHA256["figure_eight_knot --exact"]
 
 
 class TestCli:
