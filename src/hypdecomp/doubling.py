@@ -15,7 +15,7 @@ import numpy as np
 
 from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell
-from .group import (GroupSpec, _matrix_key, lorentz_inverse, orbit,
+from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                     reflection_normal)
 from .matching import PAIR_TOL, find_group_element, match_index, set_match
 from .minkowski import (CausalClass, GeometryError, classify,
@@ -100,6 +100,27 @@ class SymmetrizeError(GeometryError):
     pass
 
 
+def _ray_hit(ball, q, vectors):
+    """First (element, j) whose image of ``vectors[j]`` lies on q's ray.
+
+    Elements are taken in ball order and, per element, j in list order;
+    rays closer than 1e-8 coincide.  Returns None when nothing hits.
+    """
+    ray_q = q / np.linalg.norm(q)
+    hits = []
+    for j, v in enumerate(vectors):
+        images = ball.matrices @ v
+        rays = images / np.linalg.norm(images, axis=1)[:, None]
+        # the batched norms may round differently from the per-element
+        # test below, so screen with slack and confirm each candidate
+        close = np.flatnonzero(np.linalg.norm(ray_q - rays, axis=1) < 2e-8)
+        hits.extend((int(e), j, images[e]) for e in close)
+    for e, j, img in sorted(hits, key=lambda h: h[:2]):
+        if np.linalg.norm(ray_q - img / np.linalg.norm(img)) < 1e-8:
+            return e, j
+    return None
+
+
 def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
                            word_bound: int = 4,
                            height_bound: float = 30.0) -> GroupSpec:
@@ -120,21 +141,12 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
     for r, tau in enumerate(g.reflections):
         for i, p in enumerate(reps):
             q = tau @ p
-            hit = None
-            for el in ball:
-                for j, pj in enumerate(reps):
-                    img = el.matrix @ pj
-                    ray_q = q / np.linalg.norm(q)
-                    ray_i = img / np.linalg.norm(img)
-                    if np.linalg.norm(ray_q - ray_i) < 1e-8:
-                        hit = (j, lorentz_inverse(el.matrix) @ q)
-                        break
-                if hit:
-                    break
+            hit = _ray_hit(ball, q, reps)
             if hit is None:
                 raise SymmetrizeError(
                     f"reflection {r} maps cusp {i} outside every cusp orbit")
-            constraints.append((i, hit[0], tau, hit[1]))
+            e, j = hit
+            constraints.append((i, j, tau, lorentz_inverse(ball.matrices[e]) @ q))
 
     # propagate exact vectors from low-index anchors to a fixpoint, then
     # verify every constraint (cycles and self-pairings must close up)
@@ -142,12 +154,10 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
 
     def _target(i, j, tau):
         q = tau @ assigned[i]
-        for el in ball:
-            img = el.matrix @ assigned[j]
-            if np.linalg.norm(q / np.linalg.norm(q)
-                              - img / np.linalg.norm(img)) < 1e-8:
-                return lorentz_inverse(el.matrix) @ q
-        raise SymmetrizeError("pairing lost during symmetrization")
+        hit = _ray_hit(ball, q, [assigned[j]])
+        if hit is None:
+            raise SymmetrizeError("pairing lost during symmetrization")
+        return lorentz_inverse(ball.matrices[hit[0]]) @ q
 
     # one canonical (first-listed) constraint assigns each cusp; every
     # other constraint is a consistency check, so repeated reflections
@@ -286,15 +296,13 @@ class MixedDecomposition:
 
 def wall_lifts(g: GroupSpec, word_bound: int):
     """Deduplicated conjugates (wall index, gamma tau gamma^-1)."""
+    stack = g.word_ball(word_bound).matrices
+    inverses = lorentz_inverse(stack)
     out = []
     seen = set()
     for r, tau in enumerate(g.reflections):
-        for el in g.word_ball(word_bound):
-            m = el.matrix @ tau @ lorentz_inverse(el.matrix)
-            key = _matrix_key(m)
-            if key not in seen:
-                seen.add(key)
-                out.append((r, m))
+        conj = stack @ tau @ inverses
+        out.extend((r, m) for m in conj[_first_new(conj, seen)])
     return out
 
 
@@ -534,8 +542,7 @@ def _same_plane(u, v, tol: float = 1e-7) -> bool:
 
 
 def _star_stack(g: GroupSpec, word_bound: int):
-    from .matching import _ball_stack
-    stack = _ball_stack(g, word_bound)
+    stack = g.word_ball(word_bound).matrices
     if not g.reflections:
         return stack
     tau0 = g.reflections[0]

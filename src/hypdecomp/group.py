@@ -1,14 +1,16 @@
 """Discrete isometry groups given by generator matrices.
 
 The group itself is never stored, only a finite word ball enumerated
-breadth-first with matrix deduplication.  Orbits of decorated light-cone
-points are truncated both by word length and by Minkowski height; the
-convex-hull stability certificate downstream detects insufficient bounds.
+breadth-first with matrix deduplication and kept as one matrix stack
+with parent pointers.  Orbits of decorated light-cone points are
+truncated both by word length and by Minkowski height; the convex-hull
+stability certificate downstream detects insufficient bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -50,9 +52,9 @@ class ValidationReport:
 
 
 def lorentz_inverse(A: np.ndarray) -> np.ndarray:
-    """Exact inverse J A^T J of a Lorentz matrix."""
-    J = minkowski_form(A.shape[0])
-    return J @ A.T @ J
+    """Exact inverse J A^T J of a Lorentz matrix or of a stack of them."""
+    J = minkowski_form(A.shape[-1])
+    return J @ np.swapaxes(A, -1, -2) @ J
 
 
 @dataclass(eq=False)
@@ -94,30 +96,45 @@ class GroupSpec:
         g = self.generators[abs(letter) - 1]
         return g if letter > 0 else lorentz_inverse(g)
 
-    def word_ball(self, word_bound: int):
-        """All group elements of word length <= word_bound, BFS order."""
+    def word_ball(self, word_bound: int) -> "WordBall":
+        """All group elements of word length <= word_bound, BFS order.
+
+        Each level multiplies the whole frontier by every letter in one
+        batched product, rounds it once and keeps the first occurrence
+        of each rounded matrix, in (frontier element, letter) order.
+        """
         if word_bound in self._ball_cache:
             return self._ball_cache[word_bound]
         dim = self.dimension + 1
-        seen = {}
-        ball = [GroupElement((), np.eye(dim))]
-        seen[_matrix_key(ball[0].matrix)] = 0
-        frontier = ball[:]
-        letters = self.letters()
+        alphabet = self.letters()
+        signs = np.array([s for s, _ in alphabet], dtype=np.int32)
+        L = np.array([m for _, m in alphabet]).reshape(-1, dim, dim)
+        identity = np.eye(dim)
+        seen = set()
+        _first_new(identity[None], seen)
+        mats = [identity[None]]
+        parents = [np.array([-1], dtype=np.int32)]
+        lets = [np.array([0], dtype=np.int32)]
+        size = 1
         for _ in range(word_bound):
-            new_frontier = []
-            for el in frontier:
-                for letter, m in letters:
-                    if el.word and el.word[-1] == -letter:
-                        continue  # immediate backtrack
-                    child = GroupElement(el.word + (letter,), el.matrix @ m)
-                    key = _matrix_key(child.matrix)
-                    if key in seen:
-                        continue
-                    seen[key] = len(ball)
-                    ball.append(child)
-                    new_frontier.append(child)
-            frontier = new_frontier
+            front = mats[-1]
+            if not len(front) or not len(signs):
+                break
+            P = (front[:, None] @ L[None]).reshape(-1, dim, dim)
+            par = np.repeat(np.arange(size - len(front), size, dtype=np.int32),
+                            len(signs))
+            let = np.tile(signs, len(front))
+            # immediate backtracks are skipped, not merely deduplicated
+            ok = np.flatnonzero(np.repeat(lets[-1], len(signs)) != -let)
+            keep = ok[_first_new(P[ok], seen)]
+            mats.append(P[keep])
+            parents.append(par[keep])
+            lets.append(let[keep])
+            size += len(keep)
+        matrices = np.concatenate(mats)
+        matrices.flags.writeable = False
+        ball = WordBall(matrices, np.concatenate(parents),
+                        np.concatenate(lets))
         self._ball_cache[word_bound] = ball
         return ball
 
@@ -129,16 +146,59 @@ class GroupSpec:
             return cached
         p = self.cusp_reps[cusp_id]
         scale = float(np.max(np.abs(p)))
-        out = []
-        for el in self.word_ball(word_bound):
-            if np.max(np.abs(el.matrix @ p - p)) <= 1e-8 * scale:
-                out.append(el)
+        ball = self.word_ball(word_bound)
+        dev = np.max(np.abs(ball.matrices @ p - p), axis=1)
+        out = [ball[i] for i in np.flatnonzero(dev <= 1e-8 * scale)]
         self._stab_cache[key] = out
         return out
 
 
-def _matrix_key(A: np.ndarray):
-    return np.round(A, 8).tobytes()
+@dataclass(eq=False)
+class WordBall:
+    """Word ball as one read-only (N, d, d) matrix stack in BFS order.
+
+    Element i is ``matrices[i]``; its word is the word of ``parent[i]``
+    followed by the signed generator ``letter[i]`` (the identity has
+    parent -1 and letter 0).  Words and GroupElements are built only
+    when asked for.
+    """
+
+    matrices: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+
+    def __len__(self):
+        return len(self.matrices)
+
+    def word(self, i) -> tuple:
+        out = []
+        i = int(i)
+        while i > 0:
+            out.append(int(self.letter[i]))
+            i = int(self.parent[i])
+        return tuple(reversed(out))
+
+    def __getitem__(self, i) -> GroupElement:
+        return GroupElement(self.word(i), self.matrices[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _first_new(stack: np.ndarray, seen: set) -> list:
+    """Indices of the matrices whose key is not in ``seen`` yet.
+
+    The key is the matrix's bytes rounded to 1e-8; only the first
+    occurrence of a key counts, and the new keys are added to ``seen``.
+    """
+    R = np.round(stack, 8).reshape(len(stack), -1)
+    keys = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel().tolist()
+    out = []
+    for i, k in enumerate(keys):
+        if k not in seen:
+            seen.add(k)
+            out.append(i)
+    return out
 
 
 def validate_group(g: GroupSpec) -> ValidationReport:
@@ -212,17 +272,19 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     """
     if word_bound < 0 or height_bound <= 0:
         raise GeometryError("orbit bounds must be nonnegative / positive")
+    ball = g.word_ball(word_bound)
     buckets = {}
     points = []
-    for el in g.word_ball(word_bound):
-        for cusp_id, p in enumerate(g.cusp_reps):
-            q = el.matrix @ p
-            if q[0] > height_bound:
-                continue
+    if g.cusp_reps:
+        # images of every cusp under the whole ball, filtered on their x0
+        # and merged in (element, cusp) order
+        images = np.stack([ball.matrices @ p for p in g.cusp_reps], axis=1)
+        low = images[:, :, 0] <= height_bound
+        for (e, cusp_id), q in zip(np.argwhere(low), images[low]):
             if _merge_lookup(buckets, points, q) is not None:
                 continue
-            op = OrbitPoint(point=q, word=el.word, cusp_id=cusp_id,
-                            matrix=el.matrix)
+            op = OrbitPoint(point=q, word=ball.word(e), cusp_id=int(cusp_id),
+                            matrix=ball.matrices[e])
             _merge_insert(buckets, points, op)
     points.sort(key=_canonical_key)
     for i, op in enumerate(points):
@@ -243,17 +305,15 @@ _GRID = 1e-6
 
 def _ray_cell(q):
     ray = q / np.linalg.norm(q)
-    return tuple(np.floor(ray / _GRID).astype(np.int64))
+    return tuple(np.floor(ray / _GRID).astype(np.int64).tolist())
+
+
+# neighbor offsets of a ray cell, per cell length (R^3 and R^4)
+_OFFSETS = {k: np.array(list(product((-1, 0, 1), repeat=k))) for k in (3, 4)}
 
 
 def _neighbors(cell):
-    if len(cell) == 3:
-        rng = ((-1, 0, 1),) * 3
-    else:
-        rng = ((-1, 0, 1),) * 4
-    from itertools import product
-    for off in product(*rng):
-        yield tuple(c + o for c, o in zip(cell, off))
+    return map(tuple, (np.array(cell) + _OFFSETS[len(cell)]).tolist())
 
 
 def _is_same_point(a, b):
@@ -323,11 +383,11 @@ def validate_reflection(tau: np.ndarray, g: GroupSpec, word_bound: int = 4,
         raise GeometryError("tau is not an involution")
     if not g.generators:
         return True
-    ball = g.word_ball(word_bound)
+    stack = g.word_ball(word_bound).matrices
     tau_inv = lorentz_inverse(tau)
     for gen in g.generators:
         m = tau_inv @ gen @ tau
         scale = max(1.0, float(np.max(np.abs(m))))
-        if not any(np.max(np.abs(el.matrix - m)) <= tol * scale for el in ball):
+        if not np.any(np.max(np.abs(stack - m), axis=(1, 2)) <= tol * scale):
             return False
     return True

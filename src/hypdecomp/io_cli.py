@@ -47,7 +47,8 @@ class PipelineOptions:
     exact: bool = False
 
 
-# The tolerances the code reads, as declared in the JSON report.
+# The tolerances the code reads, as declared in the JSON report; a run
+# declares its own cross-validation tolerance in place of the default.
 TOLERANCES = {
     "lightlike": LIGHTLIKE_EPS,
     "pair_match": PAIR_TOL,
@@ -313,7 +314,7 @@ def emit(report: RunReport, fmt: str) -> bytes:
                 "tol": opts.tol,
                 "exact": opts.exact,
             },
-            "tolerances": TOLERANCES,
+            "tolerances": {**TOLERANCES, "cross_validation": opts.tol},
             "certificates": {k: {"ok": c.ok, "detail": c.detail}
                              for k, c in report.certificates.items()},
             "cells": [],

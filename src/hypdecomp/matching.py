@@ -71,19 +71,6 @@ def _gram_key(coords):
     return np.sort(G.ravel())
 
 
-def _ball_stack(g: GroupSpec, word_bound: int):
-    cache = getattr(g, "_ball_stack_cache", None)
-    if cache is None:
-        cache = {}
-        g._ball_stack_cache = cache
-    arr = cache.get(word_bound)
-    if arr is None:
-        ball = g.word_ball(word_bound)
-        arr = np.stack([el.matrix for el in ball])
-        cache[word_bound] = arr
-    return arr
-
-
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
                        src_points=None, dst_points=None, tol: float = PAIR_TOL):
     """Group element mapping the source set onto the destination set.
@@ -117,7 +104,7 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
             if i >= 1:
                 break  # two base vertices are enough; fall through to the scan
     # centroid-keyed scan of the whole ball
-    stack = _ball_stack(g, word_bound)
+    stack = g.word_ball(word_bound).matrices
     c_src = src.mean(axis=0)
     c_dst = dst.mean(axis=0)
     images = stack @ c_src

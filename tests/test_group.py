@@ -1,11 +1,19 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hypdecomp.group import (GroupSpec, OrbitSet, lorentz_inverse, orbit,
-                             reflection_normal, validate_group,
+from hypdecomp.doubling import wall_lifts
+from hypdecomp.fixtures import fixture_path
+from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, _canonical_key,
+                             _merge_insert, _merge_lookup, lorentz_inverse,
+                             orbit, reflection_normal, validate_group,
                              validate_reflection)
+from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
-                                 psl2_to_lorentz, reflection_in_hyperplane)
+                                 minkowski_form, psl2_to_lorentz,
+                                 reflection_in_hyperplane)
 
 
 def trivial_group(cusps):
@@ -156,3 +164,148 @@ class TestReflectionNormal:
         from conftest import random_boost
         A = random_boost(rng, 3)
         assert np.max(np.abs(A @ lorentz_inverse(A) - np.eye(4))) < 1e-12
+
+
+# Reference oracles: the per-element loops that the stacked word ball
+# replaced.  The stack must reproduce them bit for bit.
+
+def reference_ball(g, word_bound):
+    """Per-element BFS: (word, matrix) pairs, deduplicated on 1e-8 keys."""
+    ball = [((), np.eye(g.dimension + 1))]
+    seen = {np.round(ball[0][1], 8).tobytes()}
+    frontier = ball[:]
+    letters = g.letters()
+    for _ in range(word_bound):
+        new_frontier = []
+        for word, A in frontier:
+            for letter, m in letters:
+                if word and word[-1] == -letter:
+                    continue
+                child = (word + (letter,), A @ m)
+                key = np.round(child[1], 8).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    ball.append(child)
+                    new_frontier.append(child)
+        frontier = new_frontier
+    return ball
+
+
+def reference_orbit(g, ref_ball, height_bound):
+    buckets, points = {}, []
+    for word, A in ref_ball:
+        for cusp_id, p in enumerate(g.cusp_reps):
+            q = A @ p
+            if q[0] > height_bound:
+                continue
+            if _merge_lookup(buckets, points, q) is not None:
+                continue
+            _merge_insert(buckets, points, OrbitPoint(q, word, cusp_id, A))
+    points.sort(key=_canonical_key)
+    return points
+
+
+def reference_wall_lifts(g, ref_ball):
+    J = minkowski_form(g.dimension + 1)
+    out, seen = [], set()
+    for r, tau in enumerate(g.reflections):
+        for _word, A in ref_ball:
+            m = A @ tau @ (J @ A.T @ J)
+            key = np.round(m, 8).tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append((r, m))
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _fresh_group(name):
+    return load_spec(fixture_path(name)).group
+
+
+SHIPPED = {"thrice_punctured_sphere": 6, "once_punctured_torus": 6,
+           "figure3_surface": 5, "figure_eight_knot": 6}
+BALL_CASES = ([(n, wb) for n, wb in SHIPPED.items()]
+              + [(n, wb + 1) for n, wb in SHIPPED.items()]
+              + [("thrice_punctured_sphere", 8), ("once_punctured_torus", 8)])
+
+
+class TestWordBallStack:
+    @pytest.mark.parametrize("name,word_bound", BALL_CASES)
+    def test_ball_matches_reference(self, name, word_bound):
+        g = _fresh_group(name)
+        ball = g.word_ball(word_bound)
+        ref = reference_ball(g, word_bound)
+        assert len(ball) == len(ref)
+        assert ball.matrices.shape == (len(ref),) + ref[0][1].shape
+        for el, (word, A) in zip(ball, ref):
+            assert el.word == word
+            assert _same_bits(el.matrix, A)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_orbit_and_stabilizers_match_reference(self, name):
+        spec = load_spec(fixture_path(name))
+        g, wb, hb = spec.group, spec.options.word_bound, spec.options.height_bound
+        ref_ball = reference_ball(g, wb + 1)
+        for word_bound, height_bound in ((wb, hb), (wb + 1, 2 * hb)):
+            ref = reference_orbit(g, ref_ball[:len(g.word_ball(word_bound))],
+                                  height_bound)
+            pts = orbit(g, word_bound, height_bound)
+            assert len(pts) == len(ref)
+            for op, rp in zip(pts, ref):
+                assert (op.word, op.cusp_id) == (rp.word, rp.cusp_id)
+                assert _same_bits(op.point, rp.point)
+                assert _same_bits(op.matrix, rp.matrix)
+        for cusp_id, p in enumerate(g.cusp_reps):
+            scale = float(np.max(np.abs(p)))
+            ref = [(w, A) for w, A in ref_ball
+                   if np.max(np.abs(A @ p - p)) <= 1e-8 * scale]
+            got = g.stabilizer_elements(cusp_id, wb + 1)
+            assert [el.word for el in got] == [w for w, _ in ref]
+            assert all(_same_bits(el.matrix, A) for el, (_, A) in zip(got, ref))
+
+    def test_wall_lifts_match_reference(self):
+        g = _fresh_group("figure3_surface")
+        lifts = wall_lifts(g, SHIPPED["figure3_surface"])
+        ref = reference_wall_lifts(g, reference_ball(g, SHIPPED["figure3_surface"]))
+        assert len(lifts) == len(ref)
+        for (r, m), (r_ref, m_ref) in zip(lifts, ref):
+            assert r == r_ref and _same_bits(m, m_ref)
+
+    def test_no_generators_is_identity(self):
+        g = GroupSpec(2, [], [], [np.array([1.0, 0.0, 1.0])])
+        ball = g.word_ball(5)
+        assert len(ball) == 1
+        (el,) = list(ball)
+        assert el.word == () and np.array_equal(el.matrix, np.eye(3))
+        assert len(orbit(g, 5, 10.0)) == 1
+
+    def test_no_cusps(self, spec_3ps):
+        g = GroupSpec(2, spec_3ps.group.generators, [], [])
+        assert orbit(g, 4, 50.0) == []
+        assert [el.word for el in g.word_ball(4)] == [
+            w for w, _ in reference_ball(g, 4)]
+
+    def test_stack_is_read_only(self, spec_3ps):
+        ball = spec_3ps.group.word_ball(2)
+        with pytest.raises(ValueError):
+            ball.matrices[0, 0, 0] = 2.0
+
+    def test_ball_keeps_little_memory(self):
+        # what the cached ball keeps alive: the stack plus two int arrays,
+        # no per-element objects (those cost several times the stack)
+        g = _fresh_group("figure3_surface")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ball = g.word_ball(6)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ball) == 115589
+        assert kept < 3 * ball.matrices.nbytes

@@ -86,6 +86,13 @@ class TestRun:
         assert doc["options"]["height_bound"] == 20.0
         assert "tolerances" in doc and doc["tolerances"]["pair_match"] == 1e-6
 
+    def test_report_declares_run_tolerance(self, spec_torus):
+        from dataclasses import replace
+        spec = replace(spec_torus, options=replace(spec_torus.options, tol=1e-5))
+        doc = json.loads(emit(run(spec), "json"))
+        assert doc["options"]["tol"] == 1e-5
+        assert doc["tolerances"]["cross_validation"] == 1e-5
+
 
 class TestEmit:
     def test_json_round_trip(self, report_fig3):
