@@ -411,13 +411,11 @@ def dual_edges(complex_: CutComplex):
 def dual_count_identity(complex_: CutComplex, dual: Decomposition) -> dict:
     """Counts of dual objects against cut-locus cell orbits per stratum."""
     n = complex_.dimension
+    # edges are dual to (n-1)-cells in both dimensions
     out = {
         "regions": (len(dual.cells), complex_.class_counts[0]),
-        "edges": (count_face_classes(dual, n - 1) if n == 2
-                  else count_face_classes(dual, 1), None),
+        "edges": (count_face_classes(dual, 1), complex_.class_counts[n - 1]),
     }
-    # edges are dual to (n-1)-cells in both dimensions
-    out["edges"] = (out["edges"][0], complex_.class_counts[n - 1])
     if n == 3:
         out["faces"] = (count_face_classes(dual, 2), complex_.class_counts[1])
     return out

@@ -19,7 +19,7 @@ from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                     reflection_normal)
 from .matching import PAIR_TOL, find_group_element, match_index, set_match
 from .minkowski import (CausalClass, GeometryError, classify,
-                        klein_to_hyperboloid, lorentz_product)
+                        klein_to_hyperboloid, lorentz_gram, lorentz_product)
 
 ORTHO_TOL = 1e-8
 
@@ -121,6 +121,26 @@ def _ray_hit(ball, q, vectors):
     return None
 
 
+def _overlap_log_scale(coords) -> float:
+    """Largest -d/2 over pairs of horoballs on distinct rays (d their
+    distance), or -inf without such a pair.
+
+    A batched Gram screen keeps the pairs that can reach the maximum
+    within a rounding bound; only those are evaluated with
+    ``horoball_distance``, so the value is bitwise the pairwise one.
+    """
+    norms = np.linalg.norm(coords, axis=1)
+    rays = coords / norms[:, None]
+    a, b = np.triu_indices(len(coords), 1)
+    apart = np.linalg.norm(rays[a] - rays[b], axis=1) >= 1e-10
+    a, b = a[apart], b[apart]
+    q = -lorentz_gram(coords, coords)[a, b]
+    err = 1e-12 * norms[a] * norms[b]
+    near = np.flatnonzero(q - err <= np.min(q + err, initial=np.inf))
+    return max((-horoball_distance(coords[a[k]], coords[b[k]]) / 2.0
+                for k in near), default=-np.inf)
+
+
 def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
                            word_bound: int = 4,
                            height_bound: float = 30.0) -> GroupSpec:
@@ -199,15 +219,8 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
             d = horoball_plane_distance(op.point, u)
             log_scale = max(log_scale, margin - d)
     # (3) pairwise disjointness
-    coords = np.array([op.point for op in pts])
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            ra = coords[a] / np.linalg.norm(coords[a])
-            rb = coords[b] / np.linalg.norm(coords[b])
-            if np.linalg.norm(ra - rb) < 1e-10:
-                continue
-            d = horoball_distance(coords[a], coords[b])
-            log_scale = max(log_scale, -d / 2.0)
+    log_scale = max(log_scale,
+                    _overlap_log_scale(np.array([op.point for op in pts])))
     lam = float(np.exp(log_scale)) if log_scale > 1e-15 else 1.0
     if lam != 1.0:
         for i in range(len(reps)):

@@ -65,7 +65,6 @@ class Decomposition:
     cell_points: list        # decorated OrbitPoints per cell, vertex-aligned
     pairings: dict           # (cell, facet) -> Pairing
     unpaired: list
-    class_sizes: list
 
 
 def support_vector(points, tol: float = SUPPORT_RESIDUAL_TOL) -> np.ndarray:
@@ -333,55 +332,16 @@ def cell_is_convex(cell: IdealCell, tol: float = 1e-9) -> bool:
 # Quotient assembly.
 # ---------------------------------------------------------------------------
 
-class _FaceClasses:
-    """Union-find over faces with group elements on the edges.
-
-    ``rel[i]`` maps face i onto its parent as a point set; find() path
-    compression keeps the composed matrices consistent, so the matrix
-    carrying any face onto its class representative is always available.
-    """
-
-    def __init__(self, n, dim):
-        self.parent = list(range(n))
-        self.rel = [np.eye(dim) for _ in range(n)]
-
-    def find(self, i):
-        if self.parent[i] == i:
-            return i, self.rel[i]
-        root, _ = self.find(self.parent[i])
-        if self.parent[i] != root:
-            self.rel[i] = self.rel[self.parent[i]] @ self.rel[i]
-            self.parent[i] = root
-        return root, self.rel[i]
-
-    def union(self, i, j, gamma):
-        """Record gamma . F_i = F_j."""
-        ri, Ri = self.find(i)
-        rj, Rj = self.find(j)
-        if ri == rj:
-            return
-        from .group import lorentz_inverse
-        self.parent[ri] = rj
-        self.rel[ri] = Rj @ gamma @ lorentz_inverse(Ri)
-        self.find(i)
-
-    def matrix_between(self, i, j):
-        """Matrix with M . F_i = F_j, valid when both share a root."""
-        ri, Ri = self.find(i)
-        rj, Rj = self.find(j)
-        if ri != rj:
-            return None
-        from .group import lorentz_inverse
-        return lorentz_inverse(Rj) @ Ri
-
-
 def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                            all_faces=None) -> Decomposition:
     """Group certified faces into orbits and pair their facets.
 
     Orbit grouping walks generator images inside the enumerated face
-    set (a union-find carrying the identifying matrices), with a
-    pairwise matcher as a fallback for components the walk cannot join.
+    set, joining face indices in one union-find, with a pairwise
+    group-element search as a fallback for components the walk cannot
+    join.  Each facet's pairing matrix is the group element that
+    ``find_group_element`` verifies to carry the hull neighbor across
+    the facet onto its class representative, never a product chain.
     ``all_faces`` may supply additional uncertified faces used to locate
     hull neighbors; unpaired facets are reported, never dropped.
     """
@@ -389,7 +349,6 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
         all_faces = faces
     ops = list(points)
     coords = np.array([op.point for op in ops])
-    dim = g.dimension + 1
 
     face_sets = [coords[list(f.vertex_ids)] for f in all_faces]
     centroids = np.array([fs.mean(axis=0) for fs in face_sets])
@@ -398,7 +357,12 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     wanted = {id(f) for f in faces}
     certified_idx = [i for i, f in enumerate(all_faces) if id(f) in wanted]
 
-    uf = _FaceClasses(len(all_faces), dim)
+    def face_element(i, j):
+        return find_group_element(g, word_bound, face_sets[i], face_sets[j],
+                                  [ops[v] for v in all_faces[i].vertex_ids],
+                                  [ops[v] for v in all_faces[j].vertex_ids])
+
+    uf = _UnionFind(range(len(all_faces)))
     letters = [m for _, m in g.letters()]
     for i, fs in enumerate(face_sets):
         for m in letters:
@@ -407,45 +371,28 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                                       axis=1) <= tol)[0]
             k = match_index((face_sets[j] for j in close), img, tol)
             if k is not None and close[k] != i:
-                uf.union(i, int(close[k]), m)
+                uf.union(i, int(close[k]))
 
     # fallback: merge remaining certified components pairwise
-    roots = sorted({uf.find(i)[0] for i in certified_idx})
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            ra, rb = roots[a], roots[b]
-            if uf.find(ra)[0] == uf.find(rb)[0]:
-                continue
-            A = face_sets[ra]
-            B = face_sets[rb]
-            M = find_group_element(g, word_bound, A, B,
-                                   [ops[v] for v in all_faces[ra].vertex_ids],
-                                   [ops[v] for v in all_faces[rb].vertex_ids])
-            if M is not None:
-                uf.union(ra, rb, M)
+    for ra, rb in combinations(sorted({uf.find(i) for i in certified_idx}), 2):
+        if uf.find(ra) != uf.find(rb) and face_element(ra, rb) is not None:
+            uf.union(ra, rb)
 
     # classes with at least one certified member become cells
     members = {}
     for i in certified_idx:
-        root, _ = uf.find(i)
-        members.setdefault(root, []).append(i)
-    reps = {}
-    for root, mem in members.items():
-        reps[root] = min(mem, key=lambda i: _face_sort_key(all_faces[i], coords))
-    order = sorted(reps.values(), key=lambda i: _face_sort_key(all_faces[i], coords))
-    class_of = {}
-    for ci, rep_idx in enumerate(order):
-        root, _ = uf.find(rep_idx)
-        class_of[root] = ci
+        members.setdefault(uf.find(i), []).append(i)
+    key = lambda i: _face_sort_key(all_faces[i], coords)
+    order = sorted((min(mem, key=key) for mem in members.values()), key=key)
+    class_of = {uf.find(rep_idx): ci for ci, rep_idx in enumerate(order)}
 
     cells = []
     cell_points = []
-    for rep_idx in order:
+    for ci, rep_idx in enumerate(order):
         cell, cops = project_face(all_faces[rep_idx], ops)
-        cell.label = class_of[uf.find(rep_idx)[0]]
+        cell.label = ci
         cells.append(cell)
         cell_points.append(cops)
-    class_sizes = [len(members[uf.find(rep_idx)[0]]) for rep_idx in order]
 
     # facet -> neighbor lookup over the full face list
     by_vertex = {}
@@ -469,12 +416,15 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
             if nb is None:
                 unpaired.append(((ci, fi), "no hull neighbor (truncation)"))
                 continue
-            nb_root, _ = uf.find(nb)
-            if nb_root not in class_of:
+            cj = class_of.get(uf.find(nb))
+            if cj is None:
                 unpaired.append(((ci, fi), "neighbor face not in a certified class"))
                 continue
-            cj = class_of[nb_root]
-            M = uf.matrix_between(nb, order[cj])
+            M = face_element(nb, order[cj])
+            if M is None:
+                unpaired.append(((ci, fi), "no group element onto the class "
+                                           "representative"))
+                continue
             img = np.array([ops[v].point for v in facet_global]) @ M.T
             fj = match_index((np.array([cell_points[cj][v].point for v in f])
                               for f in cells[cj].facets), img,
@@ -486,7 +436,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
             pairings[(ci, fi)] = Pairing(source=(ci, fi), target=(cj, fj), matrix=M)
     return Decomposition(dimension=g.dimension, cells=cells,
                          cell_points=cell_points, pairings=pairings,
-                         unpaired=unpaired, class_sizes=class_sizes)
+                         unpaired=unpaired)
 
 
 def count_face_classes(dec: Decomposition, k: int) -> int:

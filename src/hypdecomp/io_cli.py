@@ -208,13 +208,14 @@ def run(spec: ManifoldSpec) -> RunReport:
     dual_dec = None
     if opts.algorithm in ("cutlocus", "both"):
         try:
-            paths = enumerate_return_paths(gs, opts.length_bound,
-                                           opts.word_bound, opts.height_bound,
-                                           points=points)
-            cx = cut_locus_complex(paths, gs, opts.word_bound, points=points)
+            # one enumeration at the doubled bound serves both complexes:
+            # the paths within the bound keep their order in it
             paths2 = enumerate_return_paths(gs, 2.0 * opts.length_bound,
                                             opts.word_bound, opts.height_bound,
                                             points=points)
+            paths = [rp for rp in paths2
+                     if rp.length <= opts.length_bound + 1e-9]
+            cx = cut_locus_complex(paths, gs, opts.word_bound, points=points)
             cx2 = cut_locus_complex(paths2, gs, opts.word_bound, points=points)
             stable = _complex_signature(cx) == _complex_signature(cx2)
             certs["cutlocus_stability"] = Certificate(

@@ -49,8 +49,28 @@ class TestReturnPaths:
                 gs, spec.options.length_bound, spec.options.word_bound,
                 spec.options.height_bound), name
 
+    @staticmethod
+    def _key(paths):
+        return [(rp.length, [(c, q.index) for c, q in rp.lifts])
+                for rp in paths]
 
-SYM3 = [2.0 * np.array([1.0, math.cos(t), math.sin(t)])
+    def test_run_paths_match_direct_enumeration(self, all_reports):
+        # run() keeps the paths within the bound from its one enumeration
+        # at the doubled bound; they must be the direct enumeration's
+        for name, report in all_reports.items():
+            opts = report.spec.options
+            from hypdecomp.doubling import symmetrize_decorations
+            gs = symmetrize_decorations(report.spec.group, margin=opts.margin,
+                                        word_bound=min(4, opts.word_bound),
+                                        height_bound=opts.height_bound)
+            direct = enumerate_return_paths(
+                gs, opts.length_bound, opts.word_bound, opts.height_bound,
+                points=report.cut_complex.orbit_points)
+            assert direct, name
+            assert self._key(report.return_paths) == self._key(direct), name
+
+
+SYM3 =[2.0 * np.array([1.0, math.cos(t), math.sin(t)])
         for t in (math.pi / 2.0, math.pi / 2.0 + 2 * math.pi / 3,
                   math.pi / 2.0 + 4 * math.pi / 3)]
 

@@ -3,13 +3,15 @@ import pytest
 
 from conftest import random_boost, random_lightlike
 from hypdecomp.decorations import horoball_distance
-from hypdecomp.doubling import (SymmetrizeError, check_hull_symmetry,
-                                doubling_consistency, external_orthogonality,
-                                polar_vertex, quotient_classify,
-                                symmetrize_decorations, symmetry_direction_check,
-                                wall_lifts)
+from hypdecomp.doubling import (SymmetrizeError, _overlap_log_scale,
+                                check_hull_symmetry, doubling_consistency,
+                                external_orthogonality, polar_vertex,
+                                quotient_classify, symmetrize_decorations,
+                                symmetry_direction_check, wall_lifts)
 from hypdecomp.ep_hull import certified_faces, hull_faces
+from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitSet, orbit, reflection_normal
+from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import (GeometryError, lorentz_product,
                                  reflection_in_hyperplane)
 
@@ -34,6 +36,53 @@ class TestSymmetrize:
                 if np.linalg.norm(ra - rb) < 1e-9:
                     continue
                 assert horoball_distance(pts[a].point, pts[b].point) >= -1e-9
+
+    def test_overlap_rescale_fires(self, spec_torus):
+        # the torus horoballs overlap as shipped: the pair term alone
+        # doubles every center
+        opts = spec_torus.options
+        gs = symmetrize_decorations(spec_torus.group, margin=opts.margin,
+                                    word_bound=4, height_bound=opts.height_bound)
+        for p, q in zip(gs.cusp_reps, spec_torus.group.cusp_reps):
+            assert np.array_equal(p, 2.0 * q)
+
+    @staticmethod
+    def _pairwise_overlap(coords):
+        # reference: the scalar loop over every pair on distinct rays
+        ref = -np.inf
+        for a in range(len(coords)):
+            for b in range(a + 1, len(coords)):
+                ra = coords[a] / np.linalg.norm(coords[a])
+                rb = coords[b] / np.linalg.norm(coords[b])
+                if np.linalg.norm(ra - rb) < 1e-10:
+                    continue
+                ref = max(ref, -horoball_distance(coords[a], coords[b]) / 2.0)
+        return ref
+
+    @pytest.mark.parametrize("name", ["thrice_punctured_sphere",
+                                      "once_punctured_torus",
+                                      "figure3_surface", "figure_eight_knot"])
+    def test_overlap_scale_bitwise_pairwise(self, name):
+        spec = load_spec(fixture_path(name))
+        coords = np.array([op.point for op in orbit(
+            spec.group, min(4, spec.options.word_bound),
+            spec.options.height_bound)])
+        assert _overlap_log_scale(coords) == self._pairwise_overlap(coords)
+
+    def test_overlap_scale_bitwise_random_sets(self):
+        # small batched Gram products round differently from the scalar
+        # product on some of these sets; the result must not
+        rng = np.random.default_rng(20250810)
+        for t in range(200):
+            n = 2 + t % 2
+            coords = np.array([random_lightlike(rng, n, (0.5, 50.0))
+                               for _ in range(12)])
+            assert _overlap_log_scale(coords) == self._pairwise_overlap(coords)
+
+    def test_overlap_scale_without_pairs(self):
+        one = np.array([[1.0, 1.0, 0.0]])
+        assert _overlap_log_scale(one) == -np.inf
+        assert _overlap_log_scale(np.vstack([one, 3.0 * one])) == -np.inf
 
     def test_impossible_pairing_rejected(self, spec_3ps):
         g = spec_3ps.group
@@ -259,7 +308,7 @@ def _synthetic_decomposition(cell_vertex_sets):
         cells.append(cell)
         cell_points.append(ops)
     return Decomposition(dimension=2, cells=cells, cell_points=cell_points,
-                         pairings={}, unpaired=[], class_sizes=[1] * len(cells))
+                         pairings={}, unpaired=[])
 
 
 def _ray(theta):
