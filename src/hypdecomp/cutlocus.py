@@ -91,8 +91,8 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
     paths = {}
     for c, base in enumerate(base_ops):
         p = base.point
+        ray_p = p / np.linalg.norm(p)
         for q in points:
-            ray_p = p / np.linalg.norm(p)
             ray_q = q.point / np.linalg.norm(q.point)
             if np.linalg.norm(ray_p - ray_q) < 1e-10:
                 continue
@@ -159,14 +159,9 @@ def _vertex_enumeration(A, b, n):
     # dedupe coincident basic solutions
     uniq = []
     for k, active in vertices:
-        hit = False
-        for k2, act2, _ in uniq:
-            if np.max(np.abs(k - k2)) < 1e-9:
-                hit = True
-                break
-        if not hit:
-            uniq.append((k, active, None))
-    return [(k, active) for k, active, _ in uniq]
+        if not any(np.max(np.abs(k - k2)) < 1e-9 for k2, _ in uniq):
+            uniq.append((k, active))
+    return uniq
 
 
 def _inside_ball(k, margin: float = BALL_MARGIN) -> bool:
@@ -278,12 +273,9 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int = 5,
     class_counts = {}
     for k in range(n):
         classes = GammaClasses(g, word_bound)
-        dedup = []
         for cell in cells[k]:
             coords = np.array([op.point for op in cell.nearest_points])
-            cid, _ = classes.classify(coords, cell.nearest_points)
-            cell.class_id = cid
-            dedup.append(cell)
+            cell.class_id, _ = classes.classify(coords, cell.nearest_points)
         class_counts[k] = len(classes.reps)
     return CutComplex(dimension=n, cells=cells, class_counts=class_counts,
                       orbit_points=points)

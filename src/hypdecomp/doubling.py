@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decorations import horoball_distance, horoball_plane_distance
-from .ep_hull import Decomposition, IdealCell
+from .ep_hull import Decomposition, IdealCell, facet_normal
 from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                     reflection_normal)
-from .matching import PAIR_TOL, find_group_element, match_index, set_match
+from .matching import PAIR_TOL, _scale, match_index, set_match, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
 
@@ -415,7 +415,7 @@ def external_orthogonality(mc: MixedCell) -> float:
         # only facets meeting the wall section matter
         if not _facet_meets_wall(facet, u):
             continue
-        v = _span_normal(facet)
+        v = facet_normal(facet, range(len(facet)))
         c = lorentz_product(u, v) / np.sqrt(
             lorentz_product(u, u) * lorentz_product(v, v))
         worst = max(worst, abs(np.arccos(np.clip(c, -1, 1)) - np.pi / 2.0))
@@ -426,14 +426,6 @@ def _facet_meets_wall(facet_coords, u, tol: float = 1e-7) -> bool:
     vals = np.array([lorentz_product(p, u) for p in facet_coords])
     scale = max(1.0, float(np.max(np.abs(vals))))
     return bool(np.min(vals) < tol * scale and np.max(vals) > -tol * scale)
-
-
-def _span_normal(facet_coords) -> np.ndarray:
-    from .minkowski import minkowski_form
-    P = np.atleast_2d(np.asarray(facet_coords, float))
-    J = minkowski_form(P.shape[1])
-    _, _, vt = np.linalg.svd(P @ J)
-    return vt[-1]
 
 
 def doubling_consistency(mc: MixedCell, original_coords,
@@ -477,18 +469,13 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
         coords = np.array([op.point for op in dec.cell_points[ci]])
         scale = max(1.0, float(np.max(np.abs(coords))))
         planes = []
-        centroid = coords.mean(axis=0)
-        close = np.nonzero(np.max(np.abs(stack @ centroid - centroid), axis=1)
-                           <= PAIR_TOL * scale)[0]
-        for idx in close:
+        for idx in stack_hits(stack, coords, coords, PAIR_TOL * scale):
             r, m = lifts[idx]
-            img = coords @ m.T
-            if set_match(img, coords, PAIR_TOL * scale):
-                u = reflection_normal(m, strict=False)
-                if u is None:
-                    continue   # lift too deep in the ball to be usable
-                if not any(_same_plane(u, u2) for _, u2, _ in planes):
-                    planes.append((r, u, m))
+            u = reflection_normal(m, strict=False)
+            if u is None:
+                continue   # lift too deep in the ball to be usable
+            if not any(_same_plane(u, u2) for _, u2, _ in planes):
+                planes.append((r, u, m))
         if len(planes) > 1:
             errors.append((ci, "cell meets two distinct wall orbits"))
             continue
@@ -496,30 +483,29 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
             case2[ci] = planes[0]
 
     mirrored_away = set()
-    mirror_of = {}
     tau0 = g.reflections[0]
+    ball = g.word_ball(word_bound).matrices
     for ci, cell in enumerate(dec.cells):
         if ci in case2 or ci in mirrored_away:
             continue
         coords = np.array([op.point for op in dec.cell_points[ci]])
         img = coords @ tau0.T
+        images = ball @ img.mean(axis=0)
         partner = None
         for cj in range(len(dec.cells)):
             if cj in case2:
                 continue
-            M = find_group_element(g, word_bound, img,
-                                   np.array([op.point for op in dec.cell_points[cj]]))
-            if M is not None:
+            dst = np.array([op.point for op in dec.cell_points[cj]])
+            tol = PAIR_TOL * _scale(img, dst)
+            if next(stack_hits(ball, img, dst, tol, images), None) is not None:
                 partner = cj
                 break
         if partner is None:
             errors.append((ci, "mirror cell class not found among certified cells"))
         elif partner == ci:
             errors.append((ci, "off-wall cell is its own mirror (inconsistent)"))
-        else:
-            mirror_of[ci] = partner
-            if partner > ci:
-                mirrored_away.add(partner)
+        elif partner > ci:
+            mirrored_away.add(partner)
 
     for ci, cell in enumerate(dec.cells):
         if ci in mirrored_away:
@@ -579,35 +565,23 @@ def _quotient_pairings(cells, g: GroupSpec, word_bound: int):
     for (key, coords) in slots:
         if key in pairings:
             continue
-        c_src = coords.mean(axis=0)
-        scale = max(1.0, float(np.max(np.abs(coords))))
+        tol = PAIR_TOL * max(1.0, float(np.max(np.abs(coords))))
+        images = stack @ coords.mean(axis=0)
         found = None
-        images = stack @ c_src
         for (key2, coords2) in slots:
-            if key2 == key or key2 in pairings or coords2.shape != coords.shape:
+            if key2 == key or key2 in pairings:
                 continue
-            c_dst = coords2.mean(axis=0)
-            close = np.nonzero(np.max(np.abs(images - c_dst), axis=1)
-                               <= PAIR_TOL * scale)[0]
-            for idx in close:
-                M = stack[idx]
-                if set_match(coords @ M.T, coords2, PAIR_TOL * scale):
-                    found = (key2, M)
-                    break
-            if found:
+            idx = next(stack_hits(stack, coords, coords2, tol, images), None)
+            if idx is not None:
+                found = (key2, stack[idx])
                 break
         if found is None:
             # self-gluing: facet maps onto itself by a nontrivial element
-            images_self = images
-            close = np.nonzero(np.max(np.abs(images_self - c_src), axis=1)
-                               <= PAIR_TOL * scale)[0]
-            for idx in close:
-                M = stack[idx]
-                if np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-9:
-                    continue
-                if set_match(coords @ M.T, coords, PAIR_TOL * scale):
-                    found = (key, M)
-                    break
+            eye = np.eye(stack.shape[1])
+            idx = next((i for i in stack_hits(stack, coords, coords, tol, images)
+                        if np.max(np.abs(stack[i] - eye)) >= 1e-9), None)
+            if idx is not None:
+                found = (key, stack[idx])
         if found is None:
             unpaired.append(key)
             continue

@@ -21,7 +21,8 @@ from .group import GroupSpec, OrbitSet, orbit
 from .hull import IncrementalHull
 from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
-                        hyperboloid_to_klein, lorentz_product, minkowski_form)
+                        hyperboloid_to_klein, lorentz_gram, lorentz_product,
+                        minkowski_form)
 
 SUPPORT_RESIDUAL_TOL = 1e-8
 COPLANAR_TOL = 1e-8
@@ -206,7 +207,6 @@ def certified_faces(faces, height_bound: float):
 
 def convex_side_check(faces, points, tol: float = CONVEX_SIDE_TOL):
     """All orbit points satisfy <q,w> <= -1 for every face support w."""
-    from .minkowski import lorentz_gram
     coords = np.array([op.point for op in points])
     for f in faces:
         prods = lorentz_gram(coords, f.support[None, :]).ravel()
@@ -493,9 +493,7 @@ def facet_normal(cell_coords, facet_ids) -> np.ndarray:
     """Spacelike normal of the plane through origin spanned by facet rays."""
     P = np.array([cell_coords[i] for i in facet_ids])
     J = minkowski_form(P.shape[1])
-    _, s, vt = np.linalg.svd(P @ J)
-    u = vt[-1]
-    return u
+    return np.linalg.svd(P @ J)[2][-1]
 
 
 def outward_facet_normal(cell_coords, facet_ids) -> np.ndarray:

@@ -25,9 +25,10 @@ from .doubling import (ORTHO_TOL, MixedDecomposition, SymmetrizeError,
                        symmetrize_decorations)
 from .ep_hull import (COPLANAR_TOL, assemble_decomposition, certified_faces,
                       hull_faces, stability_certificate)
-from .group import GroupSpec, OrbitSet, orbit, validate_group, validate_reflection
+from .group import (GroupSpec, OrbitSet, orbit, reflection_normal,
+                    validate_group, validate_reflection)
 from .matching import PAIR_TOL
-from .minkowski import LIGHTLIKE_EPS, GeometryError
+from .minkowski import LIGHTLIKE_EPS, GeometryError, lorentz_gram
 
 SCHEMA_VERSION = 1
 
@@ -127,10 +128,31 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
         if not hasattr(opts, key):
             raise SpecError(f"unknown option '{key}'")
         setattr(opts, key, value)
-    if opts.algorithm not in ("ep", "cutlocus", "both"):
-        raise SpecError(f"unknown algorithm '{opts.algorithm}'")
+    check_options(opts)
     return ManifoldSpec(name=doc.get("name", ""), group=group, options=opts,
                         source=source)
+
+
+def _is_number(x) -> bool:
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+
+
+def check_options(opts: PipelineOptions) -> None:
+    """Raise SpecError unless every option has a usable type and range."""
+    if opts.algorithm not in ("ep", "cutlocus", "both"):
+        raise SpecError(f"unknown algorithm '{opts.algorithm}'")
+    wb = opts.word_bound
+    if isinstance(wb, bool) or not isinstance(wb, (int, np.integer)) or wb < 0:
+        raise SpecError(f"word_bound must be an integer >= 0, not {wb!r}")
+    for key in ("height_bound", "length_bound", "tol"):
+        value = getattr(opts, key)
+        if not (_is_number(value) and value > 0):
+            raise SpecError(f"{key} must be a number > 0, not {value!r}")
+    if not _is_number(opts.margin):
+        raise SpecError(f"margin must be a number, not {opts.margin!r}")
+    if not isinstance(opts.exact, (bool, np.bool_)):
+        raise SpecError(f"exact must be true or false, not {opts.exact!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +166,6 @@ def _complex_signature(cx: CutComplex):
         for cell in cells:
             if cell.class_id not in reps:
                 coords = np.array([op.point for op in cell.nearest_points])
-                from .minkowski import lorentz_gram
                 gram = np.sort(np.round(lorentz_gram(coords, coords).ravel(), 6))
                 reps[cell.class_id] = (len(cell.nearest_ids), tuple(gram))
         sig[k] = sorted(reps.values())
@@ -359,7 +380,6 @@ def _emit_svg(report: RunReport) -> bytes:
                 add(a, b, "external")
     walls = []
     for tau in report.spec.group.reflections:
-        from .group import reflection_normal
         u = reflection_normal(tau)
         us, u0 = u[1:], u[0]
         nu = np.linalg.norm(us)
@@ -426,6 +446,7 @@ def main(argv=None) -> int:
                 setattr(spec.options, name, val)
         if args.exact:
             spec.options.exact = True
+        check_options(spec.options)
         if args.svg_path and spec.group.dimension != 2:
             raise SpecError("SVG output is only available for n = 2")
     except SpecError as exc:

@@ -3,10 +3,12 @@
 Everything downstream that talks about "orbits of faces", "orbits of
 cut-locus cells" or "orbits of return paths" reduces to one question:
 is there a group element mapping one finite decorated point set onto
-another?  Candidates come from two sources: compositions of vertex
-words with cusp stabilizer elements (covers elements well outside the
-word ball), and a vectorized scan of the ball itself keyed on set
-centroids.  All searches are deterministic.
+another?  ``find_group_element`` answers it from one candidate source:
+compositions of vertex words with cusp stabilizer elements, which
+cover elements well outside the word ball.  ``stack_hits`` is the one
+scan of a matrix stack (screened by the image of the set centroid and
+confirmed point by point) for the quotient's wall lifts, mirror
+partners and facet gluings.  All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -71,13 +73,34 @@ def _gram_key(coords):
     return np.sort(G.ravel())
 
 
+def stack_hits(stack, src, dst, tol: float, images=None):
+    """Indices of the stack matrices mapping ``src`` onto ``dst``, in order.
+
+    A matrix passes the screen when it carries the source centroid
+    within the absolute ``tol`` of the destination centroid;
+    ``images`` may supply ``stack @ src.mean(axis=0)`` when the caller
+    reuses it.  Each survivor is confirmed with ``set_match``.
+    """
+    if src.shape != dst.shape:
+        return
+    if images is None:
+        images = stack @ src.mean(axis=0)
+    close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)), axis=1)
+                           <= tol)
+    for idx in close:
+        if set_match(src @ stack[idx].T, dst, tol):
+            yield int(idx)
+
+
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
-                       src_points=None, dst_points=None, tol: float = PAIR_TOL):
+                       src_points, dst_points, tol: float = PAIR_TOL):
     """Group element mapping the source set onto the destination set.
 
-    ``src_points`` / ``dst_points`` are optional lists of OrbitPoint
-    carrying words; when both are present, word-derived candidates are
-    tried before scanning the ball.  Returns the matrix or None.
+    ``src_points`` / ``dst_points`` are the sets' OrbitPoints, carrying
+    words.  The candidates are Q.matrix @ s @ word(P)^-1 for each of the
+    first two source vertices P, each destination vertex Q on P's cusp
+    and each cusp stabilizer element s.  Returns the first candidate
+    that maps the set within tolerance, or None.
     """
     src = np.atleast_2d(np.asarray(src_coords, dtype=float))
     dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
@@ -86,32 +109,15 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     scale = _scale(src, dst)
     if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
         return None
-
-    def verify(M):
-        return set_match(src @ M.T, dst, tol * scale)
-
-    if src_points is not None and dst_points is not None:
-        for i, P in enumerate(src_points):
-            inv = inverse_word_matrix(g, P.word)
-            for Q in dst_points:
-                if Q.cusp_id != P.cusp_id:
-                    continue
-                MQ = Q.matrix
-                for s in g.stabilizer_elements(P.cusp_id, word_bound):
-                    M = MQ @ s.matrix @ inv
-                    if verify(M):
-                        return M
-            if i >= 1:
-                break  # two base vertices are enough; fall through to the scan
-    # centroid-keyed scan of the whole ball
-    stack = g.word_ball(word_bound).matrices
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    images = stack @ c_src
-    close = np.nonzero(np.max(np.abs(images - c_dst), axis=1) <= tol * scale)[0]
-    for idx in close:
-        if verify(stack[idx]):
-            return stack[idx]
+    for P in src_points[:2]:
+        inv = inverse_word_matrix(g, P.word)
+        for Q in dst_points:
+            if Q.cusp_id != P.cusp_id:
+                continue
+            for s in g.stabilizer_elements(P.cusp_id, word_bound):
+                M = Q.matrix @ s.matrix @ inv
+                if set_match(src @ M.T, dst, tol * scale):
+                    return M
     return None
 
 
@@ -122,9 +128,9 @@ class GammaClasses:
         self.g = g
         self.word_bound = word_bound
         self.tol = tol
-        self.reps = []          # (coords, points-or-None)
+        self.reps = []          # (coords, points)
 
-    def classify(self, coords, points=None):
+    def classify(self, coords, points):
         """Class index and matrix mapping the object onto its class rep.
 
         Unseen objects start a new class with themselves as rep (and

@@ -55,6 +55,14 @@ def report_fig8(spec_fig8):
 
 
 @pytest.fixture(scope="session")
+def report_fig8_h12():
+    # the raised-height knot rung that still fails its dual certificates
+    spec = _load("figure_eight_knot")
+    spec.options.height_bound = 12.0
+    return run(spec)
+
+
+@pytest.fixture(scope="session")
 def all_reports(report_3ps, report_torus, report_fig3, report_fig8):
     return {
         "thrice_punctured_sphere": report_3ps,

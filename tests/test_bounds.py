@@ -25,8 +25,8 @@ def _run(name, **overrides):
 
 
 @pytest.fixture(scope="module")
-def knot_h12():
-    return _run("figure_eight_knot", height_bound=12.0)
+def knot_h12(report_fig8_h12):
+    return report_fig8_h12
 
 
 @pytest.fixture(scope="module")

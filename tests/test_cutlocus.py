@@ -213,10 +213,10 @@ class TestSymmetryLemma:
         assert on_wall > 0
 
     def test_off_wall_cells_in_mirror_pairs(self, report_fig3):
-        from hypdecomp.matching import find_group_element
+        from hypdecomp.matching import PAIR_TOL, _scale, stack_hits
         gs = _symmetrized(report_fig3)
+        ball = gs.word_ball(5).matrices
         cx = report_fig3.cut_complex
-        pts = cx.orbit_points
         tau0 = gs.reflections[0]
         reps = {}
         for cell in cx.cells[1]:
@@ -225,11 +225,13 @@ class TestSymmetryLemma:
         for cell in reps.values():
             coords = np.array([op.point for op in cell.nearest_points])
             img = coords @ tau0.T
-            found = any(
-                find_group_element(gs, 5, img,
-                                   np.array([op.point for op in other.nearest_points]))
-                is not None
-                for other in reps.values())
+            found = False
+            for other in reps.values():
+                dst = np.array([op.point for op in other.nearest_points])
+                tol = PAIR_TOL * _scale(img, dst)
+                if next(stack_hits(ball, img, dst, tol), None) is not None:
+                    found = True
+                    break
             assert found
 
     def test_cross_validation_on_all_fixtures(self, all_reports):

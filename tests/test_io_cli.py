@@ -187,6 +187,26 @@ class TestCli:
         assert main(["--input", str(missing)]) == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--word-bound", "-1"], ["--height-bound", "0"],
+        ["--length-bound", "-2"], ["--tol", "0"]])
+    def test_invalid_bound_exit_3(self, args, capsys):
+        code = main(["--input", str(fixture_path("once_punctured_torus"))]
+                    + args)
+        assert code == 3
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [
+        {"word_bound": "5"}, {"word_bound": 2.5}, {"word_bound": True},
+        {"tol": "x"}, {"height_bound": -1.0}, {"exact": "yes"}])
+    def test_invalid_option_block_exit_3(self, options, tmp_path, capsys):
+        doc = json.loads(fixture_path("once_punctured_torus").read_text())
+        doc["options"].update(options)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--input", str(path)]) == 3
+        assert "input error:" in capsys.readouterr().err
+
     def test_svg_for_n3_exit_3(self, tmp_path):
         code = main(["--input", str(fixture_path("figure_eight_knot")),
                      "--svg", str(tmp_path / "out.svg")])

@@ -1,0 +1,361 @@
+"""The one-source matcher against the two-source reference it replaced.
+
+``find_group_element`` used to fall through from its word candidates to
+a centroid scan of the whole word ball, and the quotient wrote the
+same screen-and-verify loop out inline four times.  Both are kept here
+verbatim as references: every run output that a group-element search
+feeds (return-path classes, cut-locus class ids and counts, the
+cross-validation, the quotient pairings and the canonical JSON) must
+be the same under the reference.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from conftest import _load
+from hypdecomp import cutlocus, ep_hull, io_cli, matching
+from hypdecomp.cutlocus import cross_validate
+from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
+                                _same_plane, _star_stack, _truncate_cell,
+                                external_orthogonality, quotient_classify,
+                                symmetrize_decorations, wall_lifts)
+from hypdecomp.group import (GroupSpec, inverse_word_matrix, lorentz_inverse,
+                             reflection_normal)
+from hypdecomp.matching import (PAIR_TOL, _gram_key, _scale, set_match,
+                                stack_hits)
+from hypdecomp.minkowski import GeometryError
+from test_doubling import _ray, _synthetic_decomposition
+
+
+# ---------------------------------------------------------------------------
+# References: the two-source matcher and the inline quotient loops.
+# ---------------------------------------------------------------------------
+
+def ref_find_group_element(g, word_bound, src_coords, dst_coords,
+                           src_points=None, dst_points=None, tol=PAIR_TOL):
+    src = np.atleast_2d(np.asarray(src_coords, dtype=float))
+    dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
+    if src.shape != dst.shape:
+        return None
+    scale = _scale(src, dst)
+    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
+        return None
+
+    def verify(M):
+        return set_match(src @ M.T, dst, tol * scale)
+
+    if src_points is not None and dst_points is not None:
+        for i, P in enumerate(src_points):
+            inv = inverse_word_matrix(g, P.word)
+            for Q in dst_points:
+                if Q.cusp_id != P.cusp_id:
+                    continue
+                MQ = Q.matrix
+                for s in g.stabilizer_elements(P.cusp_id, word_bound):
+                    M = MQ @ s.matrix @ inv
+                    if verify(M):
+                        return M
+            if i >= 1:
+                break
+    stack = g.word_ball(word_bound).matrices
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    images = stack @ c_src
+    close = np.nonzero(np.max(np.abs(images - c_dst), axis=1) <= tol * scale)[0]
+    for idx in close:
+        if verify(stack[idx]):
+            return stack[idx]
+    return None
+
+
+def _ideal(cell, coords, ci):
+    return MixedCell(kind="ideal", klein_vertices=cell.klein_vertices,
+                     ambient_vertices=coords,
+                     internal_facets=[coords[list(f)] for f in cell.facets],
+                     source_class=ci)
+
+
+def ref_quotient_classify(dec, g, word_bound=4):
+    errors = []
+    cells_out = []
+    if not g.reflections:
+        for ci, cell in enumerate(dec.cells):
+            coords = np.array([op.point for op in dec.cell_points[ci]])
+            cells_out.append(_ideal(cell, coords, ci))
+        pairings, unpaired = ref_quotient_pairings(cells_out, g, word_bound)
+        return MixedDecomposition(dec.dimension, cells_out, pairings,
+                                  unpaired, errors)
+    lifts = wall_lifts(g, word_bound)
+    stack = np.stack([m for _, m in lifts])
+    case2 = {}
+    for ci, cell in enumerate(dec.cells):
+        coords = np.array([op.point for op in dec.cell_points[ci]])
+        scale = max(1.0, float(np.max(np.abs(coords))))
+        planes = []
+        centroid = coords.mean(axis=0)
+        close = np.nonzero(np.max(np.abs(stack @ centroid - centroid), axis=1)
+                           <= PAIR_TOL * scale)[0]
+        for idx in close:
+            r, m = lifts[idx]
+            img = coords @ m.T
+            if set_match(img, coords, PAIR_TOL * scale):
+                u = reflection_normal(m, strict=False)
+                if u is None:
+                    continue
+                if not any(_same_plane(u, u2) for _, u2, _ in planes):
+                    planes.append((r, u, m))
+        if len(planes) > 1:
+            errors.append((ci, "cell meets two distinct wall orbits"))
+            continue
+        if planes:
+            case2[ci] = planes[0]
+    mirrored_away = set()
+    tau0 = g.reflections[0]
+    for ci, cell in enumerate(dec.cells):
+        if ci in case2 or ci in mirrored_away:
+            continue
+        coords = np.array([op.point for op in dec.cell_points[ci]])
+        img = coords @ tau0.T
+        partner = None
+        for cj in range(len(dec.cells)):
+            if cj in case2:
+                continue
+            M = ref_find_group_element(
+                g, word_bound, img,
+                np.array([op.point for op in dec.cell_points[cj]]))
+            if M is not None:
+                partner = cj
+                break
+        if partner is None:
+            errors.append((ci, "mirror cell class not found among certified cells"))
+        elif partner == ci:
+            errors.append((ci, "off-wall cell is its own mirror (inconsistent)"))
+        elif partner > ci:
+            mirrored_away.add(partner)
+    for ci, cell in enumerate(dec.cells):
+        if ci in mirrored_away:
+            continue
+        cops = dec.cell_points[ci]
+        if ci in case2:
+            r, u, m = case2[ci]
+            try:
+                mc = _truncate_cell(cell, cops, m, u, r, ci)
+            except GeometryError as exc:
+                errors.append((ci, str(exc)))
+                continue
+            worst = external_orthogonality(mc)
+            if worst > ORTHO_TOL:
+                errors.append((ci, f"external face not orthogonal ({worst})"))
+            cells_out.append(mc)
+        else:
+            cells_out.append(_ideal(cell, np.array([op.point for op in cops]),
+                                    ci))
+    pairings, unpaired = ref_quotient_pairings(cells_out, g, word_bound)
+    return MixedDecomposition(dec.dimension, cells_out, pairings, unpaired,
+                              errors)
+
+
+def ref_quotient_pairings(cells, g, word_bound):
+    stack = _star_stack(g, word_bound)
+    slots = []
+    for ci, mc in enumerate(cells):
+        for fi, facet in enumerate(mc.internal_facets):
+            slots.append(((ci, fi), np.asarray(facet, float)))
+    pairings = {}
+    unpaired = []
+    for (key, coords) in slots:
+        if key in pairings:
+            continue
+        c_src = coords.mean(axis=0)
+        scale = max(1.0, float(np.max(np.abs(coords))))
+        found = None
+        images = stack @ c_src
+        for (key2, coords2) in slots:
+            if key2 == key or key2 in pairings or coords2.shape != coords.shape:
+                continue
+            c_dst = coords2.mean(axis=0)
+            close = np.nonzero(np.max(np.abs(images - c_dst), axis=1)
+                               <= PAIR_TOL * scale)[0]
+            for idx in close:
+                M = stack[idx]
+                if set_match(coords @ M.T, coords2, PAIR_TOL * scale):
+                    found = (key2, M)
+                    break
+            if found:
+                break
+        if found is None:
+            close = np.nonzero(np.max(np.abs(images - c_src), axis=1)
+                               <= PAIR_TOL * scale)[0]
+            for idx in close:
+                M = stack[idx]
+                if np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-9:
+                    continue
+                if set_match(coords @ M.T, coords, PAIR_TOL * scale):
+                    found = (key, M)
+                    break
+        if found is None:
+            unpaired.append(key)
+            continue
+        key2, M = found
+        pairings[key] = (key2, M)
+        if key2 != key:
+            pairings[key2] = (key, lorentz_inverse(M))
+    return pairings, unpaired
+
+
+# ---------------------------------------------------------------------------
+# Comparisons.
+# ---------------------------------------------------------------------------
+
+def assert_same_quotient(a, b):
+    assert a.errors == b.errors
+    assert a.unpaired == b.unpaired
+    assert [(mc.kind, mc.source_class, mc.ambient_vertices.tobytes())
+            for mc in a.cells] == [
+        (mc.kind, mc.source_class, mc.ambient_vertices.tobytes())
+        for mc in b.cells]
+    assert list(a.pairings) == list(b.pairings)
+    for key, (tgt, M) in a.pairings.items():
+        tgt2, M2 = b.pairings[key]
+        assert tgt == tgt2, key
+        assert M.tobytes() == M2.tobytes(), key
+
+
+def _symmetrized(spec):
+    o = spec.options
+    return symmetrize_decorations(spec.group, margin=o.margin,
+                                  word_bound=min(4, o.word_bound),
+                                  height_bound=o.height_bound)
+
+
+def _path_classes(report):
+    return [(rp.class_id, rp.length, [(c, q.index) for c, q in rp.lifts])
+            for rp in report.return_paths]
+
+
+def _cut_classes(report):
+    cx = report.cut_complex
+    return ({k: [(c.nearest_ids, c.class_id) for c in cells]
+             for k, cells in cx.cells.items()}, cx.class_counts)
+
+
+def _cross(report, gs):
+    cv = cross_validate(report.ep_decomposition, report.dual_decomposition,
+                        gs, report.spec.options.word_bound,
+                        tol=report.spec.options.tol)
+    return cv.ok, cv.detail, cv.matched, cv.max_deviation
+
+
+@contextmanager
+def _reference():
+    """Swap the two-source matcher and the inline quotient back in."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (matching, cutlocus, ep_hull):
+            mp.setattr(mod, "find_group_element", ref_find_group_element)
+        mp.setattr(io_cli, "quotient_classify", ref_quotient_classify)
+        yield
+
+
+SETTINGS = {
+    "thrice_punctured_sphere": {},
+    "once_punctured_torus": {},
+    "figure3_surface": {},
+    "figure_eight_knot": {},
+    # the rung where a weaker matcher splits the classes
+    "figure_eight_knot H=12": {"height_bound": 12.0},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SETTINGS))
+def report_pair(request, all_reports, report_fig8_h12):
+    name = request.param
+    spec = _load(name.split()[0])
+    for key, value in SETTINGS[name].items():
+        setattr(spec.options, key, value)
+    new = all_reports.get(name, report_fig8_h12)
+    with _reference():
+        ref = io_cli.run(spec)
+    return new, ref, _symmetrized(spec)
+
+
+class TestAgainstTwoSourceReference:
+    def test_json_identical(self, report_pair):
+        new, ref, _ = report_pair
+        assert io_cli.emit(new, "json") == io_cli.emit(ref, "json")
+
+    def test_return_path_classes(self, report_pair):
+        new, ref, _ = report_pair
+        assert _path_classes(new) == _path_classes(ref)
+
+    def test_cut_locus_classes(self, report_pair):
+        new, ref, _ = report_pair
+        assert _cut_classes(new) == _cut_classes(ref)
+
+    def test_cross_validation(self, report_pair):
+        new, ref, gs = report_pair
+        got = _cross(new, gs)
+        with _reference():
+            want = _cross(ref, gs)
+        assert got == want
+
+    def test_quotient_pairings_bitwise(self, report_pair):
+        new, _, gs = report_pair
+        dec = new.ep_decomposition
+        wb = new.spec.options.word_bound
+        assert_same_quotient(quotient_classify(dec, gs, wb),
+                             ref_quotient_classify(dec, gs, wb))
+
+
+class TestSyntheticQuotients:
+    def test_mirror_pair(self):
+        tau = np.diag([1.0, 1.0, -1.0])
+        tri = [_ray(t) for t in (0.2, 0.9, 1.6)]
+        dec = _synthetic_decomposition([tri, [tau @ p for p in tri]])
+        g = GroupSpec(2, [], [tau], [np.asarray(tri[0])])
+        assert_same_quotient(quotient_classify(dec, g, 2),
+                             ref_quotient_classify(dec, g, 2))
+
+    def test_two_wall_orbits(self):
+        tau1 = np.diag([1.0, -1.0, 1.0])
+        tau2 = np.diag([1.0, 1.0, -1.0])
+        square = [_ray(t) for t in (np.pi / 4, 3 * np.pi / 4,
+                                    5 * np.pi / 4, 7 * np.pi / 4)]
+        dec = _synthetic_decomposition([square])
+        g = GroupSpec(2, [], [tau1, tau2], [np.asarray(square[0])])
+        mixed = quotient_classify(dec, g, 2)
+        assert not mixed.ok
+        assert_same_quotient(mixed, ref_quotient_classify(dec, g, 2))
+
+
+class TestStackHits:
+    SRC = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+    def _stack(self):
+        swap = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        flip = np.diag([1.0, -1.0, -1.0])
+        return np.stack([flip, np.eye(3), swap, flip @ flip, swap @ flip])
+
+    def test_hits_in_stack_order(self):
+        stack = self._stack()
+        assert list(stack_hits(stack, self.SRC, self.SRC, 1e-9)) == [1, 2, 3]
+        dst = self.SRC @ stack[4].T
+        assert list(stack_hits(stack, self.SRC, dst, 1e-9)) == [0, 4]
+
+    def test_passed_images_equal_computed(self):
+        stack = self._stack()
+        images = stack @ self.SRC.mean(axis=0)
+        for dst in (self.SRC, self.SRC @ stack[0].T):
+            assert (list(stack_hits(stack, self.SRC, dst, 1e-9, images))
+                    == list(stack_hits(stack, self.SRC, dst, 1e-9)))
+
+    def test_miss_yields_nothing(self):
+        stack = self._stack()
+        far = self.SRC + np.array([0.0, 0.5, 0.0])
+        assert list(stack_hits(stack, self.SRC, far, 1e-6)) == []
+        # another shape never matches
+        assert list(stack_hits(stack, self.SRC, self.SRC[:1], 1e-6)) == []
+        # same centroid, different set: screened in, refused by set_match
+        other = np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 0.5]])
+        assert list(stack_hits(stack, self.SRC, other, 1e-6)) == []
