@@ -14,7 +14,7 @@ what makes the cross-validation meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 STRATUM_TOL = 1e-8
 BALL_MARGIN = 1e-7
 BOX = 1.5
+# row combinations solved per batch in _vertex_enumeration
+VERTEX_BLOCK = 512
 
 
 @dataclass
@@ -142,20 +144,30 @@ def _box_constraints(n):
 
 
 def _vertex_enumeration(A, b, n):
-    """Feasible basic points of {A k >= b} with their active sets."""
+    """Feasible basic points of {A k >= b} with their active sets.
+
+    The C(m, n) row combinations are taken in lexicographic blocks of
+    ``VERTEX_BLOCK``.  A block's systems are stacked, the singular ones
+    (zero determinant, from the same LU on which a single ``solve``
+    raises) are dropped and the rest solved in one batched ``solve``.
+    The block's residuals are one product, so memory stays bounded by
+    the block whatever C(m, n) is.
+    """
     m = len(A)
+    combos = combinations(range(m), n)
     vertices = []
-    for combo in combinations(range(m), n):
-        M = A[list(combo)]
-        try:
-            k = np.linalg.solve(M, b[list(combo)])
-        except np.linalg.LinAlgError:
-            continue
-        resid = A @ k - b
-        if np.min(resid) < -1e-9:
-            continue
-        active = tuple(i for i in range(m) if abs(resid[i]) <= 1e-8)
-        vertices.append((k, active))
+    while True:
+        block = np.array(list(islice(combos, VERTEX_BLOCK)))
+        if not len(block):
+            break
+        Ms = A[block]
+        regular = np.linalg.det(Ms) != 0.0
+        ks = np.linalg.solve(Ms[regular],
+                             b[block[regular]][..., None])[..., 0]
+        resid = ks @ A.T - b
+        feasible = ~(np.min(resid, axis=1) < -1e-9)
+        for k, on in zip(ks[feasible], np.abs(resid[feasible]) <= 1e-8):
+            vertices.append((k, tuple(np.flatnonzero(on).tolist())))
     # dedupe coincident basic solutions
     uniq = []
     for k, active in vertices:

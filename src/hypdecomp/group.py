@@ -138,19 +138,30 @@ class GroupSpec:
         self._ball_cache[word_bound] = ball
         return ball
 
-    def stabilizer_elements(self, cusp_id: int, word_bound: int):
-        """Ball elements fixing the decorated cusp vector (identity included)."""
+    def _stabilizer(self, cusp_id: int, word_bound: int):
+        """Ball indices and read-only (K, d, d) matrix stack of the ball
+        elements fixing the decorated cusp vector (identity included)."""
         key = (cusp_id, word_bound)
         cached = self._stab_cache.get(key)
-        if cached is not None:
-            return cached
-        p = self.cusp_reps[cusp_id]
-        scale = float(np.max(np.abs(p)))
+        if cached is None:
+            p = self.cusp_reps[cusp_id]
+            scale = float(np.max(np.abs(p)))
+            ball = self.word_ball(word_bound)
+            dev = np.max(np.abs(ball.matrices @ p - p), axis=1)
+            idx = np.flatnonzero(dev <= 1e-8 * scale)
+            stack = ball.matrices[idx]
+            stack.flags.writeable = False
+            cached = self._stab_cache[key] = (idx, stack)
+        return cached
+
+    def stabilizer_stack(self, cusp_id: int, word_bound: int) -> np.ndarray:
+        """Matrices of ``stabilizer_elements`` as one stack, in ball order."""
+        return self._stabilizer(cusp_id, word_bound)[1]
+
+    def stabilizer_elements(self, cusp_id: int, word_bound: int):
+        """Ball elements fixing the decorated cusp vector (identity included)."""
         ball = self.word_ball(word_bound)
-        dev = np.max(np.abs(ball.matrices @ p - p), axis=1)
-        out = [ball[i] for i in np.flatnonzero(dev <= 1e-8 * scale)]
-        self._stab_cache[key] = out
-        return out
+        return [ball[i] for i in self._stabilizer(cusp_id, word_bound)[0]]
 
 
 @dataclass(eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -145,12 +146,14 @@ def check_options(opts: PipelineOptions) -> None:
     wb = opts.word_bound
     if isinstance(wb, bool) or not isinstance(wb, (int, np.integer)) or wb < 0:
         raise SpecError(f"word_bound must be an integer >= 0, not {wb!r}")
+    # an infinite bound or tolerance makes the certificates vacuous, and
+    # the JSON report cannot hold inf or nan
     for key in ("height_bound", "length_bound", "tol"):
         value = getattr(opts, key)
-        if not (_is_number(value) and value > 0):
-            raise SpecError(f"{key} must be a number > 0, not {value!r}")
-    if not _is_number(opts.margin):
-        raise SpecError(f"margin must be a number, not {opts.margin!r}")
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
+            raise SpecError(f"{key} must be a finite number > 0, not {value!r}")
+    if not (_is_number(opts.margin) and math.isfinite(opts.margin)):
+        raise SpecError(f"margin must be a finite number, not {opts.margin!r}")
     if not isinstance(opts.exact, (bool, np.bool_)):
         raise SpecError(f"exact must be true or false, not {opts.exact!r}")
 

@@ -6,9 +6,13 @@ is there a group element mapping one finite decorated point set onto
 another?  ``find_group_element`` answers it from one candidate source:
 compositions of vertex words with cusp stabilizer elements, which
 cover elements well outside the word ball.  ``stack_hits`` is the one
-scan of a matrix stack (screened by the image of the set centroid and
-confirmed point by point) for the quotient's wall lifts, mirror
-partners and facet gluings.  All searches are deterministic.
+scan of a matrix stack: a screen by the image of the set centroid,
+then a point-by-point check of the survivors.  It serves each
+(source vertex, destination vertex) candidate stack of
+``find_group_element`` and the quotient's wall lifts, mirror partners
+and facet gluings.  ``GammaClasses`` keeps the Gram key of each class
+representative, so an object is matched only against representatives
+whose key is close to its own.  All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -73,6 +77,15 @@ def _gram_key(coords):
     return np.sort(G.ravel())
 
 
+def _gram_close(key_a, key_b, scale: float, tol: float) -> bool:
+    """Whether two Gram keys of one shape can belong to one group orbit.
+
+    ``scale`` is ``_scale`` of the two sets; the keys are quadratic in
+    the coordinates, hence the squared scale.
+    """
+    return not np.max(np.abs(key_a - key_b)) > tol * scale * scale
+
+
 def stack_hits(stack, src, dst, tol: float, images=None):
     """Indices of the stack matrices mapping ``src`` onto ``dst``, in order.
 
@@ -99,25 +112,28 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     ``src_points`` / ``dst_points`` are the sets' OrbitPoints, carrying
     words.  The candidates are Q.matrix @ s @ word(P)^-1 for each of the
     first two source vertices P, each destination vertex Q on P's cusp
-    and each cusp stabilizer element s.  Returns the first candidate
-    that maps the set within tolerance, or None.
+    and each cusp stabilizer element s; each (P, Q) pair builds its
+    candidates as one stack and scans it with ``stack_hits``.  Returns
+    the first candidate, in (P, Q, s) order, that maps the set within
+    tolerance, or None.
     """
     src = np.atleast_2d(np.asarray(src_coords, dtype=float))
     dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
     if src.shape != dst.shape:
         return None
     scale = _scale(src, dst)
-    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
+    if not _gram_close(_gram_key(src), _gram_key(dst), scale, tol):
         return None
     for P in src_points[:2]:
         inv = inverse_word_matrix(g, P.word)
+        S = g.stabilizer_stack(P.cusp_id, word_bound)
         for Q in dst_points:
             if Q.cusp_id != P.cusp_id:
                 continue
-            for s in g.stabilizer_elements(P.cusp_id, word_bound):
-                M = Q.matrix @ s.matrix @ inv
-                if set_match(src @ M.T, dst, tol * scale):
-                    return M
+            Ms = (Q.matrix @ S) @ inv
+            idx = next(stack_hits(Ms, src, dst, tol * scale), None)
+            if idx is not None:
+                return Ms[idx].copy()
     return None
 
 
@@ -128,19 +144,26 @@ class GammaClasses:
         self.g = g
         self.word_bound = word_bound
         self.tol = tol
-        self.reps = []          # (coords, points)
+        self.reps = []          # (coords, points, Gram key, max |coord|)
 
     def classify(self, coords, points):
         """Class index and matrix mapping the object onto its class rep.
 
-        Unseen objects start a new class with themselves as rep (and
-        the identity matrix).
+        Only representatives of the object's shape whose Gram key is
+        close to its own are searched.  Unseen objects start a new
+        class with themselves as rep (and the identity matrix).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        for ci, (rc, rp) in enumerate(self.reps):
+        key = _gram_key(coords)
+        top = float(np.max(np.abs(coords)))
+        for ci, (rc, rp, rkey, rtop) in enumerate(self.reps):
+            if rc.shape != coords.shape:
+                continue
+            if not _gram_close(key, rkey, max(1.0, top, rtop), self.tol):
+                continue
             M = find_group_element(self.g, self.word_bound, coords, rc,
                                    points, rp, self.tol)
             if M is not None:
                 return ci, M
-        self.reps.append((coords, points))
+        self.reps.append((coords, points, key, top))
         return len(self.reps) - 1, np.eye(self.g.dimension + 1)

@@ -181,6 +181,17 @@ class TestGoldenJson:
         assert _sha256(run(spec)) == GOLDEN_SHA256["figure_eight_knot --exact"]
 
 
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_fixture_json_is_strict_json(name, all_reports):
+    doc = json.loads(emit(all_reports[name], "json"),
+                     parse_constant=_no_constant)
+    assert doc["options"]["tol"] == all_reports[name].spec.options.tol
+
+
 class TestCli:
     def test_input_error_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -196,9 +207,22 @@ class TestCli:
         assert code == 3
         assert "input error:" in capsys.readouterr().err
 
+    # a non-finite bound, tolerance or margin would certify vacuously
+    # (or be ignored) and leave a bare inf/nan in the JSON report
+    @pytest.mark.parametrize("args", [
+        ["--tol", "inf"], ["--height-bound", "inf"],
+        ["--length-bound", "inf"], ["--margin", "nan"], ["--margin", "inf"],
+        ["--margin=-inf"], ["--height-bound", "nan"], ["--tol", "nan"]])
+    def test_non_finite_option_exit_3(self, args, capsys):
+        code = main(["--input", str(fixture_path("once_punctured_torus"))]
+                    + args)
+        assert code == 3
+        assert "input error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("options", [
         {"word_bound": "5"}, {"word_bound": 2.5}, {"word_bound": True},
-        {"tol": "x"}, {"height_bound": -1.0}, {"exact": "yes"}])
+        {"tol": "x"}, {"height_bound": -1.0}, {"exact": "yes"},
+        {"length_bound": float("inf")}, {"margin": float("nan")}])
     def test_invalid_option_block_exit_3(self, options, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc["options"].update(options)

@@ -1,4 +1,4 @@
-"""The one-source matcher against the two-source reference it replaced.
+"""The stacked searches against the loops they replaced.
 
 ``find_group_element`` used to fall through from its word candidates to
 a centroid scan of the whole word ball, and the quotient wrote the
@@ -7,9 +7,16 @@ verbatim as references: every run output that a group-element search
 feeds (return-path classes, cut-locus class ids and counts, the
 cross-validation, the quotient pairings and the canonical JSON) must
 be the same under the reference.
+
+The word-candidate loop (one ``set_match`` per candidate), the
+classification that searches every representative and the cut-locus
+vertex enumeration that solves one system at a time are kept too:
+the stacked versions must return the same matrices, classes and
+vertices, bit for bit.
 """
 
 from contextlib import contextmanager
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +29,7 @@ from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
                                 external_orthogonality, quotient_classify,
                                 symmetrize_decorations, wall_lifts)
 from hypdecomp.group import (GroupSpec, inverse_word_matrix, lorentz_inverse,
-                             reflection_normal)
+                             orbit, reflection_normal)
 from hypdecomp.matching import (PAIR_TOL, _gram_key, _scale, set_match,
                                 stack_hits)
 from hypdecomp.minkowski import GeometryError
@@ -359,3 +366,196 @@ class TestStackHits:
         # same centroid, different set: screened in, refused by set_match
         other = np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 0.5]])
         assert list(stack_hits(stack, self.SRC, other, 1e-6)) == []
+
+
+# ---------------------------------------------------------------------------
+# References: one candidate, one representative, one system at a time.
+# ---------------------------------------------------------------------------
+
+def loop_find_group_element(g, word_bound, src_coords, dst_coords,
+                            src_points, dst_points, tol=PAIR_TOL):
+    src = np.atleast_2d(np.asarray(src_coords, dtype=float))
+    dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
+    if src.shape != dst.shape:
+        return None
+    scale = _scale(src, dst)
+    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
+        return None
+    for P in src_points[:2]:
+        inv = inverse_word_matrix(g, P.word)
+        for Q in dst_points:
+            if Q.cusp_id != P.cusp_id:
+                continue
+            for s in g.stabilizer_elements(P.cusp_id, word_bound):
+                M = Q.matrix @ s.matrix @ inv
+                if set_match(src @ M.T, dst, tol * scale):
+                    return M
+    return None
+
+
+def loop_classify(classes, coords, points):
+    """What ``classes.classify`` returns when every rep is searched."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    for ci, (rc, rp, *_) in enumerate(classes.reps):
+        M = loop_find_group_element(classes.g, classes.word_bound, coords, rc,
+                                    points, rp, classes.tol)
+        if M is not None:
+            return ci, M
+    return len(classes.reps), np.eye(classes.g.dimension + 1)
+
+
+def loop_vertex_enumeration(A, b, n):
+    m = len(A)
+    vertices = []
+    for combo in combinations(range(m), n):
+        M = A[list(combo)]
+        try:
+            k = np.linalg.solve(M, b[list(combo)])
+        except np.linalg.LinAlgError:
+            continue
+        resid = A @ k - b
+        if np.min(resid) < -1e-9:
+            continue
+        active = tuple(i for i in range(m) if abs(resid[i]) <= 1e-8)
+        vertices.append((k, active))
+    uniq = []
+    for k, active in vertices:
+        if not any(np.max(np.abs(k - k2)) < 1e-9 for k2, _ in uniq):
+            uniq.append((k, active))
+    return uniq
+
+
+def _bits(M):
+    return None if M is None else (M.shape, M.tobytes())
+
+
+def _vertex_bits(verts):
+    return [(k.shape, k.tobytes(), active) for k, active in verts]
+
+
+LOOP_SETTINGS = {
+    "thrice_punctured_sphere": {},
+    "once_punctured_torus": {},
+    "figure3_surface": {},
+    "figure_eight_knot": {},
+    "figure_eight_knot H=12": {"height_bound": 12.0},
+    "figure_eight_knot H=16": {"height_bound": 16.0},
+    "figure3_surface H=320": {"height_bound": 320.0},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LOOP_SETTINGS))
+def loop_pairs(request):
+    """(stacked, loop) results of every search in one run of a setting."""
+    name = request.param
+    spec = _load(name.split()[0])
+    for key, value in LOOP_SETTINGS[name].items():
+        setattr(spec.options, key, value)
+    finds, classes, verts = [], [], []
+    stacked_find = matching.find_group_element
+    stacked_classify = matching.GammaClasses.classify
+    stacked_enum = cutlocus._vertex_enumeration
+
+    def find(*args, **kwargs):
+        got = stacked_find(*args, **kwargs)
+        finds.append((_bits(got), _bits(loop_find_group_element(*args,
+                                                                **kwargs))))
+        return got
+
+    def classify(self, coords, points):
+        want = loop_classify(self, coords, points)
+        got = stacked_classify(self, coords, points)
+        classes.append(((got[0], _bits(got[1])), (want[0], _bits(want[1]))))
+        return got
+
+    def enum(A, b, n):
+        got = stacked_enum(A, b, n)
+        verts.append((_vertex_bits(got),
+                      _vertex_bits(loop_vertex_enumeration(A, b, n))))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (matching, cutlocus, ep_hull):
+            mp.setattr(mod, "find_group_element", find)
+        mp.setattr(matching.GammaClasses, "classify", classify)
+        mp.setattr(cutlocus, "_vertex_enumeration", enum)
+        io_cli.run(spec)
+    return finds, classes, verts
+
+
+class TestAgainstLoops:
+    def test_find_group_element_bitwise(self, loop_pairs):
+        finds, _, _ = loop_pairs
+        assert finds
+        assert any(got is not None for got, _ in finds)
+        for got, want in finds:
+            assert got == want
+
+    def test_classify_bitwise(self, loop_pairs):
+        _, classes, _ = loop_pairs
+        assert classes
+        for got, want in classes:
+            assert got == want
+
+    def test_vertex_enumeration_bitwise(self, loop_pairs):
+        _, _, verts = loop_pairs
+        assert verts
+        for got, want in verts:
+            assert got == want
+
+
+class TestFirstCandidate:
+    def test_single_vertex_sets_take_the_first_stabilizer(self):
+        # every stabilizer candidate maps a lone cusp vertex onto its
+        # image, so the search must return the first of the stack
+        spec = _load("once_punctured_torus")
+        g, wb = spec.group, spec.options.word_bound
+        points = orbit(g, wb, spec.options.height_bound)
+        assert len(g.stabilizer_stack(0, wb)) > 1
+        for P in points[:3]:
+            for Q in points[:6]:
+                got = matching.find_group_element(
+                    g, wb, [P.point], [Q.point], [P], [Q])
+                want = loop_find_group_element(
+                    g, wb, [P.point], [Q.point], [P], [Q])
+                assert _bits(got) == _bits(want)
+                if got is not None:
+                    inv = inverse_word_matrix(g, P.word)
+                    assert _bits(got) == _bits(Q.matrix @ np.eye(3) @ inv)
+
+
+class TestVertexEnumeration:
+    def _same_as_loop(self, A, b, n):
+        got = cutlocus._vertex_enumeration(A, b, n)
+        want = loop_vertex_enumeration(A, b, n)
+        assert _vertex_bits(got) == _vertex_bits(want)
+        return got
+
+    def test_fewer_rows_than_unknowns(self):
+        assert cutlocus._vertex_enumeration(np.ones((1, 2)), np.zeros(1),
+                                            2) == []
+        assert cutlocus._vertex_enumeration(np.ones((2, 3)), np.zeros(2),
+                                            3) == []
+
+    def test_box_with_singular_combos(self):
+        # rows e_i and -e_i are parallel: every combination holding both
+        # is singular and skipped; the 2^n box corners remain
+        for n in (2, 3):
+            A, b = cutlocus._box_constraints(n)
+            got = self._same_as_loop(A, b, n)
+            assert len(got) == 2 ** n
+            assert all(len(active) == n for _, active in got)
+
+    def test_several_blocks(self):
+        rng = np.random.default_rng(20250810)
+        n = 3
+        U = rng.normal(size=(18, n))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        Ab, bb = cutlocus._box_constraints(n)
+        # a repeated row makes singular systems in every block
+        A = np.vstack([U, U[:1], Ab])
+        b = np.concatenate([-0.5 * np.ones(19), bb])
+        assert len(list(combinations(range(len(A)), n))) > (
+            2 * cutlocus.VERTEX_BLOCK)
+        got = self._same_as_loop(A, b, n)
+        assert got

@@ -1,6 +1,9 @@
 import numpy as np
 
-from hypdecomp.matching import greedy_deviation, match_index, set_match
+from hypdecomp import matching
+from hypdecomp.group import GroupSpec, OrbitPoint
+from hypdecomp.matching import (GammaClasses, greedy_deviation, match_index,
+                                set_match)
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -24,3 +27,36 @@ class TestGreedyDeviation:
         assert abs(greedy_deviation(SQUARE[::-1], B) - 3e-7) < 1e-15
         assert set_match(SQUARE[::-1], B, 3e-7)
         assert not set_match(SQUARE[::-1], B, 2.5e-7)
+
+
+class TestGammaClasses:
+    def _points(self, coords):
+        return [OrbitPoint(point=p, word=(), cusp_id=0, matrix=np.eye(3))
+                for p in coords]
+
+    def test_only_close_gram_keys_are_searched(self, monkeypatch):
+        calls = []
+        search = matching.find_group_element
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "find_group_element", counted)
+        pair = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        g = GroupSpec(2, [], [], [pair[0]])
+        classes = GammaClasses(g, 2)
+        assert classes.classify(pair, self._points(pair))[0] == 0
+        assert not calls
+        # another shape never reaches the search
+        triple = np.vstack([pair, [[1.0, -1.0, 0.0]]])
+        assert classes.classify(triple, self._points(triple))[0] == 1
+        assert not calls
+        # a far Gram key (the same rays, twice the horoball scale) neither
+        far = 2.0 * pair
+        assert classes.classify(far, self._points(far))[0] == 2
+        assert not calls
+        # the object itself passes the screen and is found
+        ci, M = classes.classify(pair, self._points(pair))
+        assert ci == 0 and np.array_equal(M, np.eye(3))
+        assert len(calls) == 1 and calls[0] is classes.reps[0][0]
