@@ -134,9 +134,14 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
                         source=source)
 
 
-def _is_number(x) -> bool:
-    return (isinstance(x, (int, float, np.integer, np.floating))
-            and not isinstance(x, bool))
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(
+            x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an int beyond the float range
+        return False
 
 
 def check_options(opts: PipelineOptions) -> None:
@@ -150,9 +155,9 @@ def check_options(opts: PipelineOptions) -> None:
     # the JSON report cannot hold inf or nan
     for key in ("height_bound", "length_bound", "tol"):
         value = getattr(opts, key)
-        if not (_is_number(value) and math.isfinite(value) and value > 0):
+        if not (_is_finite_number(value) and value > 0):
             raise SpecError(f"{key} must be a finite number > 0, not {value!r}")
-    if not (_is_number(opts.margin) and math.isfinite(opts.margin)):
+    if not _is_finite_number(opts.margin):
         raise SpecError(f"margin must be a finite number, not {opts.margin!r}")
     if not isinstance(opts.exact, (bool, np.bool_)):
         raise SpecError(f"exact must be true or false, not {opts.exact!r}")

@@ -222,7 +222,8 @@ class TestCli:
     @pytest.mark.parametrize("options", [
         {"word_bound": "5"}, {"word_bound": 2.5}, {"word_bound": True},
         {"tol": "x"}, {"height_bound": -1.0}, {"exact": "yes"},
-        {"length_bound": float("inf")}, {"margin": float("nan")}])
+        {"length_bound": float("inf")}, {"margin": float("nan")},
+        {"height_bound": 10 ** 400}])
     def test_invalid_option_block_exit_3(self, options, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc["options"].update(options)
