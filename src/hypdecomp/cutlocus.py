@@ -47,7 +47,6 @@ class CutCell:
     nearest_ids: tuple                  # orbit indices of nearest horoballs
     nearest_points: list
     sample: np.ndarray                  # hyperboloid point in the interior
-    base_cusp: int
     class_id: int = -1
 
 
@@ -72,17 +71,14 @@ class CrossValidation:
 # ---------------------------------------------------------------------------
 
 def enumerate_return_paths(g: GroupSpec, length_bound: float,
-                           word_bound: int = 5, height_bound: float = 30.0,
-                           points: OrbitSet = None):
-    """Orbit classes of horoball pairs within the length bound.
+                           word_bound: int, points: OrbitSet):
+    """Orbit classes of horoball pairs in ``points`` within the length bound.
 
     Deterministic and sorted by length; the decoration symmetry and
     disjointness conditions are assumed to hold already.
     """
     if length_bound <= 0:
         raise GeometryError("length bound must be positive")
-    if points is None:
-        points = OrbitSet(orbit(g, word_bound, height_bound))
     base_ops = []
     for c, p in enumerate(g.cusp_reps):
         op = points.find(p)
@@ -114,9 +110,11 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
 def return_path_certificate(g: GroupSpec, length_bound: float,
                             word_bound: int, height_bound: float) -> bool:
     """Return-path classes stable under enlarged orbit bounds."""
-    a = enumerate_return_paths(g, length_bound, word_bound, height_bound)
-    b = enumerate_return_paths(g, length_bound, word_bound + 1,
-                               2.0 * height_bound)
+    a = enumerate_return_paths(g, length_bound, word_bound,
+                               OrbitSet(orbit(g, word_bound, height_bound)))
+    b = enumerate_return_paths(
+        g, length_bound, word_bound + 1,
+        OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound)))
     if len(a) != len(b):
         return False
     return all(abs(x.length - y.length) < 1e-8 for x, y in zip(a, b))
@@ -176,8 +174,8 @@ def _vertex_enumeration(A, b, n):
     return uniq
 
 
-def _inside_ball(k, margin: float = BALL_MARGIN) -> bool:
-    return float(k @ k) < (1.0 - margin) ** 2
+def _inside_ball(k) -> bool:
+    return float(k @ k) < (1.0 - BALL_MARGIN) ** 2
 
 
 def _log_distances(point_h, centers):
@@ -185,20 +183,19 @@ def _log_distances(point_h, centers):
     return np.log(prods)
 
 
-def cut_locus_complex(paths, g: GroupSpec, word_bound: int = 5,
-                      points: OrbitSet = None) -> CutComplex:
+def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
+                      points: OrbitSet) -> CutComplex:
     """Stratified cell complex of the cut locus near the base horoballs.
 
     For each cusp the nearness domain is intersected from fence
     half-spaces; vertices, edges and fence facets strictly inside the
     unit ball become 0-, 1- and (n-1)-cells.  Cells are grouped into
     group orbits so the complex can be compared across reruns.
+    ``points`` is the orbit the paths were enumerated in.
     """
     if not paths:
         raise GeometryError("empty return path list")
     n = g.dimension
-    if points is None:
-        raise GeometryError("cut_locus_complex needs the orbit used for paths")
     competitors = {c: [] for c in range(len(g.cusp_reps))}
     seen = {c: set() for c in range(len(g.cusp_reps))}
     for rp in paths:
@@ -237,7 +234,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int = 5,
             ids = tuple(sorted([base_op.index] + [comp[i - 1].index
                                                   for i in near if i > 0]))
             ops = [points[i] for i in ids]
-            cells[0].append(CutCell(0, ids, ops, x, c))
+            cells[0].append(CutCell(0, ids, ops, x))
         # (n-1)-cells: one per fence carrying a facet
         for qi in range(nf):
             witnesses = [k for k, active in verts if qi in active]
@@ -259,7 +256,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int = 5,
                 continue   # every sample landed on a finer stratum
             ids = tuple(sorted([base_op.index, comp[qi].index]))
             cells[n - 1].append(CutCell(n - 1, ids, [points[i] for i in ids],
-                                        hit, c))
+                                        hit))
         # 1-cells for n = 3: polytope edges inside the ball
         if n == 3:
             for (k1, a1), (k2, a2) in combinations(verts, 2):
@@ -279,7 +276,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int = 5,
                 if any(cc.nearest_ids == ids and np.max(np.abs(cc.sample - x)) < 1e-9
                        for cc in cells[1]):
                     continue
-                cells[1].append(CutCell(1, ids, [points[i] for i in ids], x, c))
+                cells[1].append(CutCell(1, ids, [points[i] for i in ids], x))
 
     # orbit classification per stratum
     class_counts = {}
@@ -370,7 +367,7 @@ def dual_decomposition(complex_: CutComplex, g: GroupSpec,
     # concyclicity of the ideal vertices around each 1-cell (n = 3)
     if n == 3:
         for cell in complex_.cells[1]:
-            if not _concyclic(points, cell):
+            if not _concyclic(cell):
                 raise GeometryError(
                     f"dual face vertices fail the common-circle test: "
                     f"{cell.nearest_ids}")
@@ -378,7 +375,7 @@ def dual_decomposition(complex_: CutComplex, g: GroupSpec,
                                   all_faces=patch)
 
 
-def _concyclic(points, cell: CutCell, tol: float = 1e-7) -> bool:
+def _concyclic(cell: CutCell) -> bool:
     """Ideal points around a 1-cell lie on a circle centered at its pole.
 
     Equivalently, the normalized centers all have the same product with
@@ -387,7 +384,7 @@ def _concyclic(points, cell: CutCell, tol: float = 1e-7) -> bool:
     """
     coords = np.array([op.point for op in cell.nearest_points])
     prods = lorentz_gram(cell.sample[None, :], coords).ravel()
-    if np.max(np.abs(prods - prods[0])) > tol * max(1.0, float(np.max(np.abs(prods)))):
+    if np.max(np.abs(prods - prods[0])) > 1e-7 * max(1.0, float(np.max(np.abs(prods)))):
         return False
     if len(coords) < 4:
         return True   # three points are always concyclic
@@ -395,7 +392,7 @@ def _concyclic(points, cell: CutCell, tol: float = 1e-7) -> bool:
     base = kl[0]
     M = kl[1:] - base
     _, s, _ = np.linalg.svd(M)
-    return s[-1] <= tol * max(1.0, s[0])
+    return s[-1] <= 1e-7 * max(1.0, s[0])
 
 
 def dual_edges(complex_: CutComplex):
@@ -440,7 +437,7 @@ def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
             0, np.inf)
     used = set()
     worst = 0.0
-    for ci, cell in enumerate(a.cells):
+    for ci in range(len(a.cells)):
         A = np.array([op.point for op in a.cell_points[ci]])
         hit = None
         for cj in range(len(b.cells)):

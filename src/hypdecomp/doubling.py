@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decorations import horoball_distance, horoball_plane_distance
-from .ep_hull import Decomposition, IdealCell, facet_normal
+from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
 from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                     reflection_normal)
 from .matching import PAIR_TOL, _scale, match_index, set_match, stack_hits
@@ -56,8 +56,7 @@ def polar_vertex(u) -> ProjectivePoint:
     return ProjectivePoint(vector=v / np.linalg.norm(v))
 
 
-def symmetry_direction_check(p1, p2, tau, reference=None,
-                             tol: float = 1e-9) -> bool:
+def symmetry_direction_check(p1, p2, tau) -> bool:
     """Whether p1 - p2 is parallel to the displacement direction of tau.
 
     The direction is computed once from a reference lightlike vector not
@@ -69,27 +68,23 @@ def symmetry_direction_check(p1, p2, tau, reference=None,
     tau = np.asarray(tau, dtype=float)
     d = p1 - p2
     nd = np.linalg.norm(d)
-    if nd <= tol * max(1.0, np.linalg.norm(p1)):
+    if nd <= 1e-9 * max(1.0, np.linalg.norm(p1)):
         raise GeometryError("point is fixed by the reflection")
     if np.max(np.abs(tau @ p1 - p2)) > 1e-6 * max(1.0, np.max(np.abs(p1))):
         raise GeometryError("p2 is not the tau-image of p1")
-    if reference is None:
-        dim = len(p1)
-        for k in range(1, dim):
-            ref = np.zeros(dim)
-            ref[0] = 1.0
-            ref[k] = 1.0
-            v = ref - tau @ ref
-            if np.linalg.norm(v) > 1e-9:
-                break
-        else:
-            raise GeometryError("could not find a reference vector")
-    else:
-        ref = np.asarray(reference, dtype=float)
+    dim = len(p1)
+    for k in range(1, dim):
+        ref = np.zeros(dim)
+        ref[0] = 1.0
+        ref[k] = 1.0
         v = ref - tau @ ref
+        if np.linalg.norm(v) > 1e-9:
+            break
+    else:
+        raise GeometryError("could not find a reference vector")
     # parallel iff all 2x2 minors of [d; v] vanish
     minors = np.abs(np.outer(d, v) - np.outer(v, d))
-    return float(np.max(minors)) <= tol * nd * np.linalg.norm(v)
+    return float(np.max(minors)) <= 1e-9 * nd * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +160,7 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
             if hit is None:
                 raise SymmetrizeError(
                     f"reflection {r} maps cusp {i} outside every cusp orbit")
-            e, j = hit
-            constraints.append((i, j, tau, lorentz_inverse(ball.matrices[e]) @ q))
+            constraints.append((i, hit[1], tau))
 
     # propagate exact vectors from low-index anchors to a fixpoint, then
     # verify every constraint (cycles and self-pairings must close up)
@@ -183,7 +177,7 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
     # other constraint is a consistency check, so repeated reflections
     # cannot ping-pong a center between nearly equal float values
     primary = {}
-    for idx, (i, j, tau, _vec) in enumerate(constraints):
+    for idx, (i, j, tau) in enumerate(constraints):
         if i < j and j not in primary:
             primary[j] = idx
 
@@ -191,7 +185,7 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
         for _ in range(len(reps) + 1):
             changed = False
             for j, idx in sorted(primary.items()):
-                i, _, tau, _vec = constraints[idx]
+                i, _, tau = constraints[idx]
                 target = _target(i, j, tau)
                 if not np.array_equal(assigned[j], target):
                     assigned[j] = target
@@ -200,7 +194,7 @@ def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
                 break
 
     _propagate()
-    for i, j, tau, _vec in constraints:
+    for i, j, tau in constraints:
         target = _target(i, j, tau)
         rel = np.max(np.abs(assigned[j] - target)) / target[0]
         if rel > 1e-8:
@@ -339,11 +333,11 @@ def _truncate_cell(cell: IdealCell, cops, tau, u, wall_orbit: int,
     if len(kept) != len(dropped):
         raise GeometryError("wall reflection does not halve the vertex set")
     klein = cell.klein_vertices
-    # wall section: intersections of crossing facet-edges with the chord
+    edges = set(_k_faces(cell, 1, klein.shape[1]))
+    # wall section: intersections of crossing cell edges with the chord
     section = []
     internal = []
     for facet in cell.facets:
-        fs = set(facet)
         f_kept = [i for i in facet if i in kept]
         f_drop = [i for i in facet if i in dropped]
         if not f_drop:
@@ -353,18 +347,12 @@ def _truncate_cell(cell: IdealCell, cops, tau, u, wall_orbit: int,
             continue   # mirror facet, represented by its kept partner
         # clipped facet: kept ideal vertices plus wall crossing points
         pts = [coords[i] for i in f_kept]
-        if len(cell.klein_vertices[0]) == 2:
-            ka, kb = klein[f_kept[0]], klein[f_drop[0]]
-            w = _edge_wall_point(ka, kb, u)
-            section.append(w)
-            pts.append(klein_to_hyperboloid(w))
-        else:
-            for a in f_kept:
-                for b in f_drop:
-                    if _is_cell_edge(cell, a, b):
-                        w = _edge_wall_point(klein[a], klein[b], u)
-                        section.append(w)
-                        pts.append(klein_to_hyperboloid(w))
+        for a in f_kept:
+            for b in f_drop:
+                if (min(a, b), max(a, b)) in edges:
+                    w = _edge_wall_point(klein[a], klein[b], u)
+                    section.append(w)
+                    pts.append(klein_to_hyperboloid(w))
         internal.append(np.array(pts))
     uniq = []
     for w in section:
@@ -400,11 +388,6 @@ def _canonical_side(coords, sides):
     return pos <= neg
 
 
-def _is_cell_edge(cell: IdealCell, a: int, b: int) -> bool:
-    count = sum(1 for f in cell.facets if a in f and b in f)
-    return count >= 2
-
-
 def external_orthogonality(mc: MixedCell) -> float:
     """Worst deviation of external/internal angles from pi/2 (radians)."""
     if mc.kind != "truncated":
@@ -422,10 +405,10 @@ def external_orthogonality(mc: MixedCell) -> float:
     return worst
 
 
-def _facet_meets_wall(facet_coords, u, tol: float = 1e-7) -> bool:
+def _facet_meets_wall(facet_coords, u) -> bool:
     vals = np.array([lorentz_product(p, u) for p in facet_coords])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    return bool(np.min(vals) < tol * scale and np.max(vals) > -tol * scale)
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
+    return bool(np.min(vals) < tol and np.max(vals) > -tol)
 
 
 def doubling_consistency(mc: MixedCell, original_coords,
@@ -449,64 +432,56 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
     point.  Facet pairings are recomputed on the quotient.
     """
     errors = []
-    cells_out = []
-    if not g.reflections:
+    case2 = {}
+    mirrored_away = set()
+    if g.reflections:
+        lifts = wall_lifts(g, word_bound)
+        stack = np.stack([m for _, m in lifts])
         for ci, cell in enumerate(dec.cells):
             coords = np.array([op.point for op in dec.cell_points[ci]])
-            cells_out.append(MixedCell(
-                kind="ideal", klein_vertices=cell.klein_vertices,
-                ambient_vertices=coords,
-                internal_facets=[coords[list(f)] for f in cell.facets],
-                source_class=ci))
-        pairings, unpaired = _quotient_pairings(cells_out, g, word_bound)
-        return MixedDecomposition(dec.dimension, cells_out, pairings,
-                                  unpaired, errors)
-
-    lifts = wall_lifts(g, word_bound)
-    stack = np.stack([m for _, m in lifts])
-    case2 = {}
-    for ci, cell in enumerate(dec.cells):
-        coords = np.array([op.point for op in dec.cell_points[ci]])
-        scale = max(1.0, float(np.max(np.abs(coords))))
-        planes = []
-        for idx in stack_hits(stack, coords, coords, PAIR_TOL * scale):
-            r, m = lifts[idx]
-            u = reflection_normal(m, strict=False)
-            if u is None:
-                continue   # lift too deep in the ball to be usable
-            if not any(_same_plane(u, u2) for _, u2, _ in planes):
-                planes.append((r, u, m))
-        if len(planes) > 1:
-            errors.append((ci, "cell meets two distinct wall orbits"))
-            continue
-        if planes:
-            case2[ci] = planes[0]
-
-    mirrored_away = set()
-    tau0 = g.reflections[0]
-    ball = g.word_ball(word_bound).matrices
-    for ci, cell in enumerate(dec.cells):
-        if ci in case2 or ci in mirrored_away:
-            continue
-        coords = np.array([op.point for op in dec.cell_points[ci]])
-        img = coords @ tau0.T
-        images = ball @ img.mean(axis=0)
-        partner = None
-        for cj in range(len(dec.cells)):
-            if cj in case2:
+            scale = max(1.0, float(np.max(np.abs(coords))))
+            planes = []
+            for idx in stack_hits(stack, coords, coords, PAIR_TOL * scale):
+                r, m = lifts[idx]
+                u = reflection_normal(m, strict=False)
+                if u is None:
+                    continue   # lift too deep in the ball to be usable
+                if not any(_same_plane(u, u2) for _, u2, _ in planes):
+                    planes.append((r, u, m))
+            if len(planes) > 1:
+                errors.append((ci, "cell meets two distinct wall orbits"))
                 continue
-            dst = np.array([op.point for op in dec.cell_points[cj]])
-            tol = PAIR_TOL * _scale(img, dst)
-            if next(stack_hits(ball, img, dst, tol, images), None) is not None:
-                partner = cj
-                break
-        if partner is None:
-            errors.append((ci, "mirror cell class not found among certified cells"))
-        elif partner == ci:
-            errors.append((ci, "off-wall cell is its own mirror (inconsistent)"))
-        elif partner > ci:
-            mirrored_away.add(partner)
+            if planes:
+                case2[ci] = planes[0]
 
+        tau0 = g.reflections[0]
+        ball = g.word_ball(word_bound).matrices
+        for ci, cell in enumerate(dec.cells):
+            if ci in case2 or ci in mirrored_away:
+                continue
+            coords = np.array([op.point for op in dec.cell_points[ci]])
+            img = coords @ tau0.T
+            images = ball @ img.mean(axis=0)
+            partner = None
+            for cj in range(len(dec.cells)):
+                if cj in case2:
+                    continue
+                dst = np.array([op.point for op in dec.cell_points[cj]])
+                tol = PAIR_TOL * _scale(img, dst)
+                if next(stack_hits(ball, img, dst, tol, images),
+                        None) is not None:
+                    partner = cj
+                    break
+            if partner is None:
+                errors.append((ci, "mirror cell class not found among "
+                                   "certified cells"))
+            elif partner == ci:
+                errors.append((ci, "off-wall cell is its own mirror "
+                                   "(inconsistent)"))
+            elif partner > ci:
+                mirrored_away.add(partner)
+
+    cells_out = []
     for ci, cell in enumerate(dec.cells):
         if ci in mirrored_away:
             continue
@@ -534,10 +509,10 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
                               errors)
 
 
-def _same_plane(u, v, tol: float = 1e-7) -> bool:
+def _same_plane(u, v) -> bool:
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
-    return min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) < tol
+    return min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) < 1e-7
 
 
 def _star_stack(g: GroupSpec, word_bound: int):

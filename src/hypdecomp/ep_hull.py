@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .group import GroupSpec, OrbitSet, orbit
-from .hull import IncrementalHull
+from .hull import MODES, IncrementalHull
 from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
                         hyperboloid_to_klein, lorentz_gram, lorentz_product,
@@ -54,8 +54,7 @@ class IdealCell:
 
 @dataclass
 class Pairing:
-    source: tuple            # (cell index, facet index)
-    target: tuple
+    target: tuple            # (cell index, facet index)
     matrix: np.ndarray
 
 
@@ -81,7 +80,7 @@ def support_vector(points, tol: float = SUPPORT_RESIDUAL_TOL) -> np.ndarray:
     J = minkowski_form(d)
     M = P @ J
     rhs = -np.ones(k)
-    w, residual, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    w, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
     if rank < d:
         raise GeometryError("degenerate input: points are affinely dependent")
     scale = max(1.0, float(np.max(np.abs(P))))
@@ -98,6 +97,8 @@ def hull_faces(points, exact_mode: str = "auto"):
     facets created by the truncation (support not future timelike) are
     dropped here and the stability certificate guards the rest.
     """
+    if exact_mode not in MODES:
+        raise GeometryError(f"unknown predicate mode {exact_mode!r}")
     ops = list(points)
     coords = np.array([op.point for op in ops])
     d = coords.shape[1]
@@ -215,7 +216,7 @@ def convex_side_check(faces, points, tol: float = CONVEX_SIDE_TOL):
     return True
 
 
-def face_sets_equal(faces_a, points_a, faces_b, points_b, tol: float = PAIR_TOL) -> bool:
+def face_sets_equal(faces_a, points_a, faces_b, points_b) -> bool:
     """Geometric equality of two face collections as decorated vertex sets."""
     if len(faces_a) != len(faces_b):
         return False
@@ -224,7 +225,7 @@ def face_sets_equal(faces_a, points_a, faces_b, points_b, tol: float = PAIR_TOL)
     unused = [cb[list(f.vertex_ids)] for f in faces_b]
     for f in faces_a:
         A = ca[list(f.vertex_ids)]
-        j = match_index(unused, A, tol * max(1.0, float(np.max(np.abs(A)))))
+        j = match_index(unused, A, PAIR_TOL * max(1.0, float(np.max(np.abs(A)))))
         if j is None:
             return False
         del unused[j]
@@ -333,7 +334,7 @@ def cell_is_convex(cell: IdealCell, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
-                           all_faces=None) -> Decomposition:
+                           all_faces) -> Decomposition:
     """Group certified faces into orbits and pair their facets.
 
     Orbit grouping walks generator images inside the enumerated face
@@ -342,11 +343,9 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     join.  Each facet's pairing matrix is the group element that
     ``find_group_element`` verifies to carry the hull neighbor across
     the facet onto its class representative, never a product chain.
-    ``all_faces`` may supply additional uncertified faces used to locate
-    hull neighbors; unpaired facets are reported, never dropped.
+    ``all_faces`` holds ``faces`` and any uncertified faces used to
+    locate hull neighbors; unpaired facets are reported, never dropped.
     """
-    if all_faces is None:
-        all_faces = faces
     ops = list(points)
     coords = np.array([op.point for op in ops])
 
@@ -433,7 +432,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
             if fj is None:
                 unpaired.append(((ci, fi), "no matching facet on paired cell"))
                 continue
-            pairings[(ci, fi)] = Pairing(source=(ci, fi), target=(cj, fj), matrix=M)
+            pairings[(ci, fi)] = Pairing(target=(cj, fj), matrix=M)
     return Decomposition(dimension=g.dimension, cells=cells,
                          cell_points=cell_points, pairings=pairings,
                          unpaired=unpaired)
@@ -450,7 +449,7 @@ def count_face_classes(dec: Decomposition, k: int) -> int:
     uf = _UnionFind((ci, sub) for ci, cell in enumerate(dec.cells)
                     for sub in _k_faces(cell, k, n))
     for (ci, fi), pairing in dec.pairings.items():
-        cj, fj = pairing.target
+        cj = pairing.target[0]
         facet = dec.cells[ci].facets[fi]
         M = pairing.matrix
         subs_j = _k_faces(dec.cells[cj], k, n)

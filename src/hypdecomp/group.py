@@ -92,10 +92,6 @@ class GroupSpec:
             out.append((-(i + 1), lorentz_inverse(g)))
         return out
 
-    def letter_matrix(self, letter: int) -> np.ndarray:
-        g = self.generators[abs(letter) - 1]
-        return g if letter > 0 else lorentz_inverse(g)
-
     def word_ball(self, word_bound: int) -> "WordBall":
         """All group elements of word length <= word_bound, BFS order.
 
@@ -373,14 +369,15 @@ class OrbitSet:
 
 def inverse_word_matrix(g: GroupSpec, word) -> np.ndarray:
     """Matrix of the inverse word, built letter by letter."""
+    letters = dict(g.letters())
     A = np.eye(g.dimension + 1)
     for letter in reversed(word):
-        A = A @ g.letter_matrix(-letter)
+        A = A @ letters[-letter]
     return A
 
 
-def validate_reflection(tau: np.ndarray, g: GroupSpec, word_bound: int = 4,
-                        tol: float = MATRIX_MATCH_TOL) -> bool:
+def validate_reflection(tau: np.ndarray, g: GroupSpec,
+                        word_bound: int = 4) -> bool:
     """Desk-scale certificate that tau conjugates the group to itself.
 
     Checks that tau^-1 gamma tau is a word of length <= word_bound for
@@ -398,7 +395,7 @@ def validate_reflection(tau: np.ndarray, g: GroupSpec, word_bound: int = 4,
     tau_inv = lorentz_inverse(tau)
     for gen in g.generators:
         m = tau_inv @ gen @ tau
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if not np.any(np.max(np.abs(stack - m), axis=(1, 2)) <= tol * scale):
+        tol = MATRIX_MATCH_TOL * max(1.0, float(np.max(np.abs(m))))
+        if not np.any(np.max(np.abs(stack - m), axis=(1, 2)) <= tol):
             return False
     return True

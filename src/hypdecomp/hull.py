@@ -83,6 +83,9 @@ def _det4(a, b, c, d):
 
 _DET = {3: _det3, 4: _det4}
 
+# "auto" filters in floats and falls back to exact; "always" is exact
+MODES = ("auto", "always")
+
 
 def _dyadic(values):
     """Exact (numerators, e) with values[j] == numerators[j] / 2^e."""
@@ -95,6 +98,8 @@ class OrientPredicate:
     """Sign of det[p1-p0, ..., p_{d-1}-p0, q-p0] with exact fallback."""
 
     def __init__(self, points, mode: str = "auto"):
+        if mode not in MODES:
+            raise GeometryError(f"unknown predicate mode {mode!r}")
         self.points = np.asarray(points, dtype=float)
         d = self.points.shape[1]
         if d not in _DET:
@@ -104,17 +109,26 @@ class OrientPredicate:
         self.exact_evals = 0
         self._det = _DET[d]
         self._rows = self.points.tolist()
-        # all coordinates as integers over the common denominator 2^_exp
-        nums, self._exp = _dyadic(self.points.ravel().tolist())
+        # all coordinates as integers over one power-of-two denominator
+        nums, _ = _dyadic(self.points.ravel().tolist())
         self._ints = [tuple(nums[k:k + d]) for k in range(0, len(nums), d)]
+        self._weights = [1] * len(self._ints)
 
-    def sign(self, base_ids, q_id=None, q_point=None) -> int:
-        if self.mode != "always":
+    def add_mean(self, ids) -> int:
+        """Id of a new query point, the mean of the points ``ids``: its
+        float row is the rounded mean, its exact row the integer sum with
+        weight len(ids), so the exact path tests the true mean."""
+        self._rows.append(self.points[ids].mean(axis=0).tolist())
+        self._ints.append([sum(c) for c in zip(*(self._ints[i] for i in ids))])
+        self._weights.append(len(ids))
+        return len(self._rows) - 1
+
+    def sign(self, base_ids, q_id) -> int:
+        if self.mode == "auto":
             rows = self._rows
             p0 = rows[base_ids[0]]
             diffs = [list(map(sub, rows[i], p0)) for i in base_ids[1:]]
-            q = rows[q_id] if q_point is None else q_point
-            diffs.append(list(map(sub, q, p0)))
+            diffs.append(list(map(sub, rows[q_id], p0)))
             det = self._det(*diffs)
             scale = 1.0
             for r in diffs:
@@ -127,36 +141,18 @@ class OrientPredicate:
                     return 1 if det > 0 else -1
         # exact path
         self.exact_evals += 1
-        if q_point is None:
-            return self._exact_sign(base_ids, self._ints[q_id])
-        q, e = _dyadic(q_point)
-        if e <= self._exp:
-            return self._exact_sign(base_ids, [c << (self._exp - e) for c in q])
-        # q has the finer denominator: bring the points to it instead
-        return self._exact_sign(base_ids, q, shift=e - self._exp)
-
-    def _exact_sign(self, base_ids, q, shift: int = 0, q_weight: int = 1) -> int:
-        """Exact sign with q given as ints on the points' scale times 2^shift.
-
-        ``q_weight`` > 1 means q is q_weight times the query point (an
-        integer sum standing for a mean); both scalings are positive and
-        leave the sign unchanged.
-        """
         base = [self._ints[i] for i in base_ids]
-        if shift:
-            base = [[c << shift for c in r] for r in base]
         p0 = base[0]
         rows = [list(map(sub, r, p0)) for r in base[1:]]
-        if q_weight != 1:
-            p0 = [q_weight * c for c in p0]
-        rows.append(list(map(sub, q, p0)))
+        w = self._weights[q_id]
+        rows.append([c - w * c0 for c, c0 in zip(self._ints[q_id], p0)])
         det = self._det(*rows)
         return (det > 0) - (det < 0)
 
 
 def _initial_simplex(pred: OrientPredicate):
     pts = pred.points
-    n, d = pts.shape
+    d = pts.shape[1]
     ids = [0]
     # grow an affinely independent set greedily, largest measure first
     dists = np.linalg.norm(pts - pts[0], axis=1)
@@ -219,10 +215,7 @@ class IncrementalHull:
         self.pred = OrientPredicate(points, exact_mode)
         simplex = _initial_simplex(self.pred)
         self._centroid = points[simplex].mean(axis=0)
-        self._centroid_row = self._centroid.tolist()
-        # d+1 times the centroid, exactly, on the predicate's integer scale
-        self._centroid_sum = [sum(c) for c in
-                              zip(*(self.pred._ints[i] for i in simplex))]
+        self._centroid_id = self.pred.add_mean(simplex)
         self.facets: list = []
         for omit in range(d + 1):
             vs = tuple(sorted(simplex[k] for k in range(d + 1) if k != omit))
@@ -232,17 +225,8 @@ class IncrementalHull:
                 continue
             self._insert(q)
 
-    def _orient_centroid(self, vs) -> int:
-        s = self.pred.sign(vs, q_point=self._centroid_row)
-        if s == 0:
-            # centroid exactly on the plane cannot happen for a valid facet;
-            # re-check with the exact centroid (not the rounded one) to be sure
-            s = self.pred._exact_sign(vs, self._centroid_sum,
-                                      q_weight=self.dim + 1)
-        return s
-
     def _add_facet(self, vs):
-        s = self._orient_centroid(vs)
+        s = self.pred.sign(vs, self._centroid_id)
         if s == 0:
             raise GeometryError(f"degenerate facet {vs}")
         normal, offset = _facet_plane(self.points, vs)

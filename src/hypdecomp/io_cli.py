@@ -29,7 +29,8 @@ from .ep_hull import (COPLANAR_TOL, assemble_decomposition, certified_faces,
 from .group import (GroupSpec, OrbitSet, orbit, reflection_normal,
                     validate_group, validate_reflection)
 from .matching import PAIR_TOL
-from .minkowski import LIGHTLIKE_EPS, GeometryError, lorentz_gram
+from .minkowski import (LIGHTLIKE_EPS, GeometryError, hyperboloid_to_klein,
+                        lorentz_gram)
 
 SCHEMA_VERSION = 1
 
@@ -109,23 +110,31 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
     n = doc["dimension"]
     if n not in (2, 3):
         raise SpecError(f"unsupported dimension {n} (pipelines cover n in {{2,3}})")
+    options = doc.get("options", {})
+    reflections = doc.get("reflections", [])
+    if not isinstance(options, dict) or not isinstance(reflections, list):
+        raise SpecError("options must be an object and reflections a list")
     scales = doc.get("decoration_scales")
-    cusps = [np.asarray(c, dtype=float) for c in doc["cusps"]]
-    if scales is not None:
-        if len(scales) != len(cusps):
-            raise SpecError("decoration_scales length does not match cusps")
-        cusps = [s * c for s, c in zip(scales, cusps)]
-    group = GroupSpec(
-        dimension=n,
-        generators=[np.asarray(m, dtype=float) for m in doc["generators"]],
-        reflections=[np.asarray(m, dtype=float) for m in doc.get("reflections", [])],
-        cusp_reps=cusps,
-        name=doc.get("name", ""))
+    try:
+        cusps = [np.asarray(c, dtype=float) for c in doc["cusps"]]
+        generators = [np.asarray(m, dtype=float) for m in doc["generators"]]
+        reflections = [np.asarray(m, dtype=float) for m in reflections]
+        # absent scales are ones, and x * 1.0 == x bit for bit
+        scales = np.asarray([1.0] * len(cusps) if scales is None else scales,
+                            dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"malformed numeric data: {exc}") from None
+    if scales.shape != (len(cusps),):
+        raise SpecError("decoration_scales length does not match cusps")
+    cusps = [s * c for s, c in zip(scales, cusps)]
+    group = GroupSpec(dimension=n, generators=generators,
+                      reflections=reflections, cusp_reps=cusps,
+                      name=doc.get("name", ""))
     report = validate_group(group)
     if not report.ok:
         raise SpecError(f"invalid group data: {report}")
     opts = PipelineOptions()
-    for key, value in doc.get("options", {}).items():
+    for key, value in options.items():
         if not hasattr(opts, key):
             raise SpecError(f"unknown option '{key}'")
         setattr(opts, key, value)
@@ -240,8 +249,7 @@ def run(spec: ManifoldSpec) -> RunReport:
             # one enumeration at the doubled bound serves both complexes:
             # the paths within the bound keep their order in it
             paths2 = enumerate_return_paths(gs, 2.0 * opts.length_bound,
-                                            opts.word_bound, opts.height_bound,
-                                            points=points)
+                                            opts.word_bound, points)
             paths = [rp for rp in paths2
                      if rp.length <= opts.length_bound + 1e-9]
             cx = cut_locus_complex(paths, gs, opts.word_bound, points=points)
@@ -364,10 +372,6 @@ def emit(report: RunReport, fmt: str) -> bytes:
     raise SpecError(f"unknown output format '{fmt}'")
 
 
-def _klein_of(p):
-    return p[1:] / p[0]
-
-
 def _emit_svg(report: RunReport) -> bytes:
     mixed = report.mixed
     segments = {}
@@ -380,11 +384,11 @@ def _emit_svg(report: RunReport) -> bytes:
     if mixed is not None:
         for mc in mixed.cells:
             for facet in mc.internal_facets:
-                pts = [_klein_of(p) for p in facet]
+                pts = [hyperboloid_to_klein(p) for p in facet]
                 if len(pts) == 2:
                     add(pts[0], pts[1], "internal")
             if mc.kind == "truncated" and len(mc.external_face) == 2:
-                a, b = (_klein_of(p) for p in mc.external_face)
+                a, b = (hyperboloid_to_klein(p) for p in mc.external_face)
                 add(a, b, "external")
     walls = []
     for tau in report.spec.group.reflections:
@@ -444,14 +448,11 @@ def main(argv=None) -> int:
 
     try:
         spec = load_spec(args.input)
-        for name, key in (("algorithm", "algorithm"),
-                          ("word_bound", "word_bound"),
-                          ("height_bound", "height_bound"),
-                          ("length_bound", "length_bound"),
-                          ("margin", "margin"), ("tol", "tol")):
+        for key in ("algorithm", "word_bound", "height_bound",
+                    "length_bound", "margin", "tol"):
             val = getattr(args, key)
             if val is not None:
-                setattr(spec.options, name, val)
+                setattr(spec.options, key, val)
         if args.exact:
             spec.options.exact = True
         check_options(spec.options)

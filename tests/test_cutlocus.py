@@ -24,14 +24,14 @@ class TestReturnPaths:
     def test_two_tangent_horoballs(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, 10.0, points=pts)
+        paths = enumerate_return_paths(g, 1.0, 0, pts)
         assert len(paths) == 1
         assert paths[0].length == 0.0
         assert paths[0].cut.length == 0.0
 
     def test_bound_below_minimum(self):
         g = trivial([[1.0, 1.0, 0.0], math.e * np.array([1.0, -1.0, 0.0])])
-        paths = enumerate_return_paths(g, 0.5, 0, 10.0)
+        paths = enumerate_return_paths(g, 0.5, 0, OrbitSet(orbit(g, 0, 10.0)))
         assert paths == []
 
     def test_sorted_by_length(self, report_3ps):
@@ -64,8 +64,8 @@ class TestReturnPaths:
                                         word_bound=min(4, opts.word_bound),
                                         height_bound=opts.height_bound)
             direct = enumerate_return_paths(
-                gs, opts.length_bound, opts.word_bound, opts.height_bound,
-                points=report.cut_complex.orbit_points)
+                gs, opts.length_bound, opts.word_bound,
+                report.cut_complex.orbit_points)
             assert direct, name
             assert self._key(report.return_paths) == self._key(direct), name
 
@@ -79,7 +79,7 @@ class TestCutComplex:
     def test_two_horoballs_single_fence(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, 10.0, points=pts)
+        paths = enumerate_return_paths(g, 1.0, 0, pts)
         cx = cut_locus_complex(paths, g, 0, points=pts)
         assert len(cx.cells[0]) == 0
         assert cx.class_counts[1] == 1
@@ -94,7 +94,7 @@ class TestCutComplex:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        paths = enumerate_return_paths(g, d + 0.1, 0, 10.0, points=pts)
+        paths = enumerate_return_paths(g, d + 0.1, 0, pts)
         assert len(paths) == 3
         cx = cut_locus_complex(paths, g, 0, points=pts)
         assert cx.class_counts == {0: 1, 1: 3}
@@ -149,7 +149,7 @@ class TestDual:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        paths = enumerate_return_paths(g, d + 0.1, 0, 10.0, points=pts)
+        paths = enumerate_return_paths(g, d + 0.1, 0, pts)
         cx = cut_locus_complex(paths, g, 0, points=pts)
         dec = dual_decomposition(cx, g, 0)
         assert len(dec.cells) == 1
@@ -158,7 +158,7 @@ class TestDual:
     def test_no_zero_cells_rejected(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, 10.0, points=pts)
+        paths = enumerate_return_paths(g, 1.0, 0, pts)
         cx = cut_locus_complex(paths, g, 0, points=pts)
         with pytest.raises(GeometryError):
             dual_decomposition(cx, g, 0)
@@ -178,7 +178,7 @@ class TestDual:
     def test_concyclic_faces_fig8(self, report_fig8):
         cx = report_fig8.cut_complex
         for cell in cx.cells[1]:
-            assert _concyclic(cx.orbit_points, cell)
+            assert _concyclic(cell)
 
     def test_dual_edge_count_matches(self, all_reports):
         for report in all_reports.values():

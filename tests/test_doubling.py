@@ -1,18 +1,25 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import random_boost, random_lightlike
 from hypdecomp.decorations import horoball_distance
-from hypdecomp.doubling import (SymmetrizeError, _overlap_log_scale,
-                                check_hull_symmetry, doubling_consistency,
-                                external_orthogonality, polar_vertex,
-                                quotient_classify, symmetrize_decorations,
+from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
+                                _edge_wall_point, _overlap_log_scale,
+                                _truncate_cell, check_hull_symmetry,
+                                doubling_consistency, external_orthogonality,
+                                polar_vertex, quotient_classify,
+                                symmetrize_decorations,
                                 symmetry_direction_check, wall_lifts)
-from hypdecomp.ep_hull import certified_faces, hull_faces
+from hypdecomp.ep_hull import (certified_faces, hull_faces,
+                               ideal_cell_from_points)
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.group import GroupSpec, OrbitSet, orbit, reflection_normal
+from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, orbit,
+                             reflection_normal)
 from hypdecomp.io_cli import load_spec
-from hypdecomp.minkowski import (GeometryError, lorentz_product,
+from hypdecomp.minkowski import (GeometryError, hyperboloid_to_klein,
+                                 klein_to_hyperboloid, lorentz_product,
                                  reflection_in_hyperplane)
 
 
@@ -340,3 +347,88 @@ class TestQuotientSynthetic:
         mixed = quotient_classify(dec, g, 2)
         assert not mixed.ok
         assert any("two distinct wall orbits" in msg for _, msg in mixed.errors)
+
+
+def _ref_truncation(cell, cops, u):
+    """Reference wall section of a truncated cell: a dedicated n = 2
+    branch, and for n = 3 every (kept, dropped) vertex pair lying in two
+    common facets.  Returns the internal facets and the external face."""
+    coords = np.array([op.point for op in cops])
+    sides = np.array([lorentz_product(p, u) for p in coords])
+    keep_pos = _canonical_side(coords, sides)
+    kept = [i for i in range(len(cops)) if (sides[i] > 0) == keep_pos]
+    dropped = [i for i in range(len(cops)) if i not in kept]
+    klein = cell.klein_vertices
+    section = []
+    internal = []
+    for facet in cell.facets:
+        f_kept = [i for i in facet if i in kept]
+        f_drop = [i for i in facet if i in dropped]
+        if not f_drop:
+            internal.append(coords[list(facet)])
+            continue
+        if not f_kept:
+            continue
+        pts = [coords[i] for i in f_kept]
+        if len(klein[0]) == 2:
+            w = _edge_wall_point(klein[f_kept[0]], klein[f_drop[0]], u)
+            section.append(w)
+            pts.append(klein_to_hyperboloid(w))
+        else:
+            for a in f_kept:
+                for b in f_drop:
+                    if sum(1 for f in cell.facets if a in f and b in f) >= 2:
+                        w = _edge_wall_point(klein[a], klein[b], u)
+                        section.append(w)
+                        pts.append(klein_to_hyperboloid(w))
+        internal.append(np.array(pts))
+    uniq = []
+    for w in section:
+        if not any(np.max(np.abs(w - x)) < 1e-9 for x in uniq):
+            uniq.append(w)
+    if len(uniq) > 2:
+        arr = np.array(uniq)
+        c = arr.mean(axis=0)
+        _, _, vt = np.linalg.svd(arr - c)
+        ang = np.arctan2((arr - c) @ vt[1], (arr - c) @ vt[0])
+        uniq = [uniq[i] for i in np.argsort(ang)]
+    return internal, np.array([klein_to_hyperboloid(w) for w in uniq])
+
+
+def _truncate_as_reference(cell, cops, tau, u):
+    """``_truncate_cell``, asserted bitwise equal to the reference."""
+    mc = _truncate_cell(cell, cops, tau, u, 0, 0)
+    internal, external = _ref_truncation(cell, cops, u)
+    assert len(mc.internal_facets) == len(internal)
+    for got, want in zip(mc.internal_facets, internal):
+        assert np.array_equal(got, want)
+    assert np.array_equal(mc.external_face, external)
+    return mc
+
+
+class TestTruncation:
+    def test_ideal_cube_halved_by_wall(self):
+        # no 3-D fixture has walls: the ideal cube with vertices
+        # (+-1, +-1, +-1)/sqrt(3), cut by the wall x3 = 0
+        s3 = np.sqrt(3.0)
+        ops = [OrbitPoint(point=np.array((1.0,) + v) / [1.0, s3, s3, s3],
+                          word=(), cusp_id=0, matrix=np.eye(4), index=i)
+               for i, v in enumerate(product((-1.0, 1.0), repeat=3))]
+        cell, cops = ideal_cell_from_points(ops, np.array([1.0, 0, 0, 0]), 3)
+        tau = np.diag([1.0, 1.0, 1.0, -1.0])
+        mc = _truncate_as_reference(cell, cops, tau, reflection_normal(tau))
+        assert len(mc.klein_vertices) == 4
+        assert len(mc.internal_facets) == 5      # kept face, 4 clipped sides
+        section = np.array([hyperboloid_to_klein(x) for x in mc.external_face])
+        assert len(section) == 4
+        for a, b in product((-1.0, 1.0), repeat=2):
+            dev = np.max(np.abs(section - np.array([a, b, 0.0]) / s3), axis=1)
+            assert np.min(dev) < 1e-12
+        assert external_orthogonality(mc) <= ORTHO_TOL
+
+    def test_figure3_cells_match_reference(self, report_fig3):
+        dec = report_fig3.ep_decomposition
+        for mc in report_fig3.mixed.cells:
+            ci = mc.source_class
+            _truncate_as_reference(dec.cells[ci], dec.cell_points[ci],
+                                   mc.reflection, mc.wall_normal)

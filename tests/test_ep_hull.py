@@ -187,7 +187,7 @@ class TestAssemble:
         g = GroupSpec(2, [], [], [TRIANGLE[0], TRIANGLE[1], TRIANGLE[2]])
         pts = make_orbit_points(TRIANGLE)
         faces = hull_faces(pts)
-        dec = assemble_decomposition(faces, g, pts, 2)
+        dec = assemble_decomposition(faces, g, pts, 2, all_faces=faces)
         assert len(dec.cells) == 1
         assert len(dec.pairings) == 0
         assert len(dec.unpaired) == 3          # nothing to glue to

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypdecomp.doubling import symmetrize_decorations
-from hypdecomp.group import orbit
-from hypdecomp.hull import IncrementalHull, OrientPredicate, _det3, _det4
+from hypdecomp.ep_hull import hull_faces
+from hypdecomp.group import OrbitPoint, orbit
+from hypdecomp.hull import (MODES, IncrementalHull, OrientPredicate, _det3,
+                            _det4)
 from hypdecomp.minkowski import GeometryError
 
 
@@ -55,19 +57,31 @@ class TestOrientPredicate:
         pred.sign((0, 1, 2), 3)
         assert pred.exact_evals == 1
 
-    def test_query_point_finer_than_points(self):
-        # q's denominator 2^70 is finer than every input point's; both
-        # tests are below the float filter and take the exact path
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        for mode in ("auto", "always"):
-            pred = OrientPredicate(pts, mode)
-            assert pred.sign((0, 1, 2), q_point=[0.25, 0.5, 2.0 ** -70]) == 1
-            assert pred.sign((0, 1, 2), q_point=[0.25, 0.5, 0.0]) == 0
-            assert pred.exact_evals == 2
-
     def test_unsupported_dimension(self):
         with pytest.raises(GeometryError):
             OrientPredicate(np.eye(2))
+
+    def test_unknown_mode_rejected(self):
+        # any mode but "always" used to run the float filter silently
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        for build in (OrientPredicate, IncrementalHull):
+            with pytest.raises(GeometryError, match="unknown predicate mode"):
+                build(pts, "exact")
+        ops = [OrbitPoint(point=p, word=(), cusp_id=0, matrix=np.eye(3),
+                          index=i) for i, p in enumerate(pts)]
+        with pytest.raises(GeometryError, match="unknown predicate mode"):
+            hull_faces(ops, "exact")
+
+    def test_mean_query_is_exact(self):
+        # the mean (1/3, 1/3, 1/3) of the three unit points is exactly on
+        # their plane, but its rounded float row is not
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                        [0.0, 0.0, 0.0]])
+        for mode in MODES:
+            pred = OrientPredicate(pts, mode)
+            assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 2])) == 0
+            assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 3])) != 0
 
 
 NON_DYADIC = [0.1, 0.3, 1.0 / 3.0, -0.1, -0.3, -1.0 / 3.0, 2.0 / 3.0, 0.7, 0.0]
@@ -117,9 +131,6 @@ def _check_against_oracle(pts):
     for mode in ("auto", "always"):
         pred = OrientPredicate(np.array(pts), mode)
         assert pred.sign(tuple(range(d)), d) == expected
-        # the same test with q passed as an outside point
-        pred = OrientPredicate(np.array(pts[:d]), mode)
-        assert pred.sign(tuple(range(d)), q_point=pts[d]) == expected
     return expected
 
 

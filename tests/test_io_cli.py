@@ -181,6 +181,49 @@ class TestGoldenJson:
         assert _sha256(run(spec)) == GOLDEN_SHA256["figure_eight_knot --exact"]
 
 
+# SHA-256 of the single-route JSON reports and of the n = 2 SVGs, at the
+# shipped bounds; the quotient and the SVG drawing both reach them.
+ROUTE_SHA256 = {
+    ("thrice_punctured_sphere", "ep"):
+        "8823d068767bdb8ac1e1d4820646c013bb9a6360a2290a13ef872431616908c1",
+    ("thrice_punctured_sphere", "cutlocus"):
+        "84c17dfc5069f55055ac1caca865d84b6fdfca4c3f0d15d488d56bc718c01ca4",
+    ("once_punctured_torus", "ep"):
+        "04e3c09e8bc531eba4e08394596d399eeb53c6227a7ad2bda506a59ff19e12cc",
+    ("once_punctured_torus", "cutlocus"):
+        "fd2391c668f2d2e51db99e69dfd9c3e63ee06f01c43be57ea487f1a992732371",
+    ("figure3_surface", "ep"):
+        "a162b74f17a69c8282d12f1e7f209a6231a1ee07e224a0dd16550dfd2a2e70db",
+    ("figure3_surface", "cutlocus"):
+        "0b31e3b5f0e868f9a3597f0a1ad7bac18bb99d7b48ad8bb3e785aa011003ff1b",
+    ("figure_eight_knot", "ep"):
+        "52329165bdce74891e68d47fd173bb3f358c1ffbcfd0caf3408098cf218f737b",
+    ("figure_eight_knot", "cutlocus"):
+        "765afb3c257b7e09fd5fb46ab09bac7325f32ca6de5e0a5e27764ec365fc479b",
+}
+SVG_SHA256 = {
+    "thrice_punctured_sphere":
+        "31fde5c90f2ca13a0761984c03dc86569292719d995bcc793dbbcc2f7474e79e",
+    "once_punctured_torus":
+        "31fde5c90f2ca13a0761984c03dc86569292719d995bcc793dbbcc2f7474e79e",
+    "figure3_surface":
+        "eefc3c36a33aa2526117fd4ce945529a1ba6169a765907bfd738297276108c21",
+}
+
+
+class TestGoldenRoutes:
+    @pytest.mark.parametrize("name, algorithm", sorted(ROUTE_SHA256))
+    def test_single_route_json_unchanged(self, name, algorithm):
+        spec = load_spec(fixture_path(name))
+        spec.options.algorithm = algorithm
+        assert _sha256(run(spec)) == ROUTE_SHA256[name, algorithm]
+
+    @pytest.mark.parametrize("name", sorted(SVG_SHA256))
+    def test_svg_unchanged(self, name, all_reports):
+        svg = emit(all_reports[name], "svg")
+        assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[name]
+
+
 def _no_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
@@ -227,6 +270,21 @@ class TestCli:
     def test_invalid_option_block_exit_3(self, options, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc["options"].update(options)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--input", str(path)]) == 3
+        assert "input error:" in capsys.readouterr().err
+
+    # malformed numeric arrays and a wrongly typed options or reflections
+    # block used to escape as a traceback (exit 1)
+    @pytest.mark.parametrize("edit", [
+        {"decoration_scales": ["a"]}, {"cusps": [["a", 1, 0]]},
+        {"generators": [[["x"]]]}, {"generators": [[[1, 0, 0], [0, 1]]]},
+        {"options": []}, {"reflections": None},
+        {"cusps": [[10 ** 400, 1, 0]]}])
+    def test_malformed_spec_exit_3(self, edit, tmp_path, capsys):
+        doc = json.loads(fixture_path("once_punctured_torus").read_text())
+        doc.update(edit)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert main(["--input", str(path)]) == 3
