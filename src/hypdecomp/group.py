@@ -369,10 +369,10 @@ class OrbitSet:
 
 def inverse_word_matrix(g: GroupSpec, word) -> np.ndarray:
     """Matrix of the inverse word, built letter by letter."""
-    letters = dict(g.letters())
     A = np.eye(g.dimension + 1)
     for letter in reversed(word):
-        A = A @ letters[-letter]
+        gen = g.generators[abs(letter) - 1]
+        A = A @ (gen if letter < 0 else lorentz_inverse(gen))
     return A
 
 

@@ -108,7 +108,7 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
         if key not in doc:
             raise SpecError(f"missing field '{key}'")
     n = doc["dimension"]
-    if n not in (2, 3):
+    if type(n) is not int or n not in (2, 3):
         raise SpecError(f"unsupported dimension {n} (pipelines cover n in {{2,3}})")
     options = doc.get("options", {})
     reflections = doc.get("reflections", [])

@@ -275,13 +275,13 @@ class TestCli:
         assert main(["--input", str(path)]) == 3
         assert "input error:" in capsys.readouterr().err
 
-    # malformed numeric arrays and a wrongly typed options or reflections
-    # block used to escape as a traceback (exit 1)
+    # malformed numeric arrays, a float dimension and a wrongly typed
+    # options or reflections block used to escape as a traceback (exit 1)
     @pytest.mark.parametrize("edit", [
         {"decoration_scales": ["a"]}, {"cusps": [["a", 1, 0]]},
         {"generators": [[["x"]]]}, {"generators": [[[1, 0, 0], [0, 1]]]},
         {"options": []}, {"reflections": None},
-        {"cusps": [[10 ** 400, 1, 0]]}])
+        {"cusps": [[10 ** 400, 1, 0]]}, {"dimension": 2.0}])
     def test_malformed_spec_exit_3(self, edit, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc.update(edit)
