@@ -18,10 +18,10 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .decorations import horoball_distance, short_cut
+from .decorations import horoball_distance
 from .ep_hull import (Decomposition, HullFace, assemble_decomposition,
                       count_face_classes)
-from .group import GroupSpec, OrbitSet, orbit
+from .group import GroupSpec, OrbitSet
 from .matching import GammaClasses, find_group_element, greedy_deviation
 from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 
@@ -37,7 +37,6 @@ class ReturnPath:
     """Orbit class of horoball pairs joined by a shortest segment."""
     class_id: int
     length: float
-    cut: object                         # ShortCut of the class representative
     lifts: list                         # (cusp_id, partner OrbitPoint)
 
 
@@ -100,24 +99,10 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
             cid, _ = classes.classify(np.array([p, q.point]), [base, q])
             if cid not in paths:
                 paths[cid] = ReturnPath(class_id=cid, length=max(0.0, d),
-                                        cut=short_cut(p, q.point),
                                         lifts=[])
             paths[cid].lifts.append((c, q))
     out = sorted(paths.values(), key=lambda rp: (round(rp.length, 9), rp.class_id))
     return out
-
-
-def return_path_certificate(g: GroupSpec, length_bound: float,
-                            word_bound: int, height_bound: float) -> bool:
-    """Return-path classes stable under enlarged orbit bounds."""
-    a = enumerate_return_paths(g, length_bound, word_bound,
-                               OrbitSet(orbit(g, word_bound, height_bound)))
-    b = enumerate_return_paths(
-        g, length_bound, word_bound + 1,
-        OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound)))
-    if len(a) != len(b):
-        return False
-    return all(abs(x.length - y.length) < 1e-8 for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +300,7 @@ def _facet_samples(witnesses, A, b, qi):
 # ---------------------------------------------------------------------------
 
 def dual_decomposition(complex_: CutComplex, g: GroupSpec,
-                       word_bound: int = 5) -> Decomposition:
+                       word_bound: int) -> Decomposition:
     """Decomposition dual to the cut locus.
 
     Regions come from 0-cells (their ideal vertices are the nearest
@@ -395,20 +380,6 @@ def _concyclic(cell: CutCell) -> bool:
     return s[-1] <= 1e-7 * max(1.0, s[0])
 
 
-def dual_edges(complex_: CutComplex):
-    """One dual edge per (n-1)-cell orbit: the short cut extended to the
-    complete geodesic between the two centers it separates."""
-    n = complex_.dimension
-    points = complex_.orbit_points
-    out = {}
-    for cell in complex_.cells[n - 1]:
-        if cell.class_id in out:
-            continue
-        p, q = (points[i].point for i in cell.nearest_ids)
-        out[cell.class_id] = short_cut(p, q)
-    return [out[cid] for cid in sorted(out)]
-
-
 def dual_count_identity(complex_: CutComplex, dual: Decomposition) -> dict:
     """Counts of dual objects against cut-locus cell orbits per stratum."""
     n = complex_.dimension
@@ -427,7 +398,7 @@ def dual_count_identity(complex_: CutComplex, dual: Decomposition) -> dict:
 # ---------------------------------------------------------------------------
 
 def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
-                   word_bound: int = 5, tol: float = 1e-7) -> CrossValidation:
+                   word_bound: int, tol: float = 1e-7) -> CrossValidation:
     """Match the cells of two decompositions of the same manifold."""
     if a.dimension != b.dimension:
         return CrossValidation(False, "dimension mismatch", 0, np.inf)

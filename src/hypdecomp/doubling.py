@@ -17,7 +17,7 @@ from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
 from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                     reflection_normal)
-from .matching import PAIR_TOL, _scale, match_index, set_match, stack_hits
+from .matching import PAIR_TOL, _scale, match_index, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
 
@@ -136,9 +136,8 @@ def _overlap_log_scale(coords) -> float:
                 for k in near), default=-np.inf)
 
 
-def symmetrize_decorations(g: GroupSpec, margin: float = 1.0,
-                           word_bound: int = 4,
-                           height_bound: float = 30.0) -> GroupSpec:
+def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
+                           height_bound: float) -> GroupSpec:
     """Rescale cusp vectors so the decoration conditions hold exactly.
 
     (1) cusps paired by each reflection carry exactly reflected centers,
@@ -411,19 +410,8 @@ def _facet_meets_wall(facet_coords, u) -> bool:
     return bool(np.min(vals) < tol and np.max(vals) > -tol)
 
 
-def doubling_consistency(mc: MixedCell, original_coords,
-                         tol: float = 1e-8) -> bool:
-    """Doubling the truncated cell across its wall recovers the source."""
-    if mc.kind != "truncated":
-        return True
-    mirrored = mc.ambient_vertices @ mc.reflection.T
-    full = np.vstack([mc.ambient_vertices, mirrored])
-    scale = max(1.0, float(np.max(np.abs(full))))
-    return set_match(np.asarray(original_coords), full, tol * scale * 100)
-
-
 def quotient_classify(dec: Decomposition, g: GroupSpec,
-                      word_bound: int = 4) -> MixedDecomposition:
+                      word_bound: int) -> MixedDecomposition:
     """Partition doubled cells into ideal pairs and wall-crossing cells.
 
     Mirror pairs keep one representative as an ideal cell; wall-crossing

@@ -21,12 +21,11 @@ from .group import GroupSpec, OrbitSet, orbit
 from .hull import MODES, IncrementalHull
 from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
-                        hyperboloid_to_klein, lorentz_gram, lorentz_product,
+                        hyperboloid_to_klein, lorentz_product,
                         minkowski_form)
 
 SUPPORT_RESIDUAL_TOL = 1e-8
 COPLANAR_TOL = 1e-8
-CONVEX_SIDE_TOL = 1e-7
 
 
 @dataclass
@@ -206,16 +205,6 @@ def certified_faces(faces, height_bound: float):
     return [f for f in faces if f.max_height <= height_bound / 2.0]
 
 
-def convex_side_check(faces, points, tol: float = CONVEX_SIDE_TOL):
-    """All orbit points satisfy <q,w> <= -1 for every face support w."""
-    coords = np.array([op.point for op in points])
-    for f in faces:
-        prods = lorentz_gram(coords, f.support[None, :]).ravel()
-        if np.max(prods) > -1.0 + tol * max(1.0, float(np.max(np.abs(f.support)))):
-            return False
-    return True
-
-
 def face_sets_equal(faces_a, points_a, faces_b, points_b) -> bool:
     """Geometric equality of two face collections as decorated vertex sets."""
     if len(faces_a) != len(faces_b):
@@ -312,21 +301,6 @@ def project_face(face: HullFace, points):
     ops = [points[v] for v in face.vertex_ids]
     cell, ops = ideal_cell_from_points(ops, face.support, len(face.support) - 1)
     return cell, ops
-
-
-def cell_is_convex(cell: IdealCell, tol: float = 1e-9) -> bool:
-    """Straight-line convexity of the cell in Klein coordinates."""
-    k = cell.klein_vertices
-    if k.shape[1] == 2:
-        m = len(k)
-        cross = []
-        for i in range(m):
-            a, b, c = k[i], k[(i + 1) % m], k[(i + 2) % m]
-            u, v = b - a, c - b
-            cross.append(u[0] * v[1] - u[1] * v[0])
-        return all(x > -tol for x in cross) or all(x < tol for x in cross)
-    hull = IncrementalHull(k, "auto")
-    return len(hull.vertex_ids()) == len(k)
 
 
 # ---------------------------------------------------------------------------

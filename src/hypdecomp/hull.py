@@ -263,17 +263,6 @@ class IncrementalHull:
         for ridge in horizon:
             self._add_facet(tuple(sorted(ridge + (q,))))
 
-    def ridge_neighbors(self):
-        """Map ridge (sorted vertex tuple) -> the two incident facet indices."""
-        ridges = {}
-        for idx, f in enumerate(self.facets):
-            for ridge in combinations(f.vertices, self.dim - 1):
-                ridges.setdefault(ridge, []).append(idx)
-        for ridge, inc in ridges.items():
-            if len(inc) != 2:
-                raise GeometryError(f"hull inconsistency at ridge {ridge}")
-        return ridges
-
     def vertex_ids(self):
         out = set()
         for f in self.facets:

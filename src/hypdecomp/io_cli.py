@@ -104,6 +104,8 @@ def load_spec(path) -> ManifoldSpec:
 
 
 def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
+    if not isinstance(doc, dict):
+        raise SpecError("the spec must be a JSON object")
     for key in ("dimension", "generators", "cusps"):
         if key not in doc:
             raise SpecError(f"missing field '{key}'")
@@ -111,14 +113,18 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
     if type(n) is not int or n not in (2, 3):
         raise SpecError(f"unsupported dimension {n} (pipelines cover n in {{2,3}})")
     options = doc.get("options", {})
-    reflections = doc.get("reflections", [])
-    if not isinstance(options, dict) or not isinstance(reflections, list):
-        raise SpecError("options must be an object and reflections a list")
+    name = doc.get("name", "")
+    if not isinstance(options, dict) or not isinstance(name, str):
+        raise SpecError("options must be an object and name a string")
+    for key in ("generators", "cusps", "reflections", "decoration_scales"):
+        if not isinstance(doc.get(key, []), list):
+            raise SpecError(f"{key} must be a list")
     scales = doc.get("decoration_scales")
     try:
         cusps = [np.asarray(c, dtype=float) for c in doc["cusps"]]
         generators = [np.asarray(m, dtype=float) for m in doc["generators"]]
-        reflections = [np.asarray(m, dtype=float) for m in reflections]
+        reflections = [np.asarray(m, dtype=float)
+                       for m in doc.get("reflections", [])]
         # absent scales are ones, and x * 1.0 == x bit for bit
         scales = np.asarray([1.0] * len(cusps) if scales is None else scales,
                             dtype=float)
@@ -128,8 +134,7 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
         raise SpecError("decoration_scales length does not match cusps")
     cusps = [s * c for s, c in zip(scales, cusps)]
     group = GroupSpec(dimension=n, generators=generators,
-                      reflections=reflections, cusp_reps=cusps,
-                      name=doc.get("name", ""))
+                      reflections=reflections, cusp_reps=cusps, name=name)
     report = validate_group(group)
     if not report.ok:
         raise SpecError(f"invalid group data: {report}")
@@ -139,8 +144,7 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
             raise SpecError(f"unknown option '{key}'")
         setattr(opts, key, value)
     check_options(opts)
-    return ManifoldSpec(name=doc.get("name", ""), group=group, options=opts,
-                        source=source)
+    return ManifoldSpec(name=name, group=group, options=opts, source=source)
 
 
 def _is_finite_number(x) -> bool:

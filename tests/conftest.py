@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypdecomp.fixtures import fixture_path
+from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
 
 
@@ -70,6 +71,21 @@ def all_reports(report_3ps, report_torus, report_fig3, report_fig8):
         "figure3_surface": report_fig3,
         "figure_eight_knot": report_fig8,
     }
+
+
+def cell_is_convex(cell, tol=1e-9):
+    """Straight-line convexity of an IdealCell in Klein coordinates."""
+    k = cell.klein_vertices
+    if k.shape[1] == 2:
+        m = len(k)
+        cross = []
+        for i in range(m):
+            a, b, c = k[i], k[(i + 1) % m], k[(i + 2) % m]
+            u, v = b - a, c - b
+            cross.append(u[0] * v[1] - u[1] * v[0])
+        return all(x > -tol for x in cross) or all(x < tol for x in cross)
+    hull = IncrementalHull(k, "auto")
+    return len(hull.vertex_ids()) == len(k)
 
 
 def random_lightlike(rng, n, height_range=(0.5, 4.0)):

@@ -13,7 +13,7 @@ import numpy as np
 from conftest import random_lightlike
 from test_decorations import halfspace_distance_oracle, shadow_projection_oracle
 
-from hypdecomp.cutlocus import dual_count_identity, return_path_certificate
+from hypdecomp.cutlocus import dual_count_identity, enumerate_return_paths
 from hypdecomp.decorations import horoball_distance, shadow_radius
 from hypdecomp.doubling import symmetrize_decorations, symmetry_direction_check
 from hypdecomp.ep_hull import (certified_faces, count_face_classes,
@@ -33,6 +33,18 @@ def _symmetrized(spec):
     return symmetrize_decorations(spec.group, margin=spec.options.margin,
                                   word_bound=4,
                                   height_bound=spec.options.height_bound)
+
+
+def _return_paths_stable(g, length_bound, word_bound, height_bound):
+    """Return-path classes stable under enlarged orbit bounds."""
+    a = enumerate_return_paths(g, length_bound, word_bound,
+                               OrbitSet(orbit(g, word_bound, height_bound)))
+    b = enumerate_return_paths(
+        g, length_bound, word_bound + 1,
+        OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound)))
+    if len(a) != len(b):
+        return False
+    return all(abs(x.length - y.length) < 1e-8 for x, y in zip(a, b))
 
 
 def test_criterion_01_shadow_radius_formula_vs_projection_oracle():
@@ -141,7 +153,7 @@ def test_criterion_07_stability_certificates(all_reports):
         spec = report.spec
         faces_stable = report.certificates["ep_stability"].ok
         gs = _symmetrized(spec)
-        paths_stable = return_path_certificate(
+        paths_stable = _return_paths_stable(
             gs, spec.options.length_bound, spec.options.word_bound,
             spec.options.height_bound)
         ok &= faces_stable and paths_stable

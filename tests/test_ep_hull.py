@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hypdecomp.ep_hull import (HullFace, assemble_decomposition, cell_is_convex,
-                               certified_faces, convex_side_check,
-                               count_face_classes, dihedral_angles,
-                               hull_faces, project_face,
+from conftest import cell_is_convex
+from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
+                               certified_faces, count_face_classes,
+                               dihedral_angles, hull_faces, project_face,
                                stability_certificate, support_vector)
 from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
-from hypdecomp.minkowski import GeometryError, lorentz_product
+from hypdecomp.minkowski import GeometryError, lorentz_gram, lorentz_product
 
 TRIANGLE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
 
@@ -101,8 +101,12 @@ class TestHullFaces:
     def test_convex_side(self, report_3ps):
         spec = report_3ps.spec
         pts = OrbitSet(orbit(spec.group, 6, 20.0))
-        faces = hull_faces(pts)
-        assert convex_side_check(faces, pts)
+        # every orbit point satisfies <q, w> <= -1 for every face support w
+        coords = np.array([op.point for op in pts])
+        for f in hull_faces(pts):
+            prods = lorentz_gram(coords, f.support[None, :]).ravel()
+            assert np.max(prods) <= -1.0 + 1e-7 * max(
+                1.0, float(np.max(np.abs(f.support))))
 
     def test_all_supports_future_timelike(self, report_fig8):
         spec = report_fig8.spec

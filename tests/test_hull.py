@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -173,7 +174,12 @@ class TestIncrementalHull3D:
         hull = IncrementalHull(pts)
         assert len(hull.vertex_ids()) == 8
         assert len(hull.facets) == 12            # simplicial facets
-        assert len(hull.ridge_neighbors()) == 18
+        ridges = {}
+        for idx, f in enumerate(hull.facets):
+            for ridge in combinations(f.vertices, hull.dim - 1):
+                ridges.setdefault(ridge, []).append(idx)
+        assert len(ridges) == 18
+        assert all(len(inc) == 2 for inc in ridges.values())
 
     def test_interior_points_dropped(self, rng):
         corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)

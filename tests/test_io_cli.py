@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -58,6 +60,22 @@ class TestLoadSpec:
                "decoration_scales": [2.5]}
         spec = parse_spec(doc)
         assert np.allclose(spec.group.cusp_reps[0], [2.5, 0.0, 2.5])
+
+    def test_fixtures_match_their_generator(self):
+        # the shipped files are byte for byte what tools/gen_fixtures.py
+        # writes from its classical matrix presentations
+        path = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
+            "gen_fixtures.py"
+        spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        builders = [gen.thrice_punctured_sphere, gen.once_punctured_torus,
+                    gen.figure3_surface, gen.figure_eight_knot]
+        assert [b.__name__ for b in builders] == NAMES
+        for build in builders:
+            text = json.dumps(build(), indent=1) + "\n"
+            assert text.encode() == fixture_path(build.__name__).read_bytes(), \
+                build.__name__
 
 
 class TestRun:
@@ -281,10 +299,22 @@ class TestCli:
         {"decoration_scales": ["a"]}, {"cusps": [["a", 1, 0]]},
         {"generators": [[["x"]]]}, {"generators": [[[1, 0, 0], [0, 1]]]},
         {"options": []}, {"reflections": None},
-        {"cusps": [[10 ** 400, 1, 0]]}, {"dimension": 2.0}])
+        {"cusps": [[10 ** 400, 1, 0]]}, {"dimension": 2.0},
+        # an object where a list belongs would be iterated by its keys
+        {"generators": {}}, {"cusps": {}}, {"decoration_scales": {}},
+        {"name": ["x"]}])
     def test_malformed_spec_exit_3(self, edit, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc.update(edit)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--input", str(path)]) == 3
+        assert "input error:" in capsys.readouterr().err
+
+    # a top-level string holds the required field names as substrings
+    @pytest.mark.parametrize("doc", [
+        "dimension generators cusps", ["dimension", "generators", "cusps"]])
+    def test_non_object_spec_exit_3(self, doc, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert main(["--input", str(path)]) == 3
