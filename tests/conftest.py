@@ -73,7 +73,7 @@ def all_reports(report_3ps, report_torus, report_fig3, report_fig8):
     }
 
 
-def cell_is_convex(cell, tol=1e-9):
+def cell_is_convex(cell):
     """Straight-line convexity of an IdealCell in Klein coordinates."""
     k = cell.klein_vertices
     if k.shape[1] == 2:
@@ -83,7 +83,7 @@ def cell_is_convex(cell, tol=1e-9):
             a, b, c = k[i], k[(i + 1) % m], k[(i + 2) % m]
             u, v = b - a, c - b
             cross.append(u[0] * v[1] - u[1] * v[0])
-        return all(x > -tol for x in cross) or all(x < tol for x in cross)
+        return all(x > -1e-9 for x in cross) or all(x < 1e-9 for x in cross)
     hull = IncrementalHull(k, "auto")
     return len(hull.vertex_ids()) == len(k)
 

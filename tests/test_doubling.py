@@ -8,9 +8,8 @@ from hypdecomp.decorations import horoball_distance
 from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 _edge_wall_point, _overlap_log_scale,
                                 _truncate_cell, check_hull_symmetry,
-                                external_orthogonality,
-                                polar_vertex, quotient_classify,
-                                symmetrize_decorations,
+                                external_orthogonality, polar_vertex,
+                                quotient_classify, symmetrize_decorations,
                                 symmetry_direction_check, wall_lifts)
 from hypdecomp.ep_hull import (certified_faces, hull_faces,
                                ideal_cell_from_points)
