@@ -1,12 +1,14 @@
 """Incremental convex hull in R^d for d in {3, 4}.
 
 Written for point sets in strictly convex position with frequent exact
-coplanarities (canonical decompositions are often non-simplicial), so
-the orientation predicate is a floating-point evaluation with an error
-filter and an exact integer (power-of-two scaled) fallback: every binary
-float is n / 2^k, so scaling all coordinates by the largest 2^k turns
-them into integers and the fallback sign is exact; the hull topology is
-never guessed.
+coplanarities (canonical decompositions are often non-simplicial).
+Every binary float is n / 2^k, so scaling all coordinates by the
+largest 2^k turns them into integers.  The orientation predicate is a
+floating-point evaluation with an error filter and an exact fallback on
+those integers.  Each facet keeps the integer cofactor normal of its
+plane; a float screen with that normal rounded decides visibility
+outside a derived band, and an exact integer dot inside it, so the hull
+topology is never guessed.
 
 Insertion is sequential in the given point order; the whole computation
 is deterministic.  Facets are simplicial; coplanar groups are merged by
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import hypot
+from math import gcd, hypot
 from operator import mul, sub
 
 import numpy as np
@@ -25,12 +27,14 @@ import numpy as np
 from .minkowski import GeometryError
 
 # |det| below FILTER_REL * (product of row norms) is re-evaluated exactly.
-# In the closed forms below each monomial of the determinant is rounded at
-# most 14 times for 4x4 (4 row differences, 2 + 2 for the 2x2 minors, 1
-# product, 5 additions), and the monomials sum in absolute value to
-# perm|M| <= prod ||row||_1 <= 16 prod ||row||_2.  So the float error is
-# at most 14 * 16 * 2^-53 * prod ||row||_2 < 2.5e-14 * prod ||row||_2,
-# a 400th of FILTER_REL (3x3: 8 roundings, factor 3^1.5).
+# The determinant is the last row dotted with the cofactor normal of the
+# others (below).  Each of its monomials is rounded at most 13 times for
+# 4x4 (4 row differences, 2 for a 2x2 minor, 1 product and 2 additions for
+# a 3x3 minor, 1 product and 3 additions for the dot), and the monomials
+# sum in absolute value to perm|M| <= prod ||row||_1 <= 16 prod ||row||_2.
+# So the float error is at most 13 * 16 * 2^-53 * prod ||row||_2
+# < 2.4e-14 * prod ||row||_2, a 400th of FILTER_REL (3x3: 8 roundings,
+# factor 3^1.5).
 FILTER_REL = 1e-11
 
 # The bound above ignores underflow and overflow.  With every row norm in
@@ -41,44 +45,42 @@ _ROW_NORM_MIN = 2.0 ** -250
 _ROW_NORM_MAX = 2.0 ** 250
 
 
-@dataclass
+@dataclass(slots=True)
 class Facet:
     vertices: tuple          # point indices, sorted
-    sign: int                # +1: positive orientation det means "outside"
-    normal: np.ndarray       # outward Euclidean normal, unit length
+    exact: tuple             # outward integer normal n: q is outside iff
+                             # n . (q - p0) > 0 over the predicate's rows
+    normal: np.ndarray       # outward unit normal, n rounded (a tuple until built)
     offset: float            # normal @ x = offset on the facet plane
+    band: float              # float margins within +-band are decided exactly
 
 
-def _det3(a, b, c):
-    """3x3 determinant by cofactors of the first row (ints or floats)."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c0, c1, c2 = c
-    return (a0 * (b1 * c2 - b2 * c1)
-            - a1 * (b0 * c2 - b2 * c0)
-            + a2 * (b0 * c1 - b1 * c0))
+def _cofactors(rows):
+    """Normal n of the d - 1 rows (ints or floats): det[rows, q] == n . q.
 
-
-def _det4(a, b, c, d):
-    """4x4 determinant from the 2x2 minors of rows a, b and of rows c, d."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    c0, c1, c2, c3 = c
-    d0, d1, d2, d3 = d
+    For d = 3 the cross product; for d = 4 the signed 3x3 minors, each
+    from the 2x2 minors of the first two rows.
+    """
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
     s01 = a0 * b1 - a1 * b0
     s02 = a0 * b2 - a2 * b0
     s03 = a0 * b3 - a3 * b0
     s12 = a1 * b2 - a2 * b1
     s13 = a1 * b3 - a3 * b1
     s23 = a2 * b3 - a3 * b2
-    t01 = c0 * d1 - c1 * d0
-    t02 = c0 * d2 - c2 * d0
-    t03 = c0 * d3 - c3 * d0
-    t12 = c1 * d2 - c2 * d1
-    t13 = c1 * d3 - c3 * d1
-    t23 = c2 * d3 - c3 * d2
-    return (s01 * t23 - s02 * t13 + s03 * t12
-            + s12 * t03 - s13 * t02 + s23 * t01)
+    return (c2 * s13 - c1 * s23 - c3 * s12, c0 * s23 - c2 * s03 + c3 * s02,
+            c1 * s03 - c0 * s13 - c3 * s01, c0 * s12 - c1 * s02 + c2 * s01)
+
+
+def _det3(a, b, c):
+    return sum(map(mul, _cofactors((a, b)), c))
+
+
+def _det4(a, b, c, d):
+    return sum(map(mul, _cofactors((a, b, c)), d))
 
 
 _DET = {3: _det3, 4: _det4}
@@ -172,15 +174,10 @@ def _initial_simplex(pred: OrientPredicate):
             raise GeometryError("degenerate input: points are affinely dependent")
         resid = np.einsum("ij,ij->i", rel, rel) - np.einsum("ji,ij->i", sol, proj)
         if len(ids) == d:
-            # last vertex must be strictly off the hyperplane; verify the
-            # float winner exactly and fall back to a scan if needed
-            k = None
-            for cand in np.argsort(-resid):
-                if pred.sign(tuple(ids), int(cand)) != 0:
-                    k = int(cand)
-                    break
-                if resid[cand] <= 0:
-                    break
+            # last vertex must be strictly off the hyperplane: scan in float
+            # order, exactly (a sliver's float residual can be <= 0)
+            k = next((int(c) for c in np.argsort(-resid)
+                      if pred.sign(tuple(ids), int(c)) != 0), None)
             if k is None:
                 raise GeometryError("degenerate input: points span no full-"
                                     "dimensional hull")
@@ -190,16 +187,6 @@ def _initial_simplex(pred: OrientPredicate):
                 raise GeometryError("degenerate input: points are affinely dependent")
         ids.append(k)
     return ids
-
-
-def _facet_plane(pts, vertices):
-    """Outward-agnostic plane (unit normal, offset) through the vertices."""
-    base = pts[list(vertices)]
-    diffs = base[1:] - base[0]
-    # null vector of the difference matrix
-    _, _, vt = np.linalg.svd(diffs)
-    normal = vt[-1]
-    return normal, float(normal @ base[0])
 
 
 class IncrementalHull:
@@ -214,7 +201,6 @@ class IncrementalHull:
         self.dim = d
         self.pred = OrientPredicate(points, exact_mode)
         simplex = _initial_simplex(self.pred)
-        self._centroid = points[simplex].mean(axis=0)
         self._centroid_id = self.pred.add_mean(simplex)
         self.facets: list = []
         for omit in range(d + 1):
@@ -224,31 +210,54 @@ class IncrementalHull:
             if q in simplex:
                 continue
             self._insert(q)
+        for f in self.facets:
+            f.normal = np.array(f.normal)
 
     def _add_facet(self, vs):
-        s = self.pred.sign(vs, self._centroid_id)
-        if s == 0:
+        pred = self.pred
+        ints = pred._ints
+        p0 = ints[vs[0]]
+        n = _cofactors([list(map(sub, ints[i], p0)) for i in vs[1:]])
+        # orient n away from the centroid (its row has weight w) and divide
+        # out its content, which halves its bit length on the knot's orbits
+        pred.exact_evals += 1
+        c, w = self._centroid_id, pred._weights[self._centroid_id]
+        inner = sum(map(mul, n, ints[c])) - w * sum(map(mul, n, p0))
+        if inner == 0:
             raise GeometryError(f"degenerate facet {vs}")
-        normal, offset = _facet_plane(self.points, vs)
-        if normal @ self._centroid > offset:
-            normal, offset = -normal, -offset
-        self.facets.append(Facet(vertices=vs, sign=-s, normal=normal,
-                                 offset=offset))
+        g = gcd(*n) if inner < 0 else -gcd(*n)
+        n = tuple(x // g for x in n)
+        # round n once (a power-of-two scale keeps it finite), then normalize
+        scale = 1 << max(0, max(map(abs, n)).bit_length() - 64)
+        v = [x / scale for x in n]
+        norm = hypot(*v)
+        normal = tuple(x / norm for x in v)
+        offset = sum(map(mul, normal, pred._rows[vs[0]]))
+        self.facets.append(Facet(vs, n, normal, offset,
+                                 1e-7 * max(1.0, abs(offset))))
 
     def _outside(self, facet: Facet, q: int) -> bool:
         """Exact visibility for q inside the float screen's band."""
-        return facet.sign * self.pred.sign(facet.vertices, q) > 0
+        self.pred.exact_evals += 1
+        ints = self.pred._ints
+        q0 = map(sub, ints[q], ints[facet.vertices[0]])
+        return sum(map(mul, facet.exact, q0)) > 0
 
     def _insert(self, q: int):
-        # one float margin per facet, in plain floats (numpy per facet is
-        # slower, and stacked planes per insertion raise the peak memory);
-        # exact only inside the band
+        # margin = fl(fl(normal . x) - offset) against the true distance
+        # u . (x - p0), u = n / |n|.  The normal is n rounded once, then
+        # divided by its hypot: each component is u_i (1 + e), |e| <= 5 *
+        # 2^-53.  A d-term float dot errs by at most gamma_4 <= 4.01 * 2^-53
+        # times |normal| |x| (Cauchy-Schwarz), so the two dots together err
+        # by at most 9.1 * 2^-53 (|x| + |p0|) < 1.1e-15 (|x| + |p0|), and the
+        # last subtraction keeps the sign of their difference.  The band, at
+        # least 1e-7, covers that while every point has Euclidean norm below
+        # 4.5e7; there the screen agrees with the exact test outside it.
         x = self.pred._rows[q]
         visible, kept = [], []
         for f in self.facets:
-            margin = sum(map(mul, f.normal.tolist(), x)) - f.offset
-            band = 1e-7 * max(1.0, abs(f.offset))
-            if margin > band or (not margin < -band and self._outside(f, q)):
+            margin = sum(map(mul, f.normal, x)) - f.offset
+            if margin > f.band or (not margin < -f.band and self._outside(f, q)):
                 visible.append(f)
             else:
                 kept.append(f)

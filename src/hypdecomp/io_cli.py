@@ -446,8 +446,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", dest="json_path", help="write JSON report")
     parser.add_argument("--svg", dest="svg_path", help="write SVG (n = 2 only)")
     parser.add_argument("--exact", action="store_true",
-                        help="force exact integer (power-of-two scaled) hull "
-                             "predicates")
+                        help="evaluate the hull's orientation determinants "
+                             "exactly, without their float filter")
     args = parser.parse_args(argv)
 
     try:

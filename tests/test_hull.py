@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.ep_hull import hull_faces
+from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import OrbitPoint, orbit
 from hypdecomp.hull import (MODES, IncrementalHull, OrientPredicate, _det3,
                             _det4)
+from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import GeometryError
 
 
@@ -258,3 +262,78 @@ class TestKnotOrbitRegression:
         assert sorted(f.vertices for f in a.facets) == \
             sorted(f.vertices for f in b.facets)
         assert a.pred.exact_evals < b.pred.exact_evals
+
+
+# the exact validity oracle that CI's hull count gate also runs
+_path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "hull_counts.py"
+_spec = importlib.util.spec_from_file_location("hull_counts", _path)
+hull_counts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hull_counts)
+
+
+class TestHullValidity:
+    @pytest.mark.parametrize("name,height", [("figure_eight_knot", None),
+                                             ("figure_eight_knot", 12.0),
+                                             ("figure3_surface", None)])
+    @pytest.mark.parametrize("stability", [False, True])
+    def test_pipeline_orbits(self, name, height, stability):
+        # the main and the stability orbit, built as run() builds them
+        spec = load_spec(fixture_path(name))
+        g, o = spec.group, spec.options
+        if height is not None:
+            o.height_bound = height
+        gs = symmetrize_decorations(g, margin=o.margin,
+                                    word_bound=min(4, o.word_bound),
+                                    height_bound=o.height_bound)
+        k = 1 if stability else 0
+        ops = orbit(gs, o.word_bound + k, o.height_bound * 2 ** k)
+        hull = IncrementalHull(np.array([op.point for op in ops]))
+        # bad (facet, point) pairs, bad ridges, bad normals
+        assert hull_counts.invalid_counts(hull) == (0, 0, 0)
+
+
+@st.composite
+def _sliver_sets(draw):
+    """Lattice sets with exactly coplanar groups moved out to 1e3..1e6, or
+    light-cone points under a boost of that size, where facets are slivers."""
+    d = draw(st.sampled_from([3, 4]))
+    mag = 10.0 ** draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["translate", "stretch", "boost"]))
+    if kind == "boost":
+        # h (1 + |s|^2, 2 s, 1 - |s|^2) is lightlike and dyadic for s in
+        # Z^(d-2) / 4; the points of one height h are coplanar
+        ss = draw(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0]),
+                                     *[st.integers(-4, 4)] * (d - 2)),
+                           max_size=16))
+        # d independent rays and a second height on one of them
+        rays = ([(0,) * (d - 2), (-4,) * (d - 2)]
+                + [tuple(4 * (i == j) for j in range(d - 2)) for i in range(d - 2)])
+        base = [(1.0, *r) for r in rays] + [(2.0, *rays[0])]
+        P = []
+        for h, *s in dict.fromkeys(base + ss):
+            s = np.array(s) / 4.0
+            q = float(s @ s)
+            P.append([h * (1.0 + q), *(2.0 * h * s), h * (1.0 - q)])
+        B = np.eye(d)
+        B[0, 0] = B[1, 1] = mag
+        B[0, 1] = B[1, 0] = np.sqrt(mag * mag - 1.0)
+        return np.array(P) @ B.T
+    cube = [[0] * d] + [[3 * (i == j) for j in range(d)] for i in range(d)]
+    more = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=20))
+    P = np.array(cube + [list(p) for p in more], dtype=float)
+    if kind == "translate":
+        P += np.array([draw(st.integers(-1000, 1000)) for _ in range(d)]) * mag / 1000
+    else:
+        P[:, draw(st.integers(0, d - 1))] *= 2.0 ** round(np.log2(mag))
+    return P
+
+
+class TestHullValidityProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_sliver_sets())
+    def test_valid_and_modes_agree(self, P):
+        a = IncrementalHull(P, "auto")
+        b = IncrementalHull(P, "always")
+        assert hull_counts.invalid_counts(a) == (0, 0, 0)
+        assert sorted(f.vertices for f in a.facets) == \
+            sorted(f.vertices for f in b.facets)
