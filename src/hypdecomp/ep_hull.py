@@ -5,9 +5,10 @@ computed in R^{n+1}; facets whose support vector (the w solving
 <p_i, w> = -1) is future-pointing timelike are the canonical faces.
 Coplanar simplicial facets are merged into maximal polyhedral faces,
 faces are grouped into group orbits, and facet pairings are extracted
-from hull adjacency.  Orbit truncation is compensated by a rerun
-stability certificate and by certifying only faces well below the
-height horizon.
+from hull adjacency.  Orbit truncation is compensated by certifying
+only faces well below the height horizon and by a stability
+certificate against the orbit at larger bounds, of which only the part
+low enough to cut a certified face is hulled.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .group import GroupSpec, OrbitSet, orbit
+from .group import GroupSpec, orbit
 from .hull import MODES, IncrementalHull
 from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
@@ -221,26 +222,97 @@ def face_sets_equal(faces_a, points_a, faces_b, points_b) -> bool:
     return True
 
 
+def ellipsoid_top(w) -> float:
+    """Largest height x0 of a future light-cone point p with <p, w> >= -1.
+
+    For future timelike w and p = t (1, u), |u| = 1, the condition reads
+    t (w0 - u . w_s) <= 1, so the points on or inside the support plane
+    of w form a compact ellipsoid whose top is 1 / (w0 - |w_s|); it is
+    infinite when w is not future timelike.
+    """
+    gap = float(w[0] - np.linalg.norm(w[1:]))
+    return 1.0 / gap if gap > 0 else np.inf
+
+
+# A point this close to a face's support plane, relative to |p| |w|,
+# counts as cutting the face: a false alarm only costs a larger hull.
+CUT_MARGIN = 1e-6
+
+
+def stable_faces(big, faces, height_bound: float, exact_mode: str = "auto"):
+    """Certified faces of the hull of ``big``, hulling only its low part.
+
+    ``big`` is the (word bound + 1, 2H) orbit and ``faces`` the run's
+    own certified faces.  Returns the sub-orbit hulled (a sublist of
+    ``big``, vertex ids index into it) and its certified faces, which
+    are exactly the certified faces of the hull of all of ``big``.
+
+    Only points of height <= h are hulled.  h starts just above the
+    larger of H/2 and the highest ellipsoid top (``ellipsoid_top``) of
+    ``faces``, which is as high as a point cutting one of them can sit,
+    and doubles up to 2H, where the sub-orbit is all of ``big``.  A
+    sub-hull is accepted when no point of ``big`` above h lies on or
+    inside (within ``CUT_MARGIN``) the support plane of any of its
+    certified faces.  Then its certified faces are those of the whole
+    hull:
+
+    - a certified face of the whole hull has every vertex at height
+      <= H/2 <= h, and every point of ``big`` on its far side, so it is
+      a face of the sub-hull, with the same vertices and support;
+    - a certified face of the sub-hull has every low point on its far
+      side by convexity and, by the test, every high point strictly on
+      it too, so it is a face of the whole hull with the same vertices.
+
+    Raises GeometryError when the hull of all of ``big`` fails; a
+    sub-hull that fails only makes h grow.
+    """
+    if not big:
+        return [], []
+    d = len(big[0].point)
+    h = max([height_bound / 2.0] + [ellipsoid_top(f.support) for f in faces])
+    h *= 1.0 + 1e-6
+    J = minkowski_form(d)
+    while True:
+        low = [op for op in big if op.point[0] <= h]
+        high = np.array([op.point for op in big if op.point[0] > h]).reshape(-1, d)
+        try:
+            # too few points for a hull: no faces, nor any certified face
+            # of the whole hull, whose n + 1 or more vertices are all low
+            cert = (certified_faces(hull_faces(low, exact_mode), height_bound)
+                    if len(low) >= d else [])
+        except GeometryError:
+            if not len(high):
+                raise
+        else:
+            W = np.array([f.support for f in cert]).reshape(-1, d)
+            slack = high @ J @ W.T + 1.0
+            scale = np.outer(np.max(np.abs(high), axis=1), np.max(np.abs(W), axis=1))
+            if not np.any(slack >= -CUT_MARGIN * scale):
+                return low, cert
+        h = min(2.0 * height_bound, 2.0 * h)
+
+
 def stability_certificate(g: GroupSpec, points, faces, word_bound: int,
                           height_bound: float, exact_mode: str = "auto") -> bool:
     """True iff the certified faces are unchanged under larger bounds.
 
     ``points`` is the orbit at (word_bound, height_bound) and ``faces``
-    its certified faces; only the orbit at (word_bound + 1,
-    2 * height_bound) and its hull are built here.
+    its certified faces.  The orbit at (word_bound + 1, 2 * height_bound)
+    is built whole, but ``stable_faces`` hulls only the part of it that
+    can cut a certified face.
     """
-    big = OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound))
+    big = orbit(g, word_bound + 1, 2.0 * height_bound)
+    if not faces and len(points) != len(big):
+        # nothing certified: stable only when the orbit itself is already
+        # complete (e.g. a trivial group), never when data is still growing
+        return False
     try:
-        # too few points for a hull: vacuously no faces
-        big_faces = (certified_faces(hull_faces(big, exact_mode), height_bound)
-                     if len(big) >= g.dimension + 1 else [])
+        low, big_faces = stable_faces(big, faces, height_bound, exact_mode)
     except GeometryError:
         return False
     if not faces:
-        # nothing certified: stable only when the orbit itself is already
-        # complete (e.g. a trivial group), never when data is still growing
-        return len(points) == len(big) and not big_faces
-    return face_sets_equal(faces, points, big_faces, big)
+        return not big_faces
+    return face_sets_equal(faces, points, big_faces, low)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .minkowski import (CausalClass, GeometryError, classify, is_isometry,
 RAY_MERGE_ANGLE = 1e-10
 HEIGHT_MERGE_REL = 1e-9
 MATRIX_MATCH_TOL = 1e-8
+# Frontier elements multiplied out at once while the word ball grows.
+_BLOCK = 2048
 
 
 @dataclass
@@ -95,9 +97,10 @@ class GroupSpec:
     def word_ball(self, word_bound: int) -> "WordBall":
         """All group elements of word length <= word_bound, BFS order.
 
-        Each level multiplies the whole frontier by every letter in one
-        batched product, rounds it once and keeps the first occurrence
-        of each rounded matrix, in (frontier element, letter) order.
+        Each level multiplies the frontier by every letter in batched
+        products, one block of the frontier at a time, rounds them once
+        and keeps the first occurrence of each rounded matrix, in
+        (frontier element, letter) order.
         """
         if word_bound in self._ball_cache:
             return self._ball_cache[word_bound]
@@ -108,29 +111,34 @@ class GroupSpec:
         identity = np.eye(dim)
         seen = set()
         _first_new(identity[None], seen)
-        mats = [identity[None]]
-        parents = [np.array([-1], dtype=np.int32)]
-        lets = [np.array([0], dtype=np.int32)]
-        size = 1
-        for _ in range(word_bound):
-            front = mats[-1]
-            if not len(front) or not len(signs):
+        # (matrices, parents, letters) in blocks of at most _BLOCK frontier
+        # elements times the alphabet, so a level's products, rounded
+        # copies and keys are never all alive at once
+        blocks = [(identity[None], np.array([-1]), np.array([0], dtype=np.int32))]
+        front, first = blocks, 0     # the last level and its first index
+        for _ in range(word_bound if len(signs) else 0):
+            level, start = [], first
+            for F, _, F_let in front:
+                for b in range(0, len(F), _BLOCK):
+                    Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
+                    P = (Fb[:, None] @ L[None]).reshape(-1, dim, dim)
+                    let = np.tile(signs, len(Fb))
+                    # immediate backtracks are skipped, not merely deduplicated
+                    ok = np.flatnonzero(np.repeat(Fb_let, len(signs)) != -let)
+                    keep = ok[_first_new(P[ok], seen)]
+                    level.append((P[keep], start + b + keep // len(signs),
+                                  let[keep]))
+                start += len(F)
+            front, first = [blk for blk in level if len(blk[0])], start
+            if not front:
                 break
-            P = (front[:, None] @ L[None]).reshape(-1, dim, dim)
-            par = np.repeat(np.arange(size - len(front), size, dtype=np.int32),
-                            len(signs))
-            let = np.tile(signs, len(front))
-            # immediate backtracks are skipped, not merely deduplicated
-            ok = np.flatnonzero(np.repeat(lets[-1], len(signs)) != -let)
-            keep = ok[_first_new(P[ok], seen)]
-            mats.append(P[keep])
-            parents.append(par[keep])
-            lets.append(let[keep])
-            size += len(keep)
-        matrices = np.concatenate(mats)
+            blocks += front
+        del seen     # the keys outweigh the ball; free them before the copy
+        matrices = np.concatenate([m for m, _, _ in blocks])
         matrices.flags.writeable = False
-        ball = WordBall(matrices, np.concatenate(parents),
-                        np.concatenate(lets))
+        ball = WordBall(matrices,
+                        np.concatenate([p for _, p, _ in blocks]).astype(np.int32),
+                        np.concatenate([t for _, _, t in blocks]))
         self._ball_cache[word_bound] = ball
         return ball
 
@@ -195,10 +203,12 @@ class WordBall:
 def _first_new(stack: np.ndarray, seen: set) -> list:
     """Indices of the matrices whose key is not in ``seen`` yet.
 
-    The key is the matrix's bytes rounded to 1e-8; only the first
-    occurrence of a key counts, and the new keys are added to ``seen``.
+    The key is the matrix's bytes rounded to 1e-8, with -0.0 folded
+    into 0.0 so that one matrix has one key; only the first occurrence
+    of a key counts, and the new keys are added to ``seen``.
     """
     R = np.round(stack, 8).reshape(len(stack), -1)
+    R += 0.0     # in place: no second copy of the stack
     keys = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel().tolist()
     out = []
     for i, k in enumerate(keys):
@@ -308,19 +318,12 @@ def _canonical_key(op):
 
 
 _GRID = 1e-6
+_PROBE = np.array([[-2 * RAY_MERGE_ANGLE], [2 * RAY_MERGE_ANGLE]])
 
 
 def _ray_cell(q):
     ray = q / np.linalg.norm(q)
     return tuple(np.floor(ray / _GRID).astype(np.int64).tolist())
-
-
-# neighbor offsets of a ray cell, per cell length (R^3 and R^4)
-_OFFSETS = {k: np.array(list(product((-1, 0, 1), repeat=k))) for k in (3, 4)}
-
-
-def _neighbors(cell):
-    return map(tuple, (np.array(cell) + _OFFSETS[len(cell)]).tolist())
 
 
 def _is_same_point(a, b):
@@ -329,8 +332,17 @@ def _is_same_point(a, b):
     return cross < RAY_MERGE_ANGLE and abs(a[0] - b[0]) < HEIGHT_MERGE_REL * a[0]
 
 
+def _probe_cells(q):
+    """Ray cells, in lexicographic order, that can hold a point merging
+    with q: those of its ray moved by up to 2 * RAY_MERGE_ANGLE along
+    each axis, usually just its own cell."""
+    ray = q / np.linalg.norm(q)
+    lo, hi = np.floor((ray + _PROBE) / _GRID).astype(np.int64).tolist()
+    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
 def _merge_lookup(buckets, points, q):
-    for cell in _neighbors(_ray_cell(q)):
+    for cell in _probe_cells(q):
         for idx in buckets.get(cell, ()):
             if _is_same_point(points[idx].point, q):
                 return idx

@@ -1,12 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import cell_is_convex
+from hypdecomp import ep_hull
+from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
                                certified_faces, count_face_classes,
-                               dihedral_angles, hull_faces, project_face,
-                               stability_certificate, support_vector)
+                               dihedral_angles, ellipsoid_top,
+                               face_sets_equal, hull_faces, project_face,
+                               stability_certificate, stable_faces,
+                               support_vector)
+from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
+from hypdecomp.io_cli import load_spec, parse_spec
 from hypdecomp.minkowski import GeometryError, lorentz_gram, lorentz_product
 
 TRIANGLE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
@@ -137,6 +145,150 @@ class TestStability:
         # three orbit points at word bound 1: no hull, no faces
         assert len(orbit(spec_fig8.group, 1, 8.0)) == 3
         assert not stability_at(spec_fig8.group, 1, 8.0)
+
+
+def reference_stability(g, points, faces, word_bound, height_bound):
+    """The certificate on the hull of the whole (word_bound + 1, 2H)
+    orbit: (verdict, that orbit, its certified faces or None when the
+    hull fails)."""
+    big = OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound))
+    try:
+        big_faces = (certified_faces(hull_faces(big), height_bound)
+                     if len(big) >= g.dimension + 1 else [])
+    except GeometryError:
+        return False, big, None
+    if not faces:
+        return len(points) == len(big) and not big_faces, big, big_faces
+    return face_sets_equal(faces, points, big_faces, big), big, big_faces
+
+
+def _spec(name, draw=None, **overrides):
+    """A fixture's spec with option overrides, its coordinates conjugated
+    by the draw-th rotation diag(1, Q) of numpy's default_rng(1) when a
+    draw is given."""
+    if draw is None:
+        spec = load_spec(fixture_path(name))
+    else:
+        doc = json.loads(fixture_path(name).read_text())
+        rng = np.random.default_rng(1)
+        for _ in range(draw + 1):
+            Q, _ = np.linalg.qr(rng.standard_normal((doc["dimension"],) * 2))
+        R = np.eye(doc["dimension"] + 1)
+        R[1:, 1:] = Q
+        for key in ("generators", "reflections"):
+            doc[key] = [(R @ np.asarray(A) @ R.T).tolist()
+                        for A in doc.get(key, [])]
+        doc["cusps"] = [(R @ np.asarray(p)).tolist() for p in doc["cusps"]]
+        spec = parse_spec(doc)
+    for key, value in overrides.items():
+        setattr(spec.options, key, value)
+    return spec
+
+
+def _run_inputs(spec):
+    """The symmetrized group, base orbit and certified faces run() builds."""
+    o = spec.options
+    gs = symmetrize_decorations(spec.group, margin=o.margin,
+                                word_bound=min(4, o.word_bound),
+                                height_bound=o.height_bound)
+    pts = OrbitSet(orbit(gs, o.word_bound, o.height_bound))
+    faces = (certified_faces(hull_faces(pts), o.height_bound)
+             if len(pts) >= gs.dimension + 1 else [])
+    return gs, pts, faces
+
+
+FIXTURES = ["thrice_punctured_sphere", "once_punctured_torus",
+            "figure3_surface", "figure_eight_knot"]
+PRUNED_CASES = (
+    [(name, None, {}) for name in FIXTURES]
+    + [("figure_eight_knot", None, {"height_bound": h}) for h in (4.0, 12.0, 16.0)]
+    + [("figure3_surface", None, {"height_bound": 320.0}),
+       ("figure3_surface", None, {"word_bound": 6})]
+    + [(name, draw, {}) for name in FIXTURES for draw in range(6)])
+
+
+def _case_id(case):
+    name, draw, overrides = case
+    return " ".join([name] + ([] if draw is None else [f"rotation {draw}"])
+                    + [f"{k}={v:g}" for k, v in overrides.items()])
+
+
+class TestPrunedStability:
+    @pytest.mark.parametrize("name,draw,overrides", PRUNED_CASES,
+                             ids=map(_case_id, PRUNED_CASES))
+    def test_matches_full_hull(self, name, draw, overrides):
+        spec = _spec(name, draw, **overrides)
+        o = spec.options
+        gs, pts, faces = _run_inputs(spec)
+        ok, big, ref_faces = reference_stability(gs, pts, faces, o.word_bound,
+                                                 o.height_bound)
+        assert stability_certificate(gs, pts, faces, o.word_bound,
+                                     o.height_bound) == ok
+        assert ref_faces is not None
+        low, got = stable_faces(list(big), faces, o.height_bound)
+        assert face_sets_equal(ref_faces, big, got, low)
+
+    def test_hull_sizes_and_growth(self, monkeypatch):
+        sizes = []
+        real = ep_hull.hull_faces
+
+        def recording(points, exact_mode="auto"):
+            sizes.append(len(points))
+            return real(points, exact_mode)
+
+        monkeypatch.setattr(ep_hull, "hull_faces", recording)
+        for name, want, total in (("figure_eight_knot", [8], 102),
+                                  ("figure3_surface", [32, 60], 98)):
+            spec = _spec(name)
+            gs, pts, faces = _run_inputs(spec)
+            o = spec.options
+            sizes.clear()
+            assert stability_certificate(gs, pts, faces, o.word_bound,
+                                         o.height_bound)
+            # figure3_surface's first sub-hull has a certified face that a
+            # higher point cuts, so h doubles once
+            assert sizes == want
+            assert len(orbit(gs, o.word_bound + 1, 2 * o.height_bound)) == total
+
+
+    def test_point_just_beyond_a_plane_cuts(self):
+        # a, b, c and q lie on the support plane of w = (1, 1/2, 0), q at
+        # height 1.5 and moved 1e-11 beyond it: the whole hull merges q
+        # into the face, which rises above H/2 = 1 and is not certified,
+        # so the margin must count q as a cut of the low triangle
+        def on_plane(theta, stretch=1.0):
+            c = np.cos(theta)
+            return stretch / (1.0 - 0.5 * c) * np.array([1.0, c, np.sin(theta)])
+
+        abc = [on_plane(t) for t in (np.pi / 2, np.pi, 3 * np.pi / 2)]
+        q = on_plane(np.arccos(2.0 / 3.0), 1.0 + 1e-11)
+        big = make_orbit_points(abc + [q] + [3.0 * p for p in abc])
+        assert certified_faces(hull_faces(big), 2.0) == []
+        low, got = stable_faces(big, [], 2.0)
+        assert got == [] and len(low) == 5
+
+
+class TestEllipsoidTop:
+    def test_bounds_every_point_inside(self, rng):
+        J = np.diag([-1.0, 1.0, 1.0, 1.0])
+        for _ in range(20):
+            ws = rng.normal(size=3)
+            w = np.concatenate(([np.linalg.norm(ws) + rng.uniform(0.05, 2.0)], ws))
+            top = ellipsoid_top(w)
+            u = rng.normal(size=(2000, 3))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            rays = np.hstack([np.ones((2000, 1)), u])
+            # the largest t with <t ray, w> >= -1 on each ray
+            t = -1.0 / (rays @ J @ w)
+            assert np.all(t > 0) and np.max(t) <= top * (1 + 1e-12)
+            # attained straight above w's spatial direction
+            p = top * np.concatenate(([1.0], ws / np.linalg.norm(ws)))
+            assert abs(p @ J @ w + 1.0) < 1e-9
+
+    def test_not_future_timelike_is_unbounded(self):
+        assert ellipsoid_top(np.array([1.0, 1.0, 0.0])) == np.inf
+        assert ellipsoid_top(np.array([1.0, 2.0, 0.0])) == np.inf
+        assert ellipsoid_top(np.array([2.0, 0.0, 0.0])) == 0.5
 
 
 class TestProjectFace:

@@ -1,15 +1,17 @@
 import gc
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hypdecomp.doubling import wall_lifts
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, _canonical_key,
-                             _merge_insert, _merge_lookup, lorentz_inverse,
-                             orbit, reflection_normal, validate_group,
-                             validate_reflection)
+from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
+                             OrbitSet, _canonical_key, _is_same_point,
+                             _merge_insert, _merge_lookup, _ray_cell,
+                             lorentz_inverse, orbit, reflection_normal,
+                             validate_group, validate_reflection)
 from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
                                  minkowski_form, psl2_to_lorentz,
@@ -121,6 +123,57 @@ class TestOrbit:
             orbit(spec_3ps.group, 2, 0.0)
 
 
+def reference_lookup(buckets, points, q):
+    """First match over all 3^k ray cells around q's own, in lexicographic
+    order: the lookup that probing only the reachable cells replaced."""
+    cell = _ray_cell(q)
+    for off in product((-1, 0, 1), repeat=len(cell)):
+        for idx in buckets.get(tuple(c + o for c, o in zip(cell, off)), ()):
+            if _is_same_point(points[idx].point, q):
+                return idx
+    return None
+
+
+def _boundary_ray(rng, k):
+    """Unit vector whose first k - 1 coordinates sit within a few merge
+    angles of a ray-cell boundary, so its neighbors straddle it."""
+    r = rng.normal(size=k)
+    r /= np.linalg.norm(r)
+    r[:-1] = (np.round(r[:-1] / _GRID) * _GRID
+              + rng.uniform(-3, 3, size=k - 1) * RAY_MERGE_ANGLE)
+    r[-1] = np.copysign(np.sqrt(1.0 - r[:-1] @ r[:-1]), r[-1])
+    return r
+
+
+class TestMergeLookup:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_all_neighbor_cells(self, rng, k):
+        buckets, points, queries = {}, [], []
+        for _ in range(300):
+            r = _boundary_ray(rng, k)
+            height = rng.uniform(1.0, 5.0)
+            # a cluster of points around r, each moved by up to about two
+            # merge angles, so some merge with a query and some do not
+            for _ in range(3):
+                s = r + rng.uniform(-1.5, 1.5, size=k) * RAY_MERGE_ANGLE
+                p = height * s / np.linalg.norm(s)
+                if reference_lookup(buckets, points, p) is None:
+                    _merge_insert(buckets, points,
+                                  OrbitPoint(p, (), 0, np.eye(k)))
+                s = r + rng.uniform(-1.5, 1.5, size=k) * RAY_MERGE_ANGLE
+                queries.append(height * s / np.linalg.norm(s))
+        hits = 0
+        for q in queries:
+            want = reference_lookup(buckets, points, q)
+            assert _merge_lookup(buckets, points, q) == want
+            hits += want is not None
+        # both outcomes, and merges across a cell boundary, are exercised
+        assert 0 < hits < len(queries)
+        assert any(_ray_cell(points[reference_lookup(buckets, points, q)].point)
+                   != _ray_cell(q) for q in queries
+                   if reference_lookup(buckets, points, q) is not None)
+
+
 class TestValidateReflection:
     def test_trivial_group_any_involution(self):
         g = trivial_group([np.array([1.0, 0.0, 1.0])])
@@ -169,10 +222,15 @@ class TestReflectionNormal:
 # Reference oracles: the per-element loops that the stacked word ball
 # replaced.  The stack must reproduce them bit for bit.
 
+def _key(m):
+    """Bytes of m rounded to 1e-8, with -0.0 folded into 0.0."""
+    return (np.round(m, 8) + 0.0).tobytes()
+
+
 def reference_ball(g, word_bound):
     """Per-element BFS: (word, matrix) pairs, deduplicated on 1e-8 keys."""
     ball = [((), np.eye(g.dimension + 1))]
-    seen = {np.round(ball[0][1], 8).tobytes()}
+    seen = {_key(ball[0][1])}
     frontier = ball[:]
     letters = g.letters()
     for _ in range(word_bound):
@@ -182,7 +240,7 @@ def reference_ball(g, word_bound):
                 if word and word[-1] == -letter:
                     continue
                 child = (word + (letter,), A @ m)
-                key = np.round(child[1], 8).tobytes()
+                key = _key(child[1])
                 if key not in seen:
                     seen.add(key)
                     ball.append(child)
@@ -211,7 +269,7 @@ def reference_wall_lifts(g, ref_ball):
     for r, tau in enumerate(g.reflections):
         for _word, A in ref_ball:
             m = A @ tau @ (J @ A.T @ J)
-            key = np.round(m, 8).tobytes()
+            key = _key(m)
             if key not in seen:
                 seen.add(key)
                 out.append((r, m))
@@ -275,6 +333,18 @@ class TestWordBallStack:
         for (r, m), (r_ref, m_ref) in zip(lifts, ref):
             assert r == r_ref and _same_bits(m, m_ref)
 
+    def test_no_signed_zero_twins(self):
+        # a tuple of Python floats does not tell -0.0 from 0.0, so equal
+        # rounded keys mean one matrix kept twice
+        g = _fresh_group("figure_eight_knot")
+        ball = g.word_ball(7)
+        keys = {tuple(np.round(m, 8).ravel().tolist()) for m in ball.matrices}
+        assert len(keys) == len(ball) == 3955
+        lifts = wall_lifts(_fresh_group("figure3_surface"),
+                           SHIPPED["figure3_surface"])
+        keys = {tuple(np.round(m, 8).ravel().tolist()) for _, m in lifts}
+        assert len(keys) == len(lifts) == 33475
+
     def test_no_generators_is_identity(self):
         g = GroupSpec(2, [], [], [np.array([1.0, 0.0, 1.0])])
         ball = g.word_ball(5)
@@ -296,7 +366,9 @@ class TestWordBallStack:
 
     def test_ball_keeps_little_memory(self):
         # what the cached ball keeps alive: the stack plus two int arrays,
-        # no per-element objects (those cost several times the stack)
+        # no per-element objects (those cost several times the stack);
+        # while building, the dedup keys and one block of products at a
+        # time (a whole level at once peaked at 5.5 times the stack)
         g = _fresh_group("figure3_surface")
         gc.collect()
         tracemalloc.start()
@@ -304,8 +376,9 @@ class TestWordBallStack:
             before = tracemalloc.get_traced_memory()[0]
             ball = g.word_ball(6)
             gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - before
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(ball) == 115589
-        assert kept < 3 * ball.matrices.nbytes
+        assert kept - before < 3 * ball.matrices.nbytes
+        assert peak - before < 4 * ball.matrices.nbytes

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Work and validity counts of the figure-eight knot's hulls.
 
-Builds the main orbit (word bound, H) and the stability orbit (word
-bound + 1, 2H) the way ``io_cli.run`` does, at the shipped height bound
-and at H = 12, and prints one JSON record per hull: points, facets
-created, live facets, exact tests, and the (facet, point) pairs, ridges
-and facet normals that an exact oracle finds wrong.  Run from the
-repository root:
+Builds the main orbit (word bound, H) and the whole stability orbit
+(word bound + 1, 2H), at the shipped height bound and at H = 12, and
+the hulls ``ep_hull.stability_certificate`` builds of the low part of
+the stability orbit, as ``io_cli.run`` does.  Prints one JSON record per
+hull: points, facets created, live facets, exact tests, and the (facet,
+point) pairs, ridges and facet normals that an exact oracle finds
+wrong.  Run from the repository root:
 
     python3 tools/hull_counts.py > counts.json
 
@@ -27,7 +28,9 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from hypdecomp import ep_hull
 from hypdecomp.doubling import symmetrize_decorations
+from hypdecomp.ep_hull import certified_faces, hull_faces, stability_certificate
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import orbit
 from hypdecomp.hull import IncrementalHull
@@ -79,6 +82,33 @@ def invalid_counts(hull):
     return pairs, sum(1 for k in ridges.values() if k != 2), normals
 
 
+def record(name, hull):
+    pairs, ridges, normals = invalid_counts(hull)
+    return {"orbit": name, "points": len(hull.points),
+            "facets_created": hull.created, "live_facets": len(hull.facets),
+            "exact_tests": hull.pred.exact_evals, "bad_pairs": pairs,
+            "bad_ridges": ridges, "bad_normals": normals}
+
+
+def stability_hulls(gs, o):
+    """The hulls ``stability_certificate`` builds, in order."""
+    built = []
+
+    class Recording(CountingHull):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    main = orbit(gs, o.word_bound, o.height_bound)
+    faces = certified_faces(hull_faces(main), o.height_bound)
+    ep_hull.IncrementalHull = Recording
+    try:
+        stability_certificate(gs, main, faces, o.word_bound, o.height_bound)
+    finally:
+        ep_hull.IncrementalHull = IncrementalHull
+    return built
+
+
 def main():
     records = []
     for height in (None, 12.0):
@@ -89,17 +119,15 @@ def main():
         gs = symmetrize_decorations(spec.group, margin=o.margin,
                                     word_bound=min(4, o.word_bound),
                                     height_bound=o.height_bound)
+        label = f"figure_eight_knot H={o.height_bound:g}"
         for name, wb, hb in (("main", o.word_bound, o.height_bound),
                              ("stability", o.word_bound + 1, 2 * o.height_bound)):
             P = np.array([op.point for op in orbit(gs, wb, hb)])
-            hull = CountingHull(P)
-            pairs, ridges, normals = invalid_counts(hull)
-            records.append({"orbit": f"figure_eight_knot H={o.height_bound:g} {name}",
-                            "points": len(P), "facets_created": hull.created,
-                            "live_facets": len(hull.facets),
-                            "exact_tests": hull.pred.exact_evals,
-                            "bad_pairs": pairs, "bad_ridges": ridges,
-                            "bad_normals": normals})
+            records.append(record(f"{label} {name}", CountingHull(P)))
+        hulls = stability_hulls(gs, o)
+        for i, hull in enumerate(hulls, 1):
+            records.append(record(f"{label} stability hull {i} of {len(hulls)}",
+                                  hull))
     print(json.dumps(records, indent=1))
 
 
