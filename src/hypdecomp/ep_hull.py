@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .group import GroupSpec, orbit
-from .hull import MODES, IncrementalHull
+from .hull import IncrementalHull
 from .matching import PAIR_TOL, find_group_element, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
                         hyperboloid_to_klein, lorentz_product,
@@ -90,15 +90,13 @@ def support_vector(points, tol: float = SUPPORT_RESIDUAL_TOL) -> np.ndarray:
     return w
 
 
-def hull_faces(points, exact_mode: str = "auto"):
+def hull_faces(points):
     """Canonical faces of the hull of a truncated orbit.
 
     Returns merged maximal faces sorted canonically; side and top
     facets created by the truncation (support not future timelike) are
     dropped here and the stability certificate guards the rest.
     """
-    if exact_mode not in MODES:
-        raise GeometryError(f"unknown predicate mode {exact_mode!r}")
     ops = list(points)
     coords = np.array([op.point for op in ops])
     d = coords.shape[1]
@@ -118,7 +116,7 @@ def hull_faces(points, exact_mode: str = "auto"):
     if len(ops) == d:
         return flat_single_face()
     try:
-        hull = IncrementalHull(coords, exact_mode)
+        hull = IncrementalHull(coords)
     except GeometryError:
         return flat_single_face()
     J = minkowski_form(d)
@@ -239,7 +237,7 @@ def ellipsoid_top(w) -> float:
 CUT_MARGIN = 1e-6
 
 
-def stable_faces(big, faces, height_bound: float, exact_mode: str = "auto"):
+def stable_faces(big, faces, height_bound: float):
     """Certified faces of the hull of ``big``, hulling only its low part.
 
     ``big`` is the (word bound + 1, 2H) orbit and ``faces`` the run's
@@ -278,7 +276,7 @@ def stable_faces(big, faces, height_bound: float, exact_mode: str = "auto"):
         try:
             # too few points for a hull: no faces, nor any certified face
             # of the whole hull, whose n + 1 or more vertices are all low
-            cert = (certified_faces(hull_faces(low, exact_mode), height_bound)
+            cert = (certified_faces(hull_faces(low), height_bound)
                     if len(low) >= d else [])
         except GeometryError:
             if not len(high):
@@ -293,7 +291,7 @@ def stable_faces(big, faces, height_bound: float, exact_mode: str = "auto"):
 
 
 def stability_certificate(g: GroupSpec, points, faces, word_bound: int,
-                          height_bound: float, exact_mode: str = "auto") -> bool:
+                          height_bound: float) -> bool:
     """True iff the certified faces are unchanged under larger bounds.
 
     ``points`` is the orbit at (word_bound, height_bound) and ``faces``
@@ -307,7 +305,7 @@ def stability_certificate(g: GroupSpec, points, faces, word_bound: int,
         # complete (e.g. a trivial group), never when data is still growing
         return False
     try:
-        low, big_faces = stable_faces(big, faces, height_bound, exact_mode)
+        low, big_faces = stable_faces(big, faces, height_bound)
     except GeometryError:
         return False
     if not faces:
@@ -334,7 +332,7 @@ def _polytope_facets_3d(klein):
 
     Returns sorted local-index tuples, coplanar triangles merged.
     """
-    fac = IncrementalHull(klein, "auto").facets
+    fac = IncrementalHull(klein).facets
 
     def same_plane(i, j):
         ni, oi = fac[i].normal, fac[i].offset

@@ -3,12 +3,11 @@
 Written for point sets in strictly convex position with frequent exact
 coplanarities (canonical decompositions are often non-simplicial).
 Every binary float is n / 2^k, so scaling all coordinates by the
-largest 2^k turns them into integers.  The orientation predicate is a
-floating-point evaluation with an error filter and an exact fallback on
-those integers.  Each facet keeps the integer cofactor normal of its
-plane; a float screen with that normal rounded decides visibility
-outside a derived band, and an exact integer dot inside it, so the hull
-topology is never guessed.
+largest 2^k turns them into integers.  The orientation predicate is
+exact on those integers.  Each facet keeps the integer cofactor normal
+of its plane; a float screen with that normal rounded decides
+visibility outside a derived band, and an exact integer dot inside it,
+so the hull topology is never guessed.
 
 Insertion is sequential in the given point order; the whole computation
 is deterministic.  Facets are simplicial; coplanar groups are merged by
@@ -25,24 +24,6 @@ from operator import mul, sub
 import numpy as np
 
 from .minkowski import GeometryError
-
-# |det| below FILTER_REL * (product of row norms) is re-evaluated exactly.
-# The determinant is the last row dotted with the cofactor normal of the
-# others (below).  Each of its monomials is rounded at most 13 times for
-# 4x4 (4 row differences, 2 for a 2x2 minor, 1 product and 2 additions for
-# a 3x3 minor, 1 product and 3 additions for the dot), and the monomials
-# sum in absolute value to perm|M| <= prod ||row||_1 <= 16 prod ||row||_2.
-# So the float error is at most 13 * 16 * 2^-53 * prod ||row||_2
-# < 2.4e-14 * prod ||row||_2, a 400th of FILTER_REL (3x3: 8 roundings,
-# factor 3^1.5).
-FILTER_REL = 1e-11
-
-# The bound above ignores underflow and overflow.  With every row norm in
-# [2^-250, 2^250] no product of entries overflows and the absolute error
-# of underflowed products stays far below the filter threshold; rows
-# outside that range go to the exact path.
-_ROW_NORM_MIN = 2.0 ** -250
-_ROW_NORM_MAX = 2.0 ** 250
 
 
 @dataclass(slots=True)
@@ -75,20 +56,6 @@ def _cofactors(rows):
             c1 * s03 - c0 * s13 - c3 * s01, c0 * s12 - c1 * s02 + c2 * s01)
 
 
-def _det3(a, b, c):
-    return sum(map(mul, _cofactors((a, b)), c))
-
-
-def _det4(a, b, c, d):
-    return sum(map(mul, _cofactors((a, b, c)), d))
-
-
-_DET = {3: _det3, 4: _det4}
-
-# "auto" filters in floats and falls back to exact; "always" is exact
-MODES = ("auto", "always")
-
-
 def _dyadic(values):
     """Exact (numerators, e) with values[j] == numerators[j] / 2^e."""
     ratios = [float(v).as_integer_ratio() for v in values]
@@ -97,19 +64,15 @@ def _dyadic(values):
 
 
 class OrientPredicate:
-    """Sign of det[p1-p0, ..., p_{d-1}-p0, q-p0] with exact fallback."""
+    """Exact sign of det[p1-p0, ..., p_{d-1}-p0, q-p0]."""
 
-    def __init__(self, points, mode: str = "auto"):
-        if mode not in MODES:
-            raise GeometryError(f"unknown predicate mode {mode!r}")
+    def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         d = self.points.shape[1]
-        if d not in _DET:
+        if d not in (3, 4):
             raise GeometryError(f"orientation implemented for R^3 and R^4 "
                                 f"only, got R^{d}")
-        self.mode = mode
         self.exact_evals = 0
-        self._det = _DET[d]
         self._rows = self.points.tolist()
         # all coordinates as integers over one power-of-two denominator
         nums, _ = _dyadic(self.points.ravel().tolist())
@@ -118,37 +81,24 @@ class OrientPredicate:
 
     def add_mean(self, ids) -> int:
         """Id of a new query point, the mean of the points ``ids``: its
-        float row is the rounded mean, its exact row the integer sum with
-        weight len(ids), so the exact path tests the true mean."""
-        self._rows.append(self.points[ids].mean(axis=0).tolist())
+        integer row is their sum with weight len(ids), so the predicate
+        tests the true mean, not a rounded one."""
         self._ints.append([sum(c) for c in zip(*(self._ints[i] for i in ids))])
         self._weights.append(len(ids))
-        return len(self._rows) - 1
+        return len(self._ints) - 1
+
+    def normal_and_det(self, base_ids, q_id):
+        """Integer cofactor normal n of p1-p0, ..., p_{d-1}-p0 and the
+        exact w * n . (q - p0), w >= 1 the weight of q's row (see add_mean)."""
+        self.exact_evals += 1
+        ints = self._ints
+        p0 = ints[base_ids[0]]
+        n = _cofactors([list(map(sub, ints[i], p0)) for i in base_ids[1:]])
+        w = self._weights[q_id]
+        return n, sum(map(mul, n, ints[q_id])) - w * sum(map(mul, n, p0))
 
     def sign(self, base_ids, q_id) -> int:
-        if self.mode == "auto":
-            rows = self._rows
-            p0 = rows[base_ids[0]]
-            diffs = [list(map(sub, rows[i], p0)) for i in base_ids[1:]]
-            diffs.append(list(map(sub, rows[q_id], p0)))
-            det = self._det(*diffs)
-            scale = 1.0
-            for r in diffs:
-                norm = hypot(*r)
-                if not _ROW_NORM_MIN <= norm <= _ROW_NORM_MAX:
-                    break
-                scale *= norm
-            else:
-                if abs(det) > FILTER_REL * scale:
-                    return 1 if det > 0 else -1
-        # exact path
-        self.exact_evals += 1
-        base = [self._ints[i] for i in base_ids]
-        p0 = base[0]
-        rows = [list(map(sub, r, p0)) for r in base[1:]]
-        w = self._weights[q_id]
-        rows.append([c - w * c0 for c, c0 in zip(self._ints[q_id], p0)])
-        det = self._det(*rows)
+        det = self.normal_and_det(base_ids, q_id)[1]
         return (det > 0) - (det < 0)
 
 
@@ -190,7 +140,7 @@ def _initial_simplex(pred: OrientPredicate):
 
 
 class IncrementalHull:
-    def __init__(self, points, exact_mode: str = "auto"):
+    def __init__(self, points):
         points = np.asarray(points, dtype=float)
         n, d = points.shape
         if d not in (3, 4):
@@ -199,7 +149,7 @@ class IncrementalHull:
             raise GeometryError(f"need at least {d + 1} points, got {n}")
         self.points = points
         self.dim = d
-        self.pred = OrientPredicate(points, exact_mode)
+        self.pred = OrientPredicate(points)
         simplex = _initial_simplex(self.pred)
         self._centroid_id = self.pred.add_mean(simplex)
         self.facets: list = []
@@ -215,14 +165,9 @@ class IncrementalHull:
 
     def _add_facet(self, vs):
         pred = self.pred
-        ints = pred._ints
-        p0 = ints[vs[0]]
-        n = _cofactors([list(map(sub, ints[i], p0)) for i in vs[1:]])
-        # orient n away from the centroid (its row has weight w) and divide
-        # out its content, which halves its bit length on the knot's orbits
-        pred.exact_evals += 1
-        c, w = self._centroid_id, pred._weights[self._centroid_id]
-        inner = sum(map(mul, n, ints[c])) - w * sum(map(mul, n, p0))
+        # orient n away from the centroid and divide out its content,
+        # which halves its bit length on the knot's orbits
+        n, inner = pred.normal_and_det(vs, self._centroid_id)
         if inner == 0:
             raise GeometryError(f"degenerate facet {vs}")
         g = gcd(*n) if inner < 0 else -gcd(*n)

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class PipelineOptions:
     margin: float = 1.0
     tol: float = 1e-7          # cross-validation matching tolerance
     algorithm: str = "both"
-    exact: bool = False
+    exact: bool = False        # accepted for compatibility; selects nothing
 
 
 # The tolerances the code reads, as declared in the JSON report; a run
@@ -93,10 +93,12 @@ class RunReport:
 def load_spec(path) -> ManifoldSpec:
     """Parse and validate a manifold specification document."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot decode {path} as UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"parse error in {path}, line {exc.lineno}, "
                         f"column {exc.colno}: {exc.msg}")
@@ -139,8 +141,9 @@ def parse_spec(doc: dict, source: str = "") -> ManifoldSpec:
     if not report.ok:
         raise SpecError(f"invalid group data: {report}")
     opts = PipelineOptions()
+    names = {f.name for f in fields(opts)}
     for key, value in options.items():
-        if not hasattr(opts, key):
+        if key not in names:
             raise SpecError(f"unknown option '{key}'")
         setattr(opts, key, value)
     check_options(opts)
@@ -198,7 +201,6 @@ def run(spec: ManifoldSpec) -> RunReport:
     g = spec.group
     opts = spec.options
     certs = {}
-    exact_mode = "always" if opts.exact else "auto"
 
     report = validate_group(g)
     certs["group_valid"] = Certificate(report.ok, str(report))
@@ -225,10 +227,10 @@ def run(spec: ManifoldSpec) -> RunReport:
     ep_dec = None
     if opts.algorithm in ("ep", "both"):
         try:
-            faces = hull_faces(points, exact_mode)
+            faces = hull_faces(points)
             cert = certified_faces(faces, opts.height_bound)
             stable = stability_certificate(gs, points, cert, opts.word_bound,
-                                           opts.height_bound, exact_mode)
+                                           opts.height_bound)
             certs["ep_stability"] = Certificate(
                 stable, "" if stable else "face set changes under larger bounds")
             sym_ok = True
@@ -446,8 +448,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", dest="json_path", help="write JSON report")
     parser.add_argument("--svg", dest="svg_path", help="write SVG (n = 2 only)")
     parser.add_argument("--exact", action="store_true",
-                        help="evaluate the hull's orientation determinants "
-                             "exactly, without their float filter")
+                        help="accepted for compatibility and echoed in the "
+                             "report; every hull test is exact")
     args = parser.parse_args(argv)
 
     try:

@@ -84,7 +84,7 @@ def cell_is_convex(cell):
             u, v = b - a, c - b
             cross.append(u[0] * v[1] - u[1] * v[0])
         return all(x > -1e-9 for x in cross) or all(x < 1e-9 for x in cross)
-    hull = IncrementalHull(k, "auto")
+    hull = IncrementalHull(k)
     return len(hull.vertex_ids()) == len(k)
 
 

@@ -232,9 +232,9 @@ class TestPrunedStability:
         sizes = []
         real = ep_hull.hull_faces
 
-        def recording(points, exact_mode="auto"):
+        def recording(points):
             sizes.append(len(points))
-            return real(points, exact_mode)
+            return real(points)
 
         monkeypatch.setattr(ep_hull, "hull_faces", recording)
         for name, want, total in (("figure_eight_knot", [8], 102),

@@ -2,17 +2,16 @@ import importlib.util
 import pathlib
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypdecomp.doubling import symmetrize_decorations
-from hypdecomp.ep_hull import hull_faces
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.group import OrbitPoint, orbit
-from hypdecomp.hull import (MODES, IncrementalHull, OrientPredicate, _det3,
-                            _det4)
+from hypdecomp.group import orbit
+from hypdecomp.hull import IncrementalHull, OrientPredicate, _cofactors
 from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import GeometryError
 
@@ -36,15 +35,21 @@ def _oracle_sign(points):
     return (d > 0) - (d < 0)
 
 
+def _cofactor_det(*rows):
+    """det[rows] as the last row dotted with the others' cofactor normal."""
+    return sum(map(mul, _cofactors(rows[:-1]), rows[-1]))
+
+
 class TestExactDet:
     def test_small_cases(self):
-        assert _det3([1, 2, 0], [3, 4, 0], [0, 0, 1]) == -2
+        assert _cofactor_det([1, 2, 0], [3, 4, 0], [0, 0, 1]) == -2
 
     def test_matches_float_det(self, rng):
         for _ in range(20):
             M = rng.integers(-5, 5, size=(4, 4))
             rows = [[int(x) for x in r] for r in M]
-            assert _det4(*rows) == pytest.approx(np.linalg.det(M), abs=1e-6)
+            assert _cofactor_det(*rows) == pytest.approx(np.linalg.det(M),
+                                                         abs=1e-6)
 
 
 class TestOrientPredicate:
@@ -55,38 +60,18 @@ class TestOrientPredicate:
         assert pred.sign((0, 1, 2), 3) == 0      # exactly coplanar
         assert pred.sign((0, 1, 2), 4) != 0
 
-    def test_always_exact_mode(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                        [0.0, 0.0, 1.0]])
-        pred = OrientPredicate(pts, "always")
-        pred.sign((0, 1, 2), 3)
-        assert pred.exact_evals == 1
-
     def test_unsupported_dimension(self):
         with pytest.raises(GeometryError):
             OrientPredicate(np.eye(2))
-
-    def test_unknown_mode_rejected(self):
-        # any mode but "always" used to run the float filter silently
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-        for build in (OrientPredicate, IncrementalHull):
-            with pytest.raises(GeometryError, match="unknown predicate mode"):
-                build(pts, "exact")
-        ops = [OrbitPoint(point=p, word=(), cusp_id=0, matrix=np.eye(3),
-                          index=i) for i, p in enumerate(pts)]
-        with pytest.raises(GeometryError, match="unknown predicate mode"):
-            hull_faces(ops, "exact")
 
     def test_mean_query_is_exact(self):
         # the mean (1/3, 1/3, 1/3) of the three unit points is exactly on
         # their plane, but its rounded float row is not
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                         [0.0, 0.0, 0.0]])
-        for mode in MODES:
-            pred = OrientPredicate(pts, mode)
-            assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 2])) == 0
-            assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 3])) != 0
+        pred = OrientPredicate(pts)
+        assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 2])) == 0
+        assert pred.sign((0, 1, 2), pred.add_mean([0, 1, 3])) != 0
 
 
 NON_DYADIC = [0.1, 0.3, 1.0 / 3.0, -0.1, -0.3, -1.0 / 3.0, 2.0 / 3.0, 0.7, 0.0]
@@ -133,9 +118,8 @@ def _coplanar_sets(draw):
 def _check_against_oracle(pts):
     d = len(pts[0])
     expected = _oracle_sign(pts)
-    for mode in ("auto", "always"):
-        pred = OrientPredicate(np.array(pts), mode)
-        assert pred.sign(tuple(range(d)), d) == expected
+    pred = OrientPredicate(np.array(pts))
+    assert pred.sign(tuple(range(d)), d) == expected
     return expected
 
 
@@ -167,7 +151,7 @@ class TestOrientPredicateOracle:
               [-2.894621833599295e+144, -1.4828407173694998e+145,
                9.022940906877454e+144, 8.905205712824054e+144]])
     def test_row_exponent_spread(self, pts):
-        # the example underflows in the float filter's 2x2 minors
+        # the example's 2x2 minors underflow in floats
         _check_against_oracle(pts)
 
 
@@ -206,12 +190,8 @@ class TestIncrementalHull3D:
         assert hull.vertex_ids() == list(range(40))
 
     def test_exact_and_auto_agree(self, rng):
-        v = rng.normal(size=(15, 3))
-        a = IncrementalHull(v, "auto")
-        b = IncrementalHull(v, "always")
-        fa = sorted(f.vertices for f in a.facets)
-        fb = sorted(f.vertices for f in b.facets)
-        assert fa == fb
+        hull = IncrementalHull(rng.normal(size=(15, 3)))
+        assert hull_counts.invalid_counts(hull) == (0, 0, 0)
 
     def test_degenerate_coplanar_input(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
@@ -257,11 +237,8 @@ class TestKnotOrbitRegression:
         ops = orbit(gs, o.word_bound + 1, 2.0 * o.height_bound)
         P = np.array([op.point for op in ops])
         assert P.shape == (102, 4)
-        a = IncrementalHull(P, "auto")
-        b = IncrementalHull(P, "always")
-        assert sorted(f.vertices for f in a.facets) == \
-            sorted(f.vertices for f in b.facets)
-        assert a.pred.exact_evals < b.pred.exact_evals
+        hull = IncrementalHull(P)
+        assert hull_counts.invalid_counts(hull) == (0, 0, 0)
 
 
 # the exact validity oracle that CI's hull count gate also runs
@@ -332,8 +309,4 @@ class TestHullValidityProperty:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_sliver_sets())
     def test_valid_and_modes_agree(self, P):
-        a = IncrementalHull(P, "auto")
-        b = IncrementalHull(P, "always")
-        assert hull_counts.invalid_counts(a) == (0, 0, 0)
-        assert sorted(f.vertices for f in a.facets) == \
-            sorted(f.vertices for f in b.facets)
+        assert hull_counts.invalid_counts(IncrementalHull(P)) == (0, 0, 0)

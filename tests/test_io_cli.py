@@ -45,6 +45,12 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="line 2"):
             load_spec(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"dimension": 2}'.encode("utf-16-le"))
+        with pytest.raises(SpecError, match="UTF-8"):
+            load_spec(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="cannot read"):
             load_spec(tmp_path / "nope.json")
@@ -284,7 +290,9 @@ class TestCli:
         {"word_bound": "5"}, {"word_bound": 2.5}, {"word_bound": True},
         {"tol": "x"}, {"height_bound": -1.0}, {"exact": "yes"},
         {"length_bound": float("inf")}, {"margin": float("nan")},
-        {"height_bound": 10 ** 400}])
+        {"height_bound": 10 ** 400},
+        # instance attributes that are not options
+        {"__class__": 1}, {"__dict__": {}}, {"__init__": 1}, {"__doc__": "x"}])
     def test_invalid_option_block_exit_3(self, options, tmp_path, capsys):
         doc = json.loads(fixture_path("once_punctured_torus").read_text())
         doc["options"].update(options)
@@ -341,12 +349,15 @@ class TestCli:
         doc = json.loads(out_json.read_text())
         assert len(doc["cells"]) == 2
 
-    def test_exact_predicates_same_cells(self, tmp_path, report_3ps):
+    @pytest.mark.parametrize("name", NAMES)
+    def test_exact_predicates_same_cells(self, name, tmp_path, all_reports):
+        # --exact is accepted and echoed, and every hull test is exact anyway
         out_json = tmp_path / "exact.json"
-        code = main(["--input", str(fixture_path("thrice_punctured_sphere")),
-                     "--algorithm", "ep", "--exact",
+        code = main(["--input", str(fixture_path(name)), "--exact",
                      "--json", str(out_json)])
         assert code == 0
         doc = json.loads(out_json.read_text())
-        ref = json.loads(emit(report_3ps, "json"))
-        assert doc["cells"] == ref["cells"]
+        ref = json.loads(emit(all_reports[name], "json"))
+        assert doc["options"]["exact"] and not ref["options"]["exact"]
+        for key in ("certificates", "cells", "pairings"):
+            assert doc[key] == ref[key]
