@@ -426,7 +426,7 @@ def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
         used.add(cj)
         B = np.array([op.point for op in b.cell_points[cj]])
         img = A @ M.T
-        dev = greedy_deviation(img, B)
+        dev = float(greedy_deviation(img, B))
         worst = max(worst, dev)
         if dev > tol * max(1.0, float(np.max(np.abs(B)))):
             return CrossValidation(False, f"cell {ci} vertices deviate by {dev}",

@@ -118,12 +118,15 @@ def _ray_hit(ball, q, vectors):
 
 def _overlap_log_scale(coords) -> float:
     """Largest -d/2 over pairs of horoballs on distinct rays (d their
-    distance), or -inf without such a pair.
+    distance), or -inf without such a pair (also for fewer than two
+    points).
 
     A batched Gram screen keeps the pairs that can reach the maximum
     within a rounding bound; only those are evaluated with
     ``horoball_distance``, so the value is bitwise the pairwise one.
     """
+    if len(coords) < 2:
+        return -np.inf
     norms = np.linalg.norm(coords, axis=1)
     rays = coords / norms[:, None]
     a, b = np.triu_indices(len(coords), 1)

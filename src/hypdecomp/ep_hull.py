@@ -98,6 +98,8 @@ def hull_faces(points):
     dropped here and the stability certificate guards the rest.
     """
     ops = list(points)
+    if not ops:
+        raise GeometryError("need at least n + 1 points, got 0")
     coords = np.array([op.point for op in ops])
     d = coords.shape[1]
     if len(ops) < d:

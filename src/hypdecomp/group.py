@@ -293,11 +293,21 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     buckets = {}
     points = []
     if g.cusp_reps:
-        # images of every cusp under the whole ball, filtered on their x0
-        # and merged in (element, cusp) order
-        images = np.stack([ball.matrices @ p for p in g.cusp_reps], axis=1)
-        low = images[:, :, 0] <= height_bound
-        for (e, cusp_id), q in zip(np.argwhere(low), images[low]):
+        # x0 of every cusp image under the whole ball, from its top rows
+        # and up to a bound on their rounding, selects the (element, cusp)
+        # pairs whose image can lie within the height bound; only those
+        # are formed, bitwise as ball.matrices @ p forms them, then cut
+        # at the bound and merged in (element, cusp) order
+        P = np.array(g.cusp_reps)
+        top = ball.matrices[:, 0]
+        pairs = np.argwhere(top @ P.T - 1e-12 * (abs(top) @ abs(P).T)
+                            <= height_bound)
+        images = np.empty((len(pairs), P.shape[1]))
+        for c, p in enumerate(P):
+            of_c = pairs[:, 1] == c
+            images[of_c] = ball.matrices[pairs[of_c, 0]] @ p
+        low = images[:, 0] <= height_bound
+        for (e, cusp_id), q in zip(pairs[low], images[low]):
             if _merge_lookup(buckets, points, q) is not None:
                 continue
             op = OrbitPoint(point=q, word=ball.word(e), cusp_id=int(cusp_id),

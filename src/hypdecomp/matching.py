@@ -5,14 +5,15 @@ cut-locus cells" or "orbits of return paths" reduces to one question:
 is there a group element mapping one finite decorated point set onto
 another?  ``find_group_element`` answers it from one candidate source:
 compositions of vertex words with cusp stabilizer elements, which
-cover elements well outside the word ball.  ``stack_hits`` is the one
-scan of a matrix stack: a screen by the image of the set centroid,
-then a point-by-point check of the survivors.  It serves each
-(source vertex, destination vertex) candidate stack of
-``find_group_element`` and the quotient's wall lifts, mirror partners
-and facet gluings.  ``GammaClasses`` keeps the Gram key of each class
-representative, so an object is matched only against representatives
-whose key is close to its own.  All searches are deterministic.
+cover elements well outside the word ball.  ``search_words`` builds
+those candidates as one stack per source vertex and scans it with
+``stack_hits``, the one scan of a matrix stack: a screen by the image
+of the set centroid, then one batched greedy confirmation of all the
+survivors.  The same scan serves the quotient's wall lifts, mirror
+partners and facet gluings.  ``GammaClasses`` keeps the Gram key of
+each class representative, so an object is searched only against
+representatives whose key is close to its own.  All searches are
+deterministic.
 """
 
 from __future__ import annotations
@@ -29,25 +30,33 @@ def _scale(A, B) -> float:
     return max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
 
 
-def greedy_deviation(A, B, tol: float = np.inf) -> float:
+def greedy_deviation(A, B, tol: float = np.inf):
     """Worst distance of the greedy pairing of A's rows with B's.
 
-    Each row of A in turn takes the nearest unused row of B (max-norm).
-    The walk stops at the first distance above ``tol`` and returns it.
+    ``A`` is one (m, d) set or a (k, m, d) stack of sets, each paired
+    with the rows of the set ``B``.  Each row of a set in turn takes the
+    nearest unused row of B (max-norm, the first one on ties).  A set's
+    value is its first distance above ``tol``, where its walk alone
+    would stop, or else its worst distance.  The k walks take their m
+    steps together; returns one value per set, shaped like A's leading
+    axes.
     """
-    used = np.zeros(len(B), dtype=bool)
-    worst = 0.0
-    for a in A:
-        d = np.max(np.abs(B - a), axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        dj = float(d[j])
-        if dj > tol:
-            return dj
-        used[j] = True
-        if dj > worst:
-            worst = dj
-    return worst
+    A = np.asarray(A, dtype=float)
+    sets = A.reshape(-1, *A.shape[-2:])
+    k, m = sets.shape[:2]
+    # D[s, i, j]: distance of row i of set s to row j of B
+    D = abs(np.asarray(B, dtype=float) - sets[:, :, None]).max(axis=3)
+    rows = np.arange(k)
+    steps = np.zeros((m, k))
+    for i in range(m):
+        j = D[:, i].argmin(axis=1)
+        steps[i] = D[rows, i, j]
+        D[rows, i + 1:, j] = np.inf     # row j of B is taken
+    over = steps > tol
+    first = over.argmax(axis=0)
+    value = np.where(over[first, rows], steps[first, rows],
+                     np.fmax.reduce(steps, axis=0, initial=0.0))
+    return value.reshape(A.shape[:-2])[()]
 
 
 def set_match(A, B, tol: float) -> bool:
@@ -56,7 +65,7 @@ def set_match(A, B, tol: float) -> bool:
     B = np.atleast_2d(B)
     if A.shape != B.shape:
         return False
-    return greedy_deviation(A, B, tol) <= tol
+    return bool(greedy_deviation(A, B, tol) <= tol)
 
 
 def match_index(candidates, query, tol: float, query_first: bool = True):
@@ -92,7 +101,8 @@ def stack_hits(stack, src, dst, tol: float, images=None):
     A matrix passes the screen when it carries the source centroid
     within the absolute ``tol`` of the destination centroid;
     ``images`` may supply ``stack @ src.mean(axis=0)`` when the caller
-    reuses it.  Each survivor is confirmed with ``set_match``.
+    reuses it.  The images of ``src`` under all survivors are then
+    confirmed at once, as one stack, by ``greedy_deviation``.
     """
     if src.shape != dst.shape:
         return
@@ -100,9 +110,33 @@ def stack_hits(stack, src, dst, tol: float, images=None):
         images = stack @ src.mean(axis=0)
     close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)), axis=1)
                            <= tol)
-    for idx in close:
-        if set_match(src @ stack[idx].T, dst, tol):
-            yield int(idx)
+    if len(close):
+        dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst, tol)
+        yield from close[dev <= tol].tolist()
+
+
+def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
+                 dst_points, tol: float):
+    """First word candidate mapping ``src`` onto ``dst`` within the
+    absolute ``tol``, or None.
+
+    The candidates are Q.matrix @ s @ word(P)^-1 for each of the first
+    two source vertices P, each destination vertex Q on P's cusp and
+    each cusp stabilizer element s.  Each P builds its candidates as one
+    stack in (Q, s) order and scans it with ``stack_hits``, so the first
+    hit is the first in (P, Q, s) order.
+    """
+    for P in src_points[:2]:
+        Qs = [Q.matrix for Q in dst_points if Q.cusp_id == P.cusp_id]
+        if not Qs:
+            continue
+        S = g.stabilizer_stack(P.cusp_id, word_bound)
+        inv = inverse_word_matrix(g, P.word)
+        Ms = ((np.array(Qs)[:, None] @ S[None]) @ inv).reshape(-1, *inv.shape)
+        idx = next(stack_hits(Ms, src, dst, tol), None)
+        if idx is not None:
+            return Ms[idx].copy()
+    return None
 
 
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
@@ -110,12 +144,10 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     """Group element mapping the source set onto the destination set.
 
     ``src_points`` / ``dst_points`` are the sets' OrbitPoints, carrying
-    words.  The candidates are Q.matrix @ s @ word(P)^-1 for each of the
-    first two source vertices P, each destination vertex Q on P's cusp
-    and each cusp stabilizer element s; each (P, Q) pair builds its
-    candidates as one stack and scans it with ``stack_hits``.  Returns
-    the first candidate, in (P, Q, s) order, that maps the set within
-    tolerance, or None.
+    words.  Sets whose Gram keys differ are refused without a search;
+    otherwise ``search_words`` runs at ``tol`` times the sets' scale.
+    Returns the first matrix, in (P, Q, s) order, that maps the set
+    within tolerance, or None.
     """
     src = np.atleast_2d(np.asarray(src_coords, dtype=float))
     dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
@@ -124,17 +156,8 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     scale = _scale(src, dst)
     if not _gram_close(_gram_key(src), _gram_key(dst), scale, tol):
         return None
-    for P in src_points[:2]:
-        inv = inverse_word_matrix(g, P.word)
-        S = g.stabilizer_stack(P.cusp_id, word_bound)
-        for Q in dst_points:
-            if Q.cusp_id != P.cusp_id:
-                continue
-            Ms = (Q.matrix @ S) @ inv
-            idx = next(stack_hits(Ms, src, dst, tol * scale), None)
-            if idx is not None:
-                return Ms[idx].copy()
-    return None
+    return search_words(g, word_bound, src, dst, src_points, dst_points,
+                        tol * scale)
 
 
 class GammaClasses:
@@ -150,8 +173,9 @@ class GammaClasses:
         """Class index and matrix mapping the object onto its class rep.
 
         Only representatives of the object's shape whose Gram key is
-        close to its own are searched.  Unseen objects start a new
-        class with themselves as rep (and the identity matrix).
+        close to its own are searched, with ``search_words`` at the
+        scale that screen used.  Unseen objects start a new class with
+        themselves as rep (and the identity matrix).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         key = _gram_key(coords)
@@ -159,10 +183,11 @@ class GammaClasses:
         for ci, (rc, rp, rkey, rtop) in enumerate(self.reps):
             if rc.shape != coords.shape:
                 continue
-            if not _gram_close(key, rkey, max(1.0, top, rtop), self.tol):
+            scale = max(1.0, top, rtop)
+            if not _gram_close(key, rkey, scale, self.tol):
                 continue
-            M = find_group_element(self.g, self.word_bound, coords, rc,
-                                   points, rp, self.tol)
+            M = search_words(self.g, self.word_bound, coords, rc, points, rp,
+                             self.tol * scale)
             if M is not None:
                 return ci, M
         self.reps.append((coords, points, key, top))

@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 from itertools import product
 
@@ -12,7 +13,7 @@ from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
                              _merge_insert, _merge_lookup, _ray_cell,
                              lorentz_inverse, orbit, reflection_normal,
                              validate_group, validate_reflection)
-from hypdecomp.io_cli import load_spec
+from hypdecomp.io_cli import load_spec, parse_spec
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
                                  minkowski_form, psl2_to_lorentz,
                                  reflection_in_hyperplane)
@@ -291,6 +292,26 @@ BALL_CASES = ([(n, wb) for n, wb in SHIPPED.items()]
               + [("thrice_punctured_sphere", 8), ("once_punctured_torus", 8)])
 
 
+def _orbit_case(name):
+    """Spec of a fixture, of its document rotated by diag(1, Q), or with a
+    raised height bound."""
+    fixture, _, case = name.partition(" ")
+    if case == "rotated":
+        doc = json.loads(fixture_path(fixture).read_text())
+        n = doc["dimension"]
+        R = np.eye(n + 1)
+        R[1:, 1:] = np.linalg.qr(np.random.default_rng(1).normal(size=(n, n)))[0]
+        for key in ("generators", "reflections"):
+            doc[key] = [(R @ np.asarray(A) @ R.T).tolist()
+                        for A in doc.get(key, [])]
+        doc["cusps"] = [(R @ np.asarray(p)).tolist() for p in doc["cusps"]]
+        return parse_spec(doc)
+    spec = load_spec(fixture_path(fixture))
+    if case.startswith("H="):
+        spec.options.height_bound = float(case[2:])
+    return spec
+
+
 class TestWordBallStack:
     @pytest.mark.parametrize("name,word_bound", BALL_CASES)
     def test_ball_matches_reference(self, name, word_bound):
@@ -303,9 +324,10 @@ class TestWordBallStack:
             assert el.word == word
             assert _same_bits(el.matrix, A)
 
-    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    @pytest.mark.parametrize("name", sorted(SHIPPED) + [
+        "figure_eight_knot rotated", "figure_eight_knot H=12"])
     def test_orbit_and_stabilizers_match_reference(self, name):
-        spec = load_spec(fixture_path(name))
+        spec = _orbit_case(name)
         g, wb, hb = spec.group, spec.options.word_bound, spec.options.height_bound
         ref_ball = reference_ball(g, wb + 1)
         for word_bound, height_bound in ((wb, hb), (wb + 1, 2 * hb)):
@@ -352,6 +374,10 @@ class TestWordBallStack:
         (el,) = list(ball)
         assert el.word == () and np.array_equal(el.matrix, np.eye(3))
         assert len(orbit(g, 5, 10.0)) == 1
+
+    def test_no_point_under_the_height_bound(self, spec_fig8):
+        assert orbit(spec_fig8.group, 6, 0.5) == []
+        assert OrbitSet([]).find(spec_fig8.group.cusp_reps[0]) is None
 
     def test_no_cusps(self, spec_3ps):
         g = GroupSpec(2, spec_3ps.group.generators, [], [])

@@ -339,6 +339,30 @@ class TestCli:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_empty_orbit_fails_certificates(self, name, capsys):
+        # no decorated point lies under the height bound: both routes
+        # fail their certificates instead of raising
+        code = main(["--input", str(fixture_path(name)),
+                     "--height-bound", "0.5"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] ep_stability" in out
+        assert "[FAIL] cutlocus_stability" in out
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wide_margin_runs_to_a_verdict(self, name, capsys):
+        # a margin of 100 from the walls scales figure3's decorations
+        # above the height bound, leaving no orbit point; fixtures
+        # without walls are unaffected
+        code = main(["--input", str(fixture_path(name)), "--margin", "100"])
+        out = capsys.readouterr().out
+        if name == "figure3_surface":
+            assert code == 2
+            assert "[FAIL] ep_stability" in out
+        else:
+            assert code == 0
+
     def test_full_run_exit_0(self, tmp_path, capsys):
         out_json = tmp_path / "out.json"
         out_svg = tmp_path / "out.svg"

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Work counts of the group-element searches and the orbit merges.
+
+Runs ``io_cli.run`` on the four fixtures at their shipped bounds and on
+the figure-eight knot at H = 12, and counts, per run:
+
+- ``searches``: ``matching.search_words`` calls, from
+  ``find_group_element`` and from ``GammaClasses.classify``;
+- ``candidates``: matrices in the stacks that ``stack_hits`` screens,
+  the quotient's scans included;
+- ``survivors``: matrices that pass the centroid screen and go to the
+  greedy confirmation;
+- ``hits``: survivors that the confirmation accepts;
+- ``low_images``: images of the cusp vectors under the word ball with
+  x0 at most the height bound, over every ``orbit`` call;
+- ``kept_points``: the points those ``orbit`` calls keep after merging.
+
+Run from the repository root:
+
+    python3 tools/match_counts.py > match-counts.json
+
+Every count is deterministic at a given commit; ``tools/match_counts.json``
+holds the committed values, and CI fails when a count grows
+(``tools/check_counts.py``).
+"""
+
+import json
+import pathlib
+import sys
+from collections import Counter
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from hypdecomp import doubling, ep_hull, group, io_cli, matching
+from hypdecomp.fixtures import NAMES, fixture_path
+
+SETTINGS = [(name, {}) for name in NAMES] + [
+    ("figure_eight_knot", {"height_bound": 12.0})]
+
+
+def counting(counts):
+    """Patch the counted functions; returns the undo list."""
+    search, hits_of, greedy, orbit = (matching.search_words,
+                                      matching.stack_hits,
+                                      matching.greedy_deviation, group.orbit)
+    screening = [False]
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        return search(*args, **kwargs)
+
+    def counted_stack_hits(stack, src, dst, tol, images=None):
+        counts["candidates"] += len(stack)
+        screening[0] = True
+        try:
+            hits = list(hits_of(stack, src, dst, tol, images))
+        finally:
+            screening[0] = False
+        counts["hits"] += len(hits)
+        return iter(hits)
+
+    def counted_greedy(A, B, tol=np.inf):
+        dev = greedy(A, B, tol)
+        if screening[0]:
+            counts["survivors"] += np.size(dev)
+        return dev
+
+    def counted_orbit(g, word_bound, height_bound):
+        ball = g.word_ball(word_bound)
+        counts["low_images"] += sum(
+            int(np.count_nonzero((ball.matrices @ p)[:, 0] <= height_bound))
+            for p in g.cusp_reps)
+        points = orbit(g, word_bound, height_bound)
+        counts["kept_points"] += len(points)
+        return points
+
+    patches = [(matching, "search_words", counted_search),
+               (matching, "stack_hits", counted_stack_hits),
+               (doubling, "stack_hits", counted_stack_hits),
+               (matching, "greedy_deviation", counted_greedy)]
+    patches += [(mod, "orbit", counted_orbit)
+                for mod in (group, io_cli, ep_hull, doubling)]
+    undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
+    for mod, name, fn in patches:
+        setattr(mod, name, fn)
+    return undo
+
+
+def count(name, overrides):
+    """The record of one run of a fixture with option overrides."""
+    spec = io_cli.load_spec(fixture_path(name))
+    for key, value in overrides.items():
+        setattr(spec.options, key, value)
+    counts = Counter()
+    undo = counting(counts)
+    try:
+        io_cli.run(spec)
+    finally:
+        for mod, attr, fn in undo:
+            setattr(mod, attr, fn)
+    label = f"{name} W={spec.options.word_bound} H={spec.options.height_bound:g}"
+    return {"setting": label} | {
+        key: counts[key] for key in ("searches", "candidates", "survivors",
+                                     "hits", "low_images", "kept_points")}
+
+
+def main():
+    print(json.dumps([count(*s) for s in SETTINGS], indent=1))
+
+
+if __name__ == "__main__":
+    main()
