@@ -1,14 +1,17 @@
 """Cut-locus construction and the decomposition dual to it.
 
 The cut locus of the decoration set is assembled from middle fences.
-In Klein coordinates every fence is an affine hyperplane, so the
-nearness domain of each horoball is a convex polytope intersected with
-the unit ball and the whole complex reduces to linear algebra: domain
-vertices are 0-cells, polytope edges are 1-cells, fence facets are
-(n-1)-cells.  Dualizing (edges from facets, polygons from 1-cells,
-regions from 0-cells in H^3; one step lower in H^2) rebuilds the
-decomposition independently of the convex-hull route, which is exactly
-what makes the cross-validation meaningful.
+The fence of a base horoball p against a competitor q is the
+hyperplane {x : <x,p> = <x,q>} with spacelike normal p - q; in Klein
+coordinates it is affine, and ``_klein_constraints`` writes it as the
+row a . k >= b with (b, a) = p - q.  So the nearness domain of each
+horoball is a convex polytope intersected with the unit ball, and the
+whole complex reduces to linear algebra: domain vertices are 0-cells,
+polytope edges are 1-cells, fence facets are (n-1)-cells.  Dualizing
+(edges from facets, polygons from 1-cells, regions from 0-cells in
+H^3; one step lower in H^2) rebuilds the decomposition independently
+of the convex-hull route, which is exactly what makes the
+cross-validation meaningful.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .decorations import horoball_distance
 from .ep_hull import (Decomposition, HullFace, assemble_decomposition,
                       count_face_classes)
-from .group import GroupSpec, OrbitSet
+from .group import RAY_MERGE_ANGLE, GroupSpec, OrbitSet
 from .matching import GammaClasses, find_group_element, greedy_deviation
 from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 
@@ -91,7 +94,7 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
         ray_p = p / np.linalg.norm(p)
         for q in points:
             ray_q = q.point / np.linalg.norm(q.point)
-            if np.linalg.norm(ray_p - ray_q) < 1e-10:
+            if np.linalg.norm(ray_p - ray_q) < RAY_MERGE_ANGLE:
                 continue
             d = horoball_distance(p, q.point)
             if d > length_bound + 1e-9:

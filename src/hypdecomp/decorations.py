@@ -2,63 +2,22 @@
 
 A horoball is encoded entirely by its center p on the positive light
 cone: the region is {w : -1 <= <w,p> < 0}, so rescaling p by lambda > 1
-shrinks the horoball.  Distances, shortest connecting segments and
-bisecting fences all reduce to algebra in the Lorentzian product.
+shrinks the horoball.  Distances to other horoballs and to geodesic
+planes reduce to algebra in the Lorentzian product.  The middle fence
+of two horoballs, {x : <x,p> = <x,q>}, is the hyperplane with normal
+p - q; the cut-locus stage builds its fences directly as those rows
+(``cutlocus._klein_constraints``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import (CausalClass, GeometryError, Model, ModelPoint,
-                        classify, lorentz_product)
+from .minkowski import CausalClass, GeometryError, classify, lorentz_product
 
 PROPORTIONAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Horoball:
-    """Decorated cusp lift; the center scale encodes the horoball size."""
-    center: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", c)
-        if classify(c) is not CausalClass.LIGHTLIKE or c[0] <= 0:
-            raise GeometryError("horoball center must be future lightlike")
-
-    def signed_distance(self, x) -> float:
-        """Signed distance from a hyperboloid point to the horosphere."""
-        return math.log(-lorentz_product(x, self.center))
-
-
-@dataclass(frozen=True)
-class ShortCut:
-    """Shortest segment between two disjoint (or tangent) horoballs."""
-    endpoints: tuple
-    length: float
-    pair: tuple
-
-
-@dataclass(frozen=True)
-class MiddleFence:
-    """Bisecting geodesic hyperplane {x : <x,p> = <x,q>} of a short cut.
-
-    Stored by the spacelike Lorentzian normal p - q, so all fence
-    queries are algebraic and dimension independent.
-    """
-    normal: np.ndarray
-    centers: tuple
-
-    def side(self, x) -> float:
-        return lorentz_product(x, self.normal)
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(np.abs(self.normal))))
-        return abs(self.side(x)) <= tol * scale
 
 
 def _check_pair(p, q):
@@ -76,42 +35,14 @@ def _check_pair(p, q):
 def horoball_distance(p, q) -> float:
     """Signed distance log(-<p,q>/2) between the two horospheres.
 
-    Negative values mean overlapping horoballs, zero means tangency.
-    The closed form is validated against the explicit upper-half-space
-    construction in the test suite before anything downstream trusts it.
+    Negative values mean overlapping horoballs, zero means tangency;
+    for disjoint horoballs it is the length of their short cut, the
+    shortest segment between them.  The closed form is validated
+    against the explicit upper-half-space construction in the test
+    suite before anything downstream trusts it.
     """
     p, q = _check_pair(p, q)
     return math.log(-lorentz_product(p, q) / 2.0)
-
-
-def short_cut(p, q, tol: float = 1e-9) -> ShortCut:
-    """Geodesic segment between the horoballs of p and q.
-
-    The connecting geodesic is x(t) = (e^t p + e^-t q)/sqrt(2s) with
-    s = -<p,q>; clipping it to the complement of both horoballs leaves
-    the segment t in [-log(s/2)/2, log(s/2)/2] of length log(s/2).
-    """
-    p, q = _check_pair(p, q)
-    d = horoball_distance(p, q)
-    if d < -tol:
-        raise GeometryError(f"horoballs overlap (distance {d})")
-    s = -lorentz_product(p, q)
-    t = max(0.0, 0.5 * math.log(s / 2.0))
-    scale = 1.0 / math.sqrt(2.0 * s)
-    x_p = (math.exp(t) * p + math.exp(-t) * q) * scale
-    x_q = (math.exp(-t) * p + math.exp(t) * q) * scale
-    return ShortCut(endpoints=(ModelPoint(Model.HYPERBOLOID, x_p),
-                               ModelPoint(Model.HYPERBOLOID, x_q)),
-                    length=max(0.0, d), pair=(p, q))
-
-
-def middle_fence(p, q) -> MiddleFence:
-    """Locus of points equidistant from the two horoballs."""
-    p, q = _check_pair(p, q)
-    u = p - q
-    if classify(u) is not CausalClass.SPACELIKE:
-        raise GeometryError("fence normal p - q is not spacelike")
-    return MiddleFence(normal=u, centers=(p, q))
 
 
 def shadow_radius(d: float) -> float:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
-from .group import (GroupSpec, _first_new, lorentz_inverse, orbit,
-                    reflection_normal)
+from .group import (RAY_MERGE_ANGLE, GroupSpec, _first_new, lorentz_inverse,
+                    orbit, reflection_normal)
 from .matching import PAIR_TOL, _scale, match_index, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
@@ -130,7 +130,7 @@ def _overlap_log_scale(coords) -> float:
     norms = np.linalg.norm(coords, axis=1)
     rays = coords / norms[:, None]
     a, b = np.triu_indices(len(coords), 1)
-    apart = np.linalg.norm(rays[a] - rays[b], axis=1) >= 1e-10
+    apart = np.linalg.norm(rays[a] - rays[b], axis=1) >= RAY_MERGE_ANGLE
     a, b = a[apart], b[apart]
     q = -lorentz_gram(coords, coords)[a, b]
     err = 1e-12 * norms[a] * norms[b]
@@ -303,16 +303,44 @@ class MixedDecomposition:
         return not self.errors
 
 
-def wall_lifts(g: GroupSpec, word_bound: int):
-    """Deduplicated conjugates (wall index, gamma tau gamma^-1)."""
+@dataclass(eq=False)
+class WallLifts:
+    """Wall lifts as one read-only (K, d, d) matrix stack.
+
+    Lift i is ``matrices[i]``, a conjugate of the reflection of wall
+    ``walls[i]``; indexing and iteration give (wall index, matrix)
+    pairs.
+    """
+
+    matrices: np.ndarray
+    walls: np.ndarray
+
+    def __len__(self):
+        return len(self.matrices)
+
+    def __getitem__(self, i):
+        return int(self.walls[i]), self.matrices[i]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def wall_lifts(g: GroupSpec, word_bound: int) -> WallLifts:
+    """Deduplicated conjugates gamma tau gamma^-1 of the wall reflections,
+    wall by wall and in ball order within a wall."""
     stack = g.word_ball(word_bound).matrices
     inverses = lorentz_inverse(stack)
-    out = []
+    dim = stack.shape[-1]
+    # empty seeds: a group without reflections has an empty stack
+    mats, walls = [np.empty((0, dim, dim))], [np.empty(0, dtype=int)]
     seen = set()
     for r, tau in enumerate(g.reflections):
         conj = stack @ tau @ inverses
-        out.extend((r, m) for m in conj[_first_new(conj, seen)])
-    return out
+        mats.append(conj[_first_new(conj, seen)])
+        walls.append(np.full(len(mats[-1]), r))
+    matrices = np.concatenate(mats)
+    matrices.flags.writeable = False
+    return WallLifts(matrices, np.concatenate(walls))
 
 
 def _edge_wall_point(ka, kb, u):
@@ -427,12 +455,12 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
     mirrored_away = set()
     if g.reflections:
         lifts = wall_lifts(g, word_bound)
-        stack = np.stack([m for _, m in lifts])
         for ci, cell in enumerate(dec.cells):
             coords = np.array([op.point for op in dec.cell_points[ci]])
             scale = max(1.0, float(np.max(np.abs(coords))))
             planes = []
-            for idx in stack_hits(stack, coords, coords, PAIR_TOL * scale):
+            for idx in stack_hits(lifts.matrices, coords, coords,
+                                  PAIR_TOL * scale):
                 r, m = lifts[idx]
                 u = reflection_normal(m, strict=False)
                 if u is None:

@@ -541,17 +541,17 @@ def facet_normal(cell_coords, facet_ids) -> np.ndarray:
     return np.linalg.svd(P @ J)[2][-1]
 
 
-def outward_facet_normal(cell_coords, facet_ids) -> np.ndarray:
-    u = facet_normal(cell_coords, facet_ids)
-    others = [i for i in range(len(cell_coords)) if i not in facet_ids]
-    sign = sum(lorentz_product(cell_coords[i], u) for i in others)
-    return -u if sign > 0 else u
-
-
 def dihedral_angles(cell: IdealCell, cops):
     """Interior dihedral angle along each edge of a 3-dimensional cell."""
     coords = np.array([op.point for op in cops])
-    normals = {tuple(f): outward_facet_normal(coords, f) for f in cell.facets}
+    normals = {}
+    for f in cell.facets:
+        # the outward normal has the cell's other vertices on its
+        # negative side
+        u = facet_normal(coords, f)
+        sign = sum(lorentz_product(coords[i], u)
+                   for i in range(len(coords)) if i not in f)
+        normals[tuple(f)] = -u if sign > 0 else u
     out = {}
     for e in _k_faces(cell, 1, 3):
         adj = [tuple(f) for f in cell.facets if set(e) <= set(f)]

@@ -216,10 +216,3 @@ class IncrementalHull:
         self.facets = kept
         for ridge in horizon:
             self._add_facet(tuple(sorted(ridge + (q,))))
-
-    def vertex_ids(self):
-        out = set()
-        for f in self.facets:
-            out.update(f.vertices)
-        return sorted(out)
-

@@ -140,12 +140,12 @@ def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
 
 
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
-                       src_points, dst_points, tol: float = PAIR_TOL):
+                       src_points, dst_points):
     """Group element mapping the source set onto the destination set.
 
     ``src_points`` / ``dst_points`` are the sets' OrbitPoints, carrying
     words.  Sets whose Gram keys differ are refused without a search;
-    otherwise ``search_words`` runs at ``tol`` times the sets' scale.
+    otherwise ``search_words`` runs at ``PAIR_TOL`` times the sets' scale.
     Returns the first matrix, in (P, Q, s) order, that maps the set
     within tolerance, or None.
     """
@@ -154,19 +154,20 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     if src.shape != dst.shape:
         return None
     scale = _scale(src, dst)
-    if not _gram_close(_gram_key(src), _gram_key(dst), scale, tol):
+    if not _gram_close(_gram_key(src), _gram_key(dst), scale, PAIR_TOL):
         return None
     return search_words(g, word_bound, src, dst, src_points, dst_points,
-                        tol * scale)
+                        PAIR_TOL * scale)
 
 
 class GammaClasses:
     """Deterministic grouping of decorated point sets into group orbits."""
 
-    def __init__(self, g: GroupSpec, word_bound: int, tol: float = PAIR_TOL):
+    tol = PAIR_TOL
+
+    def __init__(self, g: GroupSpec, word_bound: int):
         self.g = g
         self.word_bound = word_bound
-        self.tol = tol
         self.reps = []          # (coords, points, Gram key, max |coord|)
 
     def classify(self, coords, points):

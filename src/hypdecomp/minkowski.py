@@ -3,9 +3,12 @@
 Vectors are plain numpy arrays of length n+1, with the quadratic form
 ``<x,y> = -x0*y0 + x1*y1 + ... + xn*yn``.  The upper hyperboloid sheet
 ``<x,x> = -1, x0 > 0`` carries the hyperbolic metric; positive light-cone
-rays correspond to ideal boundary points.  All conversions between the
-hyperboloid, Poincare ball, upper half-space and Klein models route
-through the hyperboloid.
+rays correspond to ideal boundary points.  The pipeline itself reads
+only the Klein chart; ``model_convert`` and ``hyperbolic_distance`` are
+public API, and every conversion between the hyperboloid, Poincare
+ball, upper half-space and Klein models routes through the hyperboloid.
+The matrix builders that make fixtures from PSL(2) presentations and
+hyperplane normals live in ``tools/gen_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -70,20 +73,21 @@ def lorentz_gram(X, Y) -> np.ndarray:
     return -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
 
 
-def classify(x, eps: float = LIGHTLIKE_EPS) -> CausalClass:
-    """Causal type of x, with a relative tolerance band for the light cone."""
+def classify(x) -> CausalClass:
+    """Causal type of x, with the relative band ``LIGHTLIKE_EPS`` for the
+    light cone."""
     x = np.asarray(x, dtype=float)
     norm2 = float(x @ x)
     if norm2 == 0.0:
         return CausalClass.ZERO
     q = lorentz_product(x, x)
-    if abs(q) <= eps * norm2:
+    if abs(q) <= LIGHTLIKE_EPS * norm2:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if q < 0 else CausalClass.SPACELIKE
 
 
-def is_isometry(A, tol: float = ISOMETRY_TOL) -> bool:
-    """True iff A preserves the form and the upper sheet.
+def is_isometry(A) -> bool:
+    """True iff A preserves the form and the upper sheet, to ``ISOMETRY_TOL``.
 
     Given A^T J A = J, preserving the sheet is equivalent to A[0,0] > 0.
     """
@@ -91,78 +95,8 @@ def is_isometry(A, tol: float = ISOMETRY_TOL) -> bool:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise GeometryError("isometry test needs a square matrix")
     J = minkowski_form(A.shape[0])
-    return bool(np.max(np.abs(A.T @ J @ A - J)) <= tol * max(1.0, np.max(np.abs(A)) ** 2)
-                and A[0, 0] > 0)
-
-
-def reflection_in_hyperplane(u) -> np.ndarray:
-    """Lorentzian Householder reflection fixing {x : <x,u> = 0}.
-
-    R(x) = x - 2 (<x,u>/<u,u>) u, defined for spacelike u only; R is an
-    involution in O+(n,1) and R(u) = -u.
-    """
-    u = np.asarray(u, dtype=float)
-    if classify(u) is not CausalClass.SPACELIKE:
-        raise GeometryError("reflection normal must be spacelike")
-    J = minkowski_form(len(u))
-    return np.eye(len(u)) - (2.0 / lorentz_product(u, u)) * np.outer(u, J @ u)
-
-
-# ---------------------------------------------------------------------------
-# PSL(2) -> SO+(n,1) for n = 2 (real entries) and n = 3 (complex entries).
-#
-# A point v = (x0, ..., xn) is packed into a symmetric (n=2) or hermitian
-# (n=3) 2x2 matrix with determinant -<v,v>; the isometry acts by
-# congruence m S m^T (resp. m H m^*).  The conventions are aligned with
-# the half-space chart: the ideal point "infinity" is the ray
-# (1, 0, ..., 0, -1) and the boundary origin is (1, 0, ..., 0, 1).
-# ---------------------------------------------------------------------------
-
-def _pack2(v):
-    t, x1, x2 = v
-    return np.array([[t - x2, x1], [x1, t + x2]])
-
-
-def _unpack2(S):
-    return np.array([(S[0, 0] + S[1, 1]) / 2.0, S[0, 1], (S[1, 1] - S[0, 0]) / 2.0])
-
-
-def _pack3(v):
-    t, x1, x2, x3 = v
-    return np.array([[t - x3, x1 + 1j * x2], [x1 - 1j * x2, t + x3]])
-
-
-def _unpack3(H):
-    return np.array([(H[0, 0] + H[1, 1]).real / 2.0, H[0, 1].real,
-                     H[0, 1].imag, (H[1, 1] - H[0, 0]).real / 2.0])
-
-
-def psl2_to_lorentz(m, tol: float = 1e-9) -> np.ndarray:
-    """Image of a 2x2 unimodular matrix in SO+(2,1) resp. SO+(3,1).
-
-    Real input acts on the upper half-plane (n=2); complex input on upper
-    half-space (n=3).  The map is the standard congruence action on
-    symmetric/hermitian matrices and is multiplicative.
-    """
-    m = np.asarray(m)
-    if m.shape != (2, 2):
-        raise GeometryError("expected a 2x2 matrix")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > tol:
-        raise GeometryError(f"determinant must be 1, got {det}")
-    if np.iscomplexobj(m):
-        dim, pack, unpack = 4, _pack3, _unpack3
-        conj = lambda S: m @ S @ m.conj().T
-    else:
-        m = m.astype(float)
-        dim, pack, unpack = 3, _pack2, _unpack2
-        conj = lambda S: m @ S @ m.T
-    A = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        A[:, j] = unpack(conj(pack(e)))
-    return A
+    bound = ISOMETRY_TOL * max(1.0, np.max(np.abs(A)) ** 2)
+    return bool(np.max(np.abs(A.T @ J @ A - J)) <= bound and A[0, 0] > 0)
 
 
 # ---------------------------------------------------------------------------

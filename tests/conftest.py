@@ -1,9 +1,24 @@
+import functools
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
+
+TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+@functools.cache
+def load_tool(name):
+    """The script tools/<name>.py as a module, loaded once per session."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
@@ -84,8 +99,12 @@ def cell_is_convex(cell):
             u, v = b - a, c - b
             cross.append(u[0] * v[1] - u[1] * v[0])
         return all(x > -1e-9 for x in cross) or all(x < 1e-9 for x in cross)
-    hull = IncrementalHull(k)
-    return len(hull.vertex_ids()) == len(k)
+    return len(hull_vertex_ids(IncrementalHull(k))) == len(k)
+
+
+def hull_vertex_ids(hull):
+    """Sorted indices of the points on some facet of an IncrementalHull."""
+    return sorted({v for f in hull.facets for v in f.vertices})
 
 
 def random_lightlike(rng, n, height_range=(0.5, 4.0)):

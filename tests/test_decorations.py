@@ -8,14 +8,15 @@ measured values feed the elementary distance formula.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import random_boost, random_lightlike
-from hypdecomp.decorations import (Horoball, GeometryError, horoball_distance,
-                                   horoball_plane_distance, middle_fence,
-                                   shadow_radius, short_cut)
+from hypdecomp.cutlocus import _klein_constraints, _log_distances
+from hypdecomp.decorations import (GeometryError, horoball_distance,
+                                   horoball_plane_distance, shadow_radius)
 from hypdecomp.minkowski import (Model, ModelPoint, lorentz_product,
                                  minkowski_form, model_convert)
 
@@ -158,66 +159,45 @@ class TestHoroballDistance:
             d1 = horoball_distance(lam * p, q)
             assert abs(d1 - d0 - math.log(lam)) < 1e-10
 
-
-class TestShortCut:
-    def test_tangent_degenerate_segment(self):
-        p = np.array([1.0, 1.0, 0.0])
-        q = np.array([1.0, -1.0, 0.0])
-        cut = short_cut(p, q)
-        assert cut.length == 0.0
-        mid = cut.endpoints[0].coords
-        assert np.allclose(mid, [1.0, 0.0, 0.0])
-        assert abs(lorentz_product(mid, p) + 1.0) < 1e-12
-
-    def test_length_matches_distance(self):
-        p = np.array([1.0, 1.0, 0.0])
-        q = math.e * np.array([1.0, -1.0, 0.0])
-        cut = short_cut(p, q)
-        assert abs(cut.length - 1.0) < 1e-12
-
-    def test_endpoints_on_horospheres(self, rng):
-        for _ in range(20):
-            p = random_lightlike(rng, 3)
-            q = random_lightlike(rng, 3)
-            if -lorentz_product(p, q) < 2.0:
-                continue
-            cut = short_cut(p, q)
-            ep, eq = (e.coords for e in cut.endpoints)
-            assert abs(lorentz_product(ep, p) + 1.0) < 1e-9
-            assert abs(lorentz_product(eq, q) + 1.0) < 1e-9
-
     def test_length_isometry_invariant(self, rng):
+        # the short cut between disjoint horoballs has length
+        # horoball_distance, which a boost must not change
         for _ in range(20):
             p = random_lightlike(rng, 2)
             q = random_lightlike(rng, 2)
             if -lorentz_product(p, q) < 2.0:
                 continue
             A = random_boost(rng, 2)
-            d0 = short_cut(p, q).length
-            d1 = short_cut(A @ p, A @ q).length
+            d0 = horoball_distance(p, q)
+            d1 = horoball_distance(A @ p, A @ q)
             assert abs(d0 - d1) < 1e-10
-
-    def test_overlapping_rejected(self):
-        p = np.array([1.0, 1.0, 0.0])
-        q = 0.25 * np.array([1.0, -1.0, 0.0])
-        with pytest.raises(GeometryError):
-            short_cut(p, q)
 
 
 class TestMiddleFence:
+    """The middle fences as the cut-locus stage builds them.
+
+    ``cutlocus._klein_constraints`` stores the fence of p against q as
+    the Klein-chart row a . k >= b with (b, a) = p - q, the spacelike
+    normal of {x : <x,p> = <x,q>}.
+    """
+
+    @staticmethod
+    def _normal(p, q):
+        A, b = _klein_constraints(p, [SimpleNamespace(point=q)])
+        return np.concatenate((b, A[0]))
+
     def test_mirror_symmetry_example(self):
         p = np.array([1.0, 1.0, 0.0])
         q = np.array([1.0, -1.0, 0.0])
-        fence = middle_fence(p, q)
-        assert np.allclose(fence.normal, [0.0, 2.0, 0.0])
-        assert fence.contains(np.array([1.0, 0.0, 0.0]))
+        u = self._normal(p, q)
+        assert np.allclose(u, [0.0, 2.0, 0.0])
+        assert abs(lorentz_product(np.array([1.0, 0.0, 0.0]), u)) < 1e-12
 
     def test_fence_point_equidistant(self):
         p = np.array([1.0, 1.0, 0.0])
         q = np.array([1.0, -1.0, 0.0])
         x = np.array([1.0, 0.0, 0.0])
-        d_p = Horoball(p).signed_distance(x)
-        d_q = Horoball(q).signed_distance(x)
+        d_p, d_q = _log_distances(x, np.array([p, q]))
         assert abs(d_p - d_q) < 1e-10
 
     def test_normal_spacelike_on_random_pairs(self, rng):
@@ -228,27 +208,14 @@ class TestMiddleFence:
             q = random_lightlike(rng, 2)
             if np.linalg.norm(p / np.linalg.norm(p) - q / np.linalg.norm(q)) < 1e-6:
                 continue
-            fence = middle_fence(p, q)
-            assert lorentz_product(fence.normal, fence.normal) > 0
+            u = self._normal(p, q)
+            assert lorentz_product(u, u) > 0
             count += 1
 
     def test_symmetric_in_arguments(self, rng):
         p = random_lightlike(rng, 2)
         q = random_lightlike(rng, 2)
-        f1 = middle_fence(p, q)
-        f2 = middle_fence(q, p)
-        assert np.allclose(f1.normal, -f2.normal)
-
-    def test_contains_short_cut_midpoint(self, rng):
-        for _ in range(10):
-            p = random_lightlike(rng, 2)
-            q = random_lightlike(rng, 2)
-            if -lorentz_product(p, q) < 2.0:
-                continue
-            cut = short_cut(p, q)
-            mid = 0.5 * (cut.endpoints[0].coords + cut.endpoints[1].coords)
-            mid /= math.sqrt(-lorentz_product(mid, mid))
-            assert middle_fence(p, q).contains(mid, tol=1e-8)
+        assert np.allclose(self._normal(p, q), -self._normal(q, p))
 
 
 class TestShadowRadius:

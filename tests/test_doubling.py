@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_boost, random_lightlike
+from conftest import load_tool, random_boost, random_lightlike
 from hypdecomp.decorations import horoball_distance
 from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 _edge_wall_point, _overlap_log_scale,
@@ -18,8 +18,9 @@ from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, orbit,
                              reflection_normal)
 from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import (GeometryError, hyperboloid_to_klein,
-                                 klein_to_hyperboloid, lorentz_product,
-                                 reflection_in_hyperplane)
+                                 klein_to_hyperboloid, lorentz_product)
+
+reflection_in_hyperplane = load_tool("gen_fixtures").reflection_in_hyperplane
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +300,25 @@ class TestWallLifts:
         for r, m in lifts:
             scale = float(np.max(np.abs(m))) ** 2
             assert np.max(np.abs(m @ m - np.eye(3))) < 1e-9 * max(1.0, scale)
+
+    def test_one_read_only_stack(self, spec_fig3):
+        lifts = wall_lifts(spec_fig3.group, 2)
+        assert lifts.matrices.shape == (len(lifts), 3, 3)
+        assert lifts.walls.shape == (len(lifts),)
+        with pytest.raises(ValueError):
+            lifts.matrices[0, 0, 0] = 2.0
+        # walls in order, each pair a row of the stack
+        assert list(lifts.walls) == sorted(lifts.walls)
+        assert set(lifts.walls.tolist()) == {0, 1}
+        for i in (0, len(lifts) - 1):
+            r, m = lifts[i]
+            assert type(r) is int and r == lifts.walls[i]
+            assert np.array_equal(m, lifts.matrices[i])
+
+    def test_no_reflections_no_lifts(self, spec_3ps):
+        lifts = wall_lifts(spec_3ps.group, 2)
+        assert len(lifts) == 0 and list(lifts) == []
+        assert lifts.matrices.shape == (0, 3, 3)
 
 
 def _synthetic_decomposition(cell_vertex_sets):

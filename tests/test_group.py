@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import load_tool
 from hypdecomp.doubling import wall_lifts
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
@@ -15,8 +16,11 @@ from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
                              validate_group, validate_reflection)
 from hypdecomp.io_cli import load_spec, parse_spec
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
-                                 minkowski_form, psl2_to_lorentz,
-                                 reflection_in_hyperplane)
+                                 minkowski_form)
+
+gen_fixtures = load_tool("gen_fixtures")
+psl2_to_lorentz = gen_fixtures.psl2_to_lorentz
+reflection_in_hyperplane = gen_fixtures.reflection_in_hyperplane
 
 
 def trivial_group(cusps):

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -8,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import hull_vertex_ids, load_tool
 from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import orbit
 from hypdecomp.hull import IncrementalHull, OrientPredicate, _cofactors
 from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import GeometryError
+
+# the exact validity oracle that CI's hull count gate also runs
+hull_counts = load_tool("hull_counts")
 
 
 def _fraction_det(rows):
@@ -160,7 +162,7 @@ class TestIncrementalHull3D:
         pts = np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
                         for z in (0, 1)], dtype=float)
         hull = IncrementalHull(pts)
-        assert len(hull.vertex_ids()) == 8
+        assert len(hull_vertex_ids(hull)) == 8
         assert len(hull.facets) == 12            # simplicial facets
         ridges = {}
         for idx, f in enumerate(hull.facets):
@@ -174,20 +176,20 @@ class TestIncrementalHull3D:
                             for z in (0, 1)], dtype=float)
         inner = rng.uniform(0.2, 0.8, size=(20, 3))
         hull = IncrementalHull(np.vstack([corners, inner]))
-        assert hull.vertex_ids() == list(range(8))
+        assert hull_vertex_ids(hull) == list(range(8))
 
     def test_square_pyramid_coplanar_base(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
                         [0.5, 0.5, 1.0]])
         hull = IncrementalHull(pts)
-        assert len(hull.vertex_ids()) == 5
+        assert len(hull_vertex_ids(hull)) == 5
         assert len(hull.facets) == 6             # 4 sides + 2 base triangles
 
     def test_sphere_points_all_vertices(self, rng):
         v = rng.normal(size=(40, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         hull = IncrementalHull(v)
-        assert hull.vertex_ids() == list(range(40))
+        assert hull_vertex_ids(hull) == list(range(40))
 
     def test_exact_and_auto_agree(self, rng):
         hull = IncrementalHull(rng.normal(size=(15, 3)))
@@ -214,7 +216,7 @@ class TestIncrementalHull4D:
         pts = np.array([[a, b, c, d] for a in (0, 1) for b in (0, 1)
                         for c in (0, 1) for d in (0, 1)], dtype=float)
         hull = IncrementalHull(pts)
-        assert len(hull.vertex_ids()) == 16
+        assert len(hull_vertex_ids(hull)) == 16
         # every facet normal is an axis direction
         for f in hull.facets:
             assert np.sum(np.abs(np.abs(f.normal) - 1.0) < 1e-9) == 1
@@ -239,13 +241,6 @@ class TestKnotOrbitRegression:
         assert P.shape == (102, 4)
         hull = IncrementalHull(P)
         assert hull_counts.invalid_counts(hull) == (0, 0, 0)
-
-
-# the exact validity oracle that CI's hull count gate also runs
-_path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "hull_counts.py"
-_spec = importlib.util.spec_from_file_location("hull_counts", _path)
-hull_counts = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(hull_counts)
 
 
 class TestHullValidity:

@@ -1,11 +1,10 @@
 import hashlib
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
+from conftest import load_tool
 from hypdecomp.fixtures import NAMES, fixture_path
 from hypdecomp.io_cli import (SpecError, emit, load_spec, main, parse_spec,
                               run)
@@ -70,11 +69,7 @@ class TestLoadSpec:
     def test_fixtures_match_their_generator(self):
         # the shipped files are byte for byte what tools/gen_fixtures.py
         # writes from its classical matrix presentations
-        path = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
-            "gen_fixtures.py"
-        spec = importlib.util.spec_from_file_location("gen_fixtures", path)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        gen = load_tool("gen_fixtures")
         builders = [gen.thrice_punctured_sphere, gen.once_punctured_torus,
                     gen.figure3_surface, gen.figure_eight_knot]
         assert [b.__name__ for b in builders] == NAMES

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_boost, random_hyperboloid
+from conftest import load_tool, random_boost, random_hyperboloid
 from hypdecomp.minkowski import (CausalClass, GeometryError, Model, ModelPoint,
                                  classify, hyperbolic_distance, is_isometry,
-                                 lorentz_product, model_convert,
-                                 psl2_to_lorentz, reflection_in_hyperplane)
+                                 lorentz_product, model_convert)
+
+# the PSL(2) and reflection builders of the fixture generator
+gen_fixtures = load_tool("gen_fixtures")
+psl2_to_lorentz = gen_fixtures.psl2_to_lorentz
+reflection_in_hyperplane = gen_fixtures.reflection_in_hyperplane
 
 MODELS = [Model.HYPERBOLOID, Model.BALL, Model.HALFSPACE, Model.KLEIN]
 

@@ -1,21 +1,11 @@
 """The work-count tools that CI gates on."""
 
-import importlib.util
 import json
-import pathlib
 
-TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+from conftest import TOOLS, load_tool
 
-
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check_counts = _tool("check_counts")
-match_counts = _tool("match_counts")
+check_counts = load_tool("check_counts")
+match_counts = load_tool("match_counts")
 
 
 def test_gate_flags_growth_new_records_and_bad_counts():

@@ -2,8 +2,12 @@
 """Regenerate the shipped fixture JSONs.
 
 Builds the four example groups from classical matrix presentations,
-converts them to Lorentz form and writes the spec documents.  Run from
-the repository root:
+converts them to Lorentz form and writes the spec documents.  The two
+builders that do the converting live here, since nothing else in the
+package needs them: ``psl2_to_lorentz`` maps a unimodular 2x2 matrix to
+SO+(2,1) or SO+(3,1), and ``reflection_in_hyperplane`` gives the
+Lorentzian reflection in a geodesic hyperplane.  Run from the
+repository root:
 
     python3 tools/gen_fixtures.py [--check]
 
@@ -20,9 +24,80 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hypdecomp.minkowski import psl2_to_lorentz, reflection_in_hyperplane
+from hypdecomp.minkowski import (CausalClass, GeometryError, classify,
+                                 lorentz_product, minkowski_form)
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "hypdecomp" / "fixtures"
+
+
+def reflection_in_hyperplane(u) -> np.ndarray:
+    """Lorentzian Householder reflection fixing {x : <x,u> = 0}.
+
+    R(x) = x - 2 (<x,u>/<u,u>) u, defined for spacelike u only; R is an
+    involution in O+(n,1) and R(u) = -u.
+    """
+    u = np.asarray(u, dtype=float)
+    if classify(u) is not CausalClass.SPACELIKE:
+        raise GeometryError("reflection normal must be spacelike")
+    J = minkowski_form(len(u))
+    return np.eye(len(u)) - (2.0 / lorentz_product(u, u)) * np.outer(u, J @ u)
+
+
+# ---------------------------------------------------------------------------
+# PSL(2) -> SO+(n,1) for n = 2 (real entries) and n = 3 (complex entries).
+#
+# A point v = (x0, ..., xn) is packed into a symmetric (n=2) or hermitian
+# (n=3) 2x2 matrix with determinant -<v,v>; the isometry acts by
+# congruence m S m^T (resp. m H m^*).  The conventions are aligned with
+# the half-space chart: the ideal point "infinity" is the ray
+# (1, 0, ..., 0, -1) and the boundary origin is (1, 0, ..., 0, 1).
+# ---------------------------------------------------------------------------
+
+def _pack2(v):
+    t, x1, x2 = v
+    return np.array([[t - x2, x1], [x1, t + x2]])
+
+
+def _unpack2(S):
+    return np.array([(S[0, 0] + S[1, 1]) / 2.0, S[0, 1], (S[1, 1] - S[0, 0]) / 2.0])
+
+
+def _pack3(v):
+    t, x1, x2, x3 = v
+    return np.array([[t - x3, x1 + 1j * x2], [x1 - 1j * x2, t + x3]])
+
+
+def _unpack3(H):
+    return np.array([(H[0, 0] + H[1, 1]).real / 2.0, H[0, 1].real,
+                     H[0, 1].imag, (H[1, 1] - H[0, 0]).real / 2.0])
+
+
+def psl2_to_lorentz(m, tol: float = 1e-9) -> np.ndarray:
+    """Image of a 2x2 unimodular matrix in SO+(2,1) resp. SO+(3,1).
+
+    Real input acts on the upper half-plane (n=2); complex input on upper
+    half-space (n=3).  The map is the standard congruence action on
+    symmetric/hermitian matrices and is multiplicative.
+    """
+    m = np.asarray(m)
+    if m.shape != (2, 2):
+        raise GeometryError("expected a 2x2 matrix")
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if abs(det - 1.0) > tol:
+        raise GeometryError(f"determinant must be 1, got {det}")
+    if np.iscomplexobj(m):
+        dim, pack, unpack = 4, _pack3, _unpack3
+        conj = lambda S: m @ S @ m.conj().T
+    else:
+        m = m.astype(float)
+        dim, pack, unpack = 3, _pack2, _unpack2
+        conj = lambda S: m @ S @ m.T
+    A = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        A[:, j] = unpack(conj(pack(e)))
+    return A
 
 
 def boundary_ray(r: float) -> np.ndarray:
