@@ -9,7 +9,7 @@ the wall-crossing ones along the polar hyperplane of the wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,7 +204,9 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
                 f"no scaling satisfies the pairing of cusps {i} and {j}")
     reps = [assigned[i] for i in range(len(reps))]
 
-    probe = GroupSpec(g.dimension, g.generators, g.reflections, reps)
+    # g's balls serve both specs; the dict is copied, so the returned spec
+    # grows its own ball and g keeps only the balls asked of it
+    probe = replace(g, cusp_reps=reps, _ball_cache=dict(g._ball_cache))
     pts = orbit(probe, word_bound, height_bound)
 
     log_scale = 0.0
@@ -225,8 +227,7 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
         # its scaled anchor (mirror partners match bitwise)
         _propagate()
         reps = [assigned[i] for i in range(len(reps))]
-    return GroupSpec(g.dimension, g.generators, g.reflections, reps,
-                     name=g.name)
+    return replace(g, cusp_reps=reps, _ball_cache=dict(g._ball_cache))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,8 @@ class WallLifts:
     """Wall lifts as one read-only (K, d, d) matrix stack.
 
     Lift i is ``matrices[i]``, a conjugate of the reflection of wall
-    ``walls[i]``; indexing and iteration give (wall index, matrix)
-    pairs.
+    ``walls[i]``; indexing, and so iteration, gives (wall index,
+    matrix) pairs.
     """
 
     matrices: np.ndarray
@@ -320,9 +321,6 @@ class WallLifts:
 
     def __getitem__(self, i):
         return int(self.walls[i]), self.matrices[i]
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def wall_lifts(g: GroupSpec, word_bound: int) -> WallLifts:
@@ -405,7 +403,7 @@ def _truncate_cell(cell: IdealCell, cops, tau, u, wall_orbit: int,
                      external_face=external,
                      wall_normal=u,
                      wall_orbit=wall_orbit,
-                     reflection=tau,
+                     reflection=tau.copy(),     # not a view of the lifts
                      source_class=source_class)
 
 
@@ -567,7 +565,7 @@ def _quotient_pairings(cells, g: GroupSpec, word_bound: int):
                 continue
             idx = next(stack_hits(stack, coords, coords2, tol, images), None)
             if idx is not None:
-                found = (key2, stack[idx])
+                found = (key2, stack[idx].copy())
                 break
         if found is None:
             # self-gluing: facet maps onto itself by a nontrivial element
@@ -575,7 +573,7 @@ def _quotient_pairings(cells, g: GroupSpec, word_bound: int):
             idx = next((i for i in stack_hits(stack, coords, coords, tol, images)
                         if np.max(np.abs(stack[i] - eye)) >= 1e-9), None)
             if idx is not None:
-                found = (key, stack[idx])
+                found = (key, stack[idx].copy())
         if found is None:
             unpaired.append(key)
             continue

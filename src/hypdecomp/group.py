@@ -2,9 +2,11 @@
 
 The group itself is never stored, only a finite word ball enumerated
 breadth-first with matrix deduplication and kept as one matrix stack
-with parent pointers.  Orbits of decorated light-cone points are
-truncated both by word length and by Minkowski height; the convex-hull
-stability certificate downstream detects insufficient bounds.
+with parent pointers, one ball per spec: a larger bound grows it and
+a smaller one reads a prefix of it.  Orbits of decorated light-cone
+points are truncated both by word length and by Minkowski height; the
+convex-hull stability certificate downstream detects insufficient
+bounds.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ HEIGHT_MERGE_REL = 1e-9
 MATRIX_MATCH_TOL = 1e-8
 # Frontier elements multiplied out at once while the word ball grows.
 _BLOCK = 2048
-
-
-@dataclass
-class GroupElement:
-    word: tuple
-    matrix: np.ndarray
 
 
 @dataclass
@@ -75,7 +71,8 @@ class GroupSpec:
     cusp_reps: list
     name: str = ""
     _ball_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _stab_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _stab_cache: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
@@ -95,77 +92,38 @@ class GroupSpec:
         return out
 
     def word_ball(self, word_bound: int) -> "WordBall":
-        """All group elements of word length <= word_bound, BFS order.
-
-        Each level multiplies the frontier by every letter in batched
-        products, one block of the frontier at a time, rounds them once
-        and keeps the first occurrence of each rounded matrix, in
-        (frontier element, letter) order.
-        """
-        if word_bound in self._ball_cache:
-            return self._ball_cache[word_bound]
-        dim = self.dimension + 1
-        alphabet = self.letters()
-        signs = np.array([s for s, _ in alphabet], dtype=np.int32)
-        L = np.array([m for _, m in alphabet]).reshape(-1, dim, dim)
-        identity = np.eye(dim)
-        seen = set()
-        _first_new(identity[None], seen)
-        # (matrices, parents, letters) in blocks of at most _BLOCK frontier
-        # elements times the alphabet, so a level's products, rounded
-        # copies and keys are never all alive at once
-        blocks = [(identity[None], np.array([-1]), np.array([0], dtype=np.int32))]
-        front, first = blocks, 0     # the last level and its first index
-        for _ in range(word_bound if len(signs) else 0):
-            level, start = [], first
-            for F, _, F_let in front:
-                for b in range(0, len(F), _BLOCK):
-                    Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
-                    P = (Fb[:, None] @ L[None]).reshape(-1, dim, dim)
-                    let = np.tile(signs, len(Fb))
-                    # immediate backtracks are skipped, not merely deduplicated
-                    ok = np.flatnonzero(np.repeat(Fb_let, len(signs)) != -let)
-                    keep = ok[_first_new(P[ok], seen)]
-                    level.append((P[keep], start + b + keep // len(signs),
-                                  let[keep]))
-                start += len(F)
-            front, first = [blk for blk in level if len(blk[0])], start
-            if not front:
-                break
-            blocks += front
-        del seen     # the keys outweigh the ball; free them before the copy
-        matrices = np.concatenate([m for m, _, _ in blocks])
-        matrices.flags.writeable = False
-        ball = WordBall(matrices,
-                        np.concatenate([p for _, p, _ in blocks]).astype(np.int32),
-                        np.concatenate([t for _, _, t in blocks]))
-        self._ball_cache[word_bound] = ball
+        """All group elements of word length <= word_bound, BFS order:
+        a read-only prefix of the spec's one ball, which starts as the
+        identity and grows from its last level (``_grow``) on demand."""
+        ball = self._ball_cache.get(word_bound)
+        if ball is None:
+            deepest = (self._ball_cache[max(self._ball_cache)]
+                       if self._ball_cache else
+                       WordBall(np.eye(self.dimension + 1)[None],
+                                np.array([-1], np.int32),
+                                np.array([0], np.int32), (0, 1)))
+            at = deepest.offsets
+            # grow unless the ball reaches the bound or its last level is empty
+            if word_bound + 2 > len(at) and at[-2] < at[-1]:
+                deepest = _grow(deepest, self.letters(), word_bound)
+            cut = deepest.offsets[:word_bound + 2]
+            ball = self._ball_cache[word_bound] = WordBall(
+                deepest.matrices[:cut[-1]], deepest.parent[:cut[-1]],
+                deepest.letter[:cut[-1]], cut)
         return ball
 
-    def _stabilizer(self, cusp_id: int, word_bound: int):
-        """Ball indices and read-only (K, d, d) matrix stack of the ball
-        elements fixing the decorated cusp vector (identity included)."""
-        key = (cusp_id, word_bound)
-        cached = self._stab_cache.get(key)
-        if cached is None:
-            p = self.cusp_reps[cusp_id]
-            scale = float(np.max(np.abs(p)))
-            ball = self.word_ball(word_bound)
-            dev = np.max(np.abs(ball.matrices @ p - p), axis=1)
-            idx = np.flatnonzero(dev <= 1e-8 * scale)
-            stack = ball.matrices[idx]
-            stack.flags.writeable = False
-            cached = self._stab_cache[key] = (idx, stack)
-        return cached
-
     def stabilizer_stack(self, cusp_id: int, word_bound: int) -> np.ndarray:
-        """Matrices of ``stabilizer_elements`` as one stack, in ball order."""
-        return self._stabilizer(cusp_id, word_bound)[1]
-
-    def stabilizer_elements(self, cusp_id: int, word_bound: int):
-        """Ball elements fixing the decorated cusp vector (identity included)."""
-        ball = self.word_ball(word_bound)
-        return [ball[i] for i in self._stabilizer(cusp_id, word_bound)[0]]
+        """Ball elements fixing the decorated cusp vector (identity
+        included), as one read-only (K, d, d) stack in ball order."""
+        key = (cusp_id, word_bound)
+        if key not in self._stab_cache:
+            p = self.cusp_reps[cusp_id]
+            matrices = self.word_ball(word_bound).matrices
+            dev = np.max(np.abs(matrices @ p - p), axis=1)
+            stack = matrices[dev <= 1e-8 * float(np.max(np.abs(p)))]
+            stack.flags.writeable = False
+            self._stab_cache[key] = stack
+        return self._stab_cache[key]
 
 
 @dataclass(eq=False)
@@ -174,13 +132,20 @@ class WordBall:
 
     Element i is ``matrices[i]``; its word is the word of ``parent[i]``
     followed by the signed generator ``letter[i]`` (the identity has
-    parent -1 and letter 0).  Words and GroupElements are built only
-    when asked for.
+    parent -1 and letter 0).  Level k, the elements of word length k,
+    is ``offsets[k]:offsets[k + 1]``, so the ball at bound k is the
+    prefix of length ``offsets[k + 1]``; a last level that came out
+    empty closes the ball.  Words are built only when asked for.
     """
 
     matrices: np.ndarray
     parent: np.ndarray
     letter: np.ndarray
+    offsets: tuple
+
+    def __post_init__(self):
+        for a in (self.matrices, self.parent, self.letter):
+            a.flags.writeable = False
 
     def __len__(self):
         return len(self.matrices)
@@ -193,11 +158,48 @@ class WordBall:
             i = int(self.parent[i])
         return tuple(reversed(out))
 
-    def __getitem__(self, i) -> GroupElement:
-        return GroupElement(self.word(i), self.matrices[i])
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
+    """The ball grown from its last level up to word_bound or closure.
+
+    Each level multiplies the frontier by every letter in batched
+    products, one block of the frontier at a time, rounds them once and
+    keeps the first occurrence of each rounded matrix, in (frontier
+    element, letter) order; the dedup keys start from the ball's stack.
+    """
+    dim = ball.matrices.shape[-1]
+    signs = np.array([s for s, _ in alphabet], dtype=np.int32)
+    L = np.array([m for _, m in alphabet]).reshape(-1, dim, dim)
+    seen = set()
+    _first_new(ball.matrices, seen)
+    offsets = list(ball.offsets)
+    first = offsets[-2]     # the last level's first index
+    # (matrices, parents, letters) in blocks of at most _BLOCK frontier
+    # elements times the alphabet, so a level's products, rounded
+    # copies and keys are never all alive at once
+    blocks = [(ball.matrices, ball.parent, ball.letter)]
+    front = [tuple(a[first:] for a in blocks[0])]
+    while len(offsets) <= word_bound + 1 and first < offsets[-1]:
+        level, start = [], first
+        for F, _, F_let in front:
+            for b in range(0, len(F), _BLOCK):
+                Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
+                P = (Fb[:, None] @ L[None]).reshape(-1, dim, dim)
+                let = np.tile(signs, len(Fb))
+                # immediate backtracks are skipped, not merely deduplicated
+                ok = np.flatnonzero(np.repeat(Fb_let, len(signs)) != -let)
+                keep = ok[_first_new(P[ok], seen)]
+                level.append((P[keep], start + b + keep // len(signs),
+                              let[keep]))
+            start += len(F)
+        front, first = [blk for blk in level if len(blk[0])], start
+        blocks += front
+        offsets.append(offsets[-1] + sum(len(m) for m, _, _ in front))
+    del seen     # the keys outweigh the ball; free them before the copy
+    return WordBall(np.concatenate([m for m, _, _ in blocks]),
+                    np.concatenate([p for _, p, _ in blocks]).astype(np.int32),
+                    np.concatenate([t for _, _, t in blocks]),
+                    tuple(offsets))
 
 
 def _first_new(stack: np.ndarray, seen: set) -> list:
@@ -207,7 +209,7 @@ def _first_new(stack: np.ndarray, seen: set) -> list:
     into 0.0 so that one matrix has one key; only the first occurrence
     of a key counts, and the new keys are added to ``seen``.
     """
-    R = np.round(stack, 8).reshape(len(stack), -1)
+    R = np.round(stack, 8).reshape(-1, stack.shape[-1] ** 2)
     R += 0.0     # in place: no second copy of the stack
     keys = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel().tolist()
     out = []
@@ -311,7 +313,7 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
             if _merge_lookup(buckets, points, q) is not None:
                 continue
             op = OrbitPoint(point=q, word=ball.word(e), cusp_id=int(cusp_id),
-                            matrix=ball.matrices[e])
+                            matrix=ball.matrices[e].copy())   # not a view
             _merge_insert(buckets, points, op)
     points.sort(key=_canonical_key)
     for i, op in enumerate(points):

@@ -6,15 +6,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import load_tool
-from hypdecomp.doubling import wall_lifts
+from conftest import ball_elements, load_tool, stabilizer_elements
+from hypdecomp import group
+from hypdecomp.doubling import symmetrize_decorations, wall_lifts
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
                              OrbitSet, _canonical_key, _is_same_point,
                              _merge_insert, _merge_lookup, _ray_cell,
                              lorentz_inverse, orbit, reflection_normal,
                              validate_group, validate_reflection)
-from hypdecomp.io_cli import load_spec, parse_spec
+from hypdecomp.io_cli import load_spec, parse_spec, run
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
                                  minkowski_form)
 
@@ -107,7 +108,6 @@ class TestOrbit:
     def test_reflection_closure(self, report_fig3):
         # tau p stays in the orbit whenever its height is within bounds
         gs = report_fig3.spec.group
-        from hypdecomp.doubling import symmetrize_decorations
         g = symmetrize_decorations(gs, margin=report_fig3.spec.options.margin,
                                    word_bound=4,
                                    height_bound=report_fig3.spec.options.height_bound)
@@ -324,7 +324,7 @@ class TestWordBallStack:
         ref = reference_ball(g, word_bound)
         assert len(ball) == len(ref)
         assert ball.matrices.shape == (len(ref),) + ref[0][1].shape
-        for el, (word, A) in zip(ball, ref):
+        for el, (word, A) in zip(ball_elements(ball), ref):
             assert el.word == word
             assert _same_bits(el.matrix, A)
 
@@ -347,7 +347,7 @@ class TestWordBallStack:
             scale = float(np.max(np.abs(p)))
             ref = [(w, A) for w, A in ref_ball
                    if np.max(np.abs(A @ p - p)) <= 1e-8 * scale]
-            got = g.stabilizer_elements(cusp_id, wb + 1)
+            got = stabilizer_elements(g, cusp_id, wb + 1)
             assert [el.word for el in got] == [w for w, _ in ref]
             assert all(_same_bits(el.matrix, A) for el, (_, A) in zip(got, ref))
 
@@ -375,7 +375,7 @@ class TestWordBallStack:
         g = GroupSpec(2, [], [], [np.array([1.0, 0.0, 1.0])])
         ball = g.word_ball(5)
         assert len(ball) == 1
-        (el,) = list(ball)
+        (el,) = ball_elements(ball)
         assert el.word == () and np.array_equal(el.matrix, np.eye(3))
         assert len(orbit(g, 5, 10.0)) == 1
 
@@ -386,7 +386,7 @@ class TestWordBallStack:
     def test_no_cusps(self, spec_3ps):
         g = GroupSpec(2, spec_3ps.group.generators, [], [])
         assert orbit(g, 4, 50.0) == []
-        assert [el.word for el in g.word_ball(4)] == [
+        assert [el.word for el in ball_elements(g.word_ball(4))] == [
             w for w, _ in reference_ball(g, 4)]
 
     def test_stack_is_read_only(self, spec_3ps):
@@ -412,3 +412,130 @@ class TestWordBallStack:
         assert len(ball) == 115589
         assert kept - before < 3 * ball.matrices.nbytes
         assert peak - before < 4 * ball.matrices.nbytes
+
+
+def reference_arrays(g, word_bound):
+    """``reference_ball`` as (matrices, parents, letters, offsets) arrays."""
+    ref = reference_ball(g, word_bound)
+    index = {word: i for i, (word, _) in enumerate(ref)}
+    parents = [index[word[:-1]] if word else -1 for word, _ in ref]
+    letters = [word[-1] if word else 0 for word, _ in ref]
+    offsets = [0] + [sum(len(word) <= k for word, _ in ref)
+                     for k in range(word_bound + 1)]
+    return (np.array([A for _, A in ref]), np.array(parents, dtype=np.int32),
+            np.array(letters, dtype=np.int32), tuple(offsets))
+
+
+def _is_reference_prefix(ball, ref, word_bound):
+    matrices, parents, letters, offsets = ref
+    n = offsets[word_bound + 1]
+    return (ball.offsets == offsets[:word_bound + 2]
+            and _same_bits(ball.matrices, matrices[:n])
+            and _same_bits(ball.parent, parents[:n])
+            and _same_bits(ball.letter, letters[:n]))
+
+
+class TestOneBall:
+    """A spec keeps one ball and serves every bound as a prefix of it."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_any_request_order_gives_the_reference(self, name):
+        top = SHIPPED[name] + 1
+        ref = reference_arrays(_fresh_group(name), top)
+        bounds = range(top + 1)
+        for order in (bounds, reversed(bounds)):
+            g = _fresh_group(name)
+            for k in order:
+                assert _is_reference_prefix(g.word_ball(k), ref, k)
+        for k in bounds:
+            assert _is_reference_prefix(_fresh_group(name).word_ball(k),
+                                        ref, k)
+
+    def test_prefix_is_a_read_only_view(self):
+        g = _fresh_group("once_punctured_torus")
+        deep, small = g.word_ball(5), g.word_ball(3)
+        assert np.shares_memory(small.matrices, deep.matrices)
+        assert len(small) == deep.offsets[4]
+        for a in (small.matrices, small.parent, small.letter):
+            assert not a.flags.writeable
+
+    def test_growth_starts_from_the_last_level(self, monkeypatch):
+        # every level is multiplied out once: the second growth keys the
+        # stack it starts from once, then only the products of level 6
+        g = _fresh_group("thrice_punctured_sphere")
+        g.word_ball(5)
+        keyed = []
+        first_new = group._first_new
+
+        def counted(stack, seen):
+            keyed.append(len(stack))
+            return first_new(stack, seen)
+
+        monkeypatch.setattr(group, "_first_new", counted)
+        ball = g.word_ball(6)
+        n4, n5, n6 = ball.offsets[5:8]
+        assert keyed[0] == n5
+        # each level-5 element times the alphabet, less its backtrack
+        assert sum(keyed[1:]) == (n5 - n4) * (len(g.letters()) - 1)
+        assert n6 > n5
+
+    @pytest.mark.parametrize("offsets,generators", [
+        ((0, 1, 1), []),
+        # a rotation of order 3: level 2 comes out empty
+        ((0, 1, 3, 3), [np.array([[1.0, 0.0, 0.0],
+                               [0.0, -0.5, -np.sqrt(0.75)],
+                               [0.0, np.sqrt(0.75), -0.5]])]),
+    ])
+    def test_closed_ball_serves_larger_bounds(self, monkeypatch, offsets,
+                                              generators):
+        g = GroupSpec(2, generators, [], [np.array([1.0, 0.0, 1.0])])
+        ball = g.word_ball(6)
+        assert ball.offsets == offsets     # the last level is empty
+        monkeypatch.setattr(group, "_grow", None)     # no growth from here
+        for k in (3, 9, 20):
+            assert g.word_ball(k).offsets == offsets
+            assert len(g.word_ball(k)) == offsets[-1]
+        assert len(g.word_ball(0)) == 1
+
+    def test_run_grows_one_ball_per_generator_set(self, monkeypatch):
+        # g keeps the bound-4 ball that validation asked of it; the
+        # symmetrized spec starts from that same object and grows its
+        # own copy, one level range per growth, none twice
+        spec = load_spec(fixture_path("figure3_surface"))
+        g, opts = spec.group, spec.options
+        grown = []
+        grow = group._grow
+
+        def recorded(ball, alphabet, word_bound):
+            out = grow(ball, alphabet, word_bound)
+            grown.append((len(ball.offsets) - 2, len(out.offsets) - 2))
+            return out
+
+        monkeypatch.setattr(group, "_grow", recorded)
+        ball4 = g.word_ball(4)
+        gs = symmetrize_decorations(g, opts.margin, 4, opts.height_bound)
+        assert gs.word_ball(4) is ball4
+        gs.word_ball(opts.word_bound + 1)
+        assert set(g._ball_cache) == {4}
+        assert grown == [(0, 4), (4, opts.word_bound + 1)]
+        grown.clear()
+        run(spec)
+        assert set(g._ball_cache) == {4}
+        assert grown == [(4, opts.word_bound),
+                         (opts.word_bound, opts.word_bound + 1)]
+
+    def test_report_keeps_no_stack(self):
+        # the report copies the few matrices it keeps (orbit points,
+        # quotient pairings, wall reflections) instead of viewing the
+        # word ball, the quotient's star stack or the wall lifts
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run(load_spec(fixture_path("figure3_surface")))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert kept < 1 << 20

@@ -60,8 +60,8 @@ def ref_find_group_element(g, word_bound, src_coords, dst_coords,
                 if Q.cusp_id != P.cusp_id:
                     continue
                 MQ = Q.matrix
-                for s in g.stabilizer_elements(P.cusp_id, word_bound):
-                    M = MQ @ s.matrix @ inv
+                for s in g.stabilizer_stack(P.cusp_id, word_bound):
+                    M = MQ @ s @ inv
                     if verify(M):
                         return M
             if i >= 1:
@@ -386,8 +386,8 @@ def loop_find_group_element(g, word_bound, src_coords, dst_coords,
         for Q in dst_points:
             if Q.cusp_id != P.cusp_id:
                 continue
-            for s in g.stabilizer_elements(P.cusp_id, word_bound):
-                M = Q.matrix @ s.matrix @ inv
+            for s in g.stabilizer_stack(P.cusp_id, word_bound):
+                M = Q.matrix @ s @ inv
                 if set_match(src @ M.T, dst, tol * scale):
                     return M
     return None

@@ -27,13 +27,8 @@ PACKAGE = pathlib.Path(hypdecomp.__file__).resolve().parent
 # unreached, undeclared functions, each with its one user outside a run
 ALLOWED = {
     "hypdecomp.io_cli.main": "the command line, python -m hypdecomp",
-    "hypdecomp.group.GroupSpec.stabilizer_elements":
-        "tests/test_matcher_reference.py",
-    "hypdecomp.group.WordBall.__getitem__": "GroupSpec.stabilizer_elements",
     "hypdecomp.group.WordBall.__len__": "bench/tracing.py",
-    "hypdecomp.group.WordBall.__iter__": "tests/test_group.py",
     "hypdecomp.doubling.WallLifts.__len__": "bench/tracing.py",
-    "hypdecomp.doubling.WallLifts.__iter__": "tests/test_matcher_reference.py",
     "hypdecomp.minkowski.hyperboloid_to_ball": "model_convert",
     "hypdecomp.minkowski.ball_to_hyperboloid": "model_convert",
     "hypdecomp.minkowski._halfspace_involution": "model_convert",

@@ -13,7 +13,10 @@ the figure-eight knot at H = 12, and counts, per run:
 - ``hits``: survivors that the confirmation accepts;
 - ``low_images``: images of the cusp vectors under the word ball with
   x0 at most the height bound, over every ``orbit`` call;
-- ``kept_points``: the points those ``orbit`` calls keep after merging.
+- ``kept_points``: the points those ``orbit`` calls keep after merging;
+- ``ball_keys``: matrices that the word ball keys for deduplication as
+  it grows, the rekeying of the stack it grows from included (the wall
+  lifts' keys are not counted).
 
 Run from the repository root:
 
@@ -42,9 +45,9 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
-    search, hits_of, greedy, orbit = (matching.search_words,
-                                      matching.stack_hits,
-                                      matching.greedy_deviation, group.orbit)
+    search, hits_of, greedy, orbit, first_new = (
+        matching.search_words, matching.stack_hits,
+        matching.greedy_deviation, group.orbit, group._first_new)
     screening = [False]
 
     def counted_search(*args, **kwargs):
@@ -76,10 +79,15 @@ def counting(counts):
         counts["kept_points"] += len(points)
         return points
 
+    def counted_first_new(stack, seen):
+        counts["ball_keys"] += len(stack)
+        return first_new(stack, seen)
+
     patches = [(matching, "search_words", counted_search),
                (matching, "stack_hits", counted_stack_hits),
                (doubling, "stack_hits", counted_stack_hits),
                (matching, "greedy_deviation", counted_greedy)]
+    patches += [(group, "_first_new", counted_first_new)]
     patches += [(mod, "orbit", counted_orbit)
                 for mod in (group, io_cli, ep_hull, doubling)]
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
@@ -103,7 +111,8 @@ def count(name, overrides):
     label = f"{name} W={spec.options.word_bound} H={spec.options.height_bound:g}"
     return {"setting": label} | {
         key: counts[key] for key in ("searches", "candidates", "survivors",
-                                     "hits", "low_images", "kept_points")}
+                                     "hits", "low_images", "kept_points",
+                                     "ball_keys")}
 
 
 def main():
