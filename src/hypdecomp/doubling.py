@@ -164,8 +164,8 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
                     f"reflection {r} maps cusp {i} outside every cusp orbit")
             constraints.append((i, hit[1], tau))
 
-    # propagate exact vectors from low-index anchors to a fixpoint, then
-    # verify every constraint (cycles and self-pairings must close up)
+    # propagate exact vectors from low-index anchors, then verify every
+    # constraint (cycles and self-pairings must close up)
     assigned = {i: reps[i] for i in range(len(reps))}
 
     def _target(i, j, tau):
@@ -184,16 +184,10 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
             primary[j] = idx
 
     def _propagate():
-        for _ in range(len(reps) + 1):
-            changed = False
-            for j, idx in sorted(primary.items()):
-                i, _, tau = constraints[idx]
-                target = _target(i, j, tau)
-                if not np.array_equal(assigned[j], target):
-                    assigned[j] = target
-                    changed = True
-            if not changed:
-                break
+        # each anchor i < j is final before j reads it: one pass suffices
+        for j, idx in sorted(primary.items()):
+            i, _, tau = constraints[idx]
+            assigned[j] = _target(i, j, tau)
 
     _propagate()
     for i, j, tau in constraints:
@@ -237,7 +231,6 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
 @dataclass
 class SymmetryReport:
     unmatched: list
-    skipped: int
     checked: int
 
     @property
@@ -258,18 +251,16 @@ def check_hull_symmetry(faces, points, tau, height_bound: float) -> SymmetryRepo
     face_sets = [coords[list(f.vertex_ids)] for f in faces]
     band = height_bound / 2.0
     unmatched = []
-    skipped = 0
     checked = 0
     for fi, f in enumerate(faces):
         img = face_sets[fi] @ tau.T
         if np.max(img[:, 0]) > band:
-            skipped += 1
             continue
         checked += 1
         scale = max(1.0, float(np.max(np.abs(img))))
         if match_index(face_sets, img, PAIR_TOL * scale) is None:
             unmatched.append(f.vertex_ids)
-    return SymmetryReport(unmatched=unmatched, skipped=skipped, checked=checked)
+    return SymmetryReport(unmatched=unmatched, checked=checked)
 
 
 # ---------------------------------------------------------------------------

@@ -473,8 +473,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
             img = np.array([ops[v].point for v in facet_global]) @ M.T
             fj = match_index((np.array([cell_points[cj][v].point for v in f])
                               for f in cells[cj].facets), img,
-                             PAIR_TOL * max(1.0, float(np.max(np.abs(img)))),
-                             query_first=False)
+                             PAIR_TOL * max(1.0, float(np.max(np.abs(img)))))
             if fj is None:
                 unpaired.append(((ci, fi), "no matching facet on paired cell"))
                 continue
@@ -506,8 +505,7 @@ def count_face_classes(dec: Decomposition, k: int) -> int:
                 continue
             img = np.array([dec.cell_points[ci][v].point for v in sub]) @ M.T
             j = match_index(own_j, img,
-                            PAIR_TOL * max(1.0, float(np.max(np.abs(img)))),
-                            query_first=False)
+                            PAIR_TOL * max(1.0, float(np.max(np.abs(img)))))
             if j is not None:
                 uf.union((ci, sub), (cj, subs_j[j]))
     return len(uf.groups())

@@ -1,12 +1,12 @@
 """Discrete isometry groups given by generator matrices.
 
 The group itself is never stored, only a finite word ball enumerated
-breadth-first with matrix deduplication and kept as one matrix stack
-with parent pointers, one ball per spec: a larger bound grows it and
-a smaller one reads a prefix of it.  Orbits of decorated light-cone
-points are truncated both by word length and by Minkowski height; the
-convex-hull stability certificate downstream detects insufficient
-bounds.
+breadth-first with matrix deduplication and kept as one matrix stack,
+one ball per spec: a larger bound grows it and a smaller one reads a
+prefix of it.  A group element is its matrix; no words are kept.
+Orbits of decorated light-cone points are truncated both by word
+length and by Minkowski height; the convex-hull stability certificate
+downstream detects insufficient bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ _BLOCK = 2048
 @dataclass
 class OrbitPoint:
     point: np.ndarray
-    word: tuple
     cusp_id: int
     matrix: np.ndarray
     index: int = -1
@@ -100,7 +99,6 @@ class GroupSpec:
             deepest = (self._ball_cache[max(self._ball_cache)]
                        if self._ball_cache else
                        WordBall(np.eye(self.dimension + 1)[None],
-                                np.array([-1], np.int32),
                                 np.array([0], np.int32), (0, 1)))
             at = deepest.offsets
             # grow unless the ball reaches the bound or its last level is empty
@@ -108,8 +106,7 @@ class GroupSpec:
                 deepest = _grow(deepest, self.letters(), word_bound)
             cut = deepest.offsets[:word_bound + 2]
             ball = self._ball_cache[word_bound] = WordBall(
-                deepest.matrices[:cut[-1]], deepest.parent[:cut[-1]],
-                deepest.letter[:cut[-1]], cut)
+                deepest.matrices[:cut[-1]], deepest.letter[:cut[-1]], cut)
         return ball
 
     def stabilizer_stack(self, cusp_id: int, word_bound: int) -> np.ndarray:
@@ -130,33 +127,24 @@ class GroupSpec:
 class WordBall:
     """Word ball as one read-only (N, d, d) matrix stack in BFS order.
 
-    Element i is ``matrices[i]``; its word is the word of ``parent[i]``
-    followed by the signed generator ``letter[i]`` (the identity has
-    parent -1 and letter 0).  Level k, the elements of word length k,
-    is ``offsets[k]:offsets[k + 1]``, so the ball at bound k is the
-    prefix of length ``offsets[k + 1]``; a last level that came out
-    empty closes the ball.  Words are built only when asked for.
+    Element i is ``matrices[i]``, an element of the previous level
+    times the signed generator ``letter[i]`` (the identity has letter
+    0), which growth reads to skip immediate backtracks.  Level k, the
+    elements of word length k, is ``offsets[k]:offsets[k + 1]``, so the
+    ball at bound k is the prefix of length ``offsets[k + 1]``; a last
+    level that came out empty closes the ball.
     """
 
     matrices: np.ndarray
-    parent: np.ndarray
     letter: np.ndarray
     offsets: tuple
 
     def __post_init__(self):
-        for a in (self.matrices, self.parent, self.letter):
+        for a in (self.matrices, self.letter):
             a.flags.writeable = False
 
     def __len__(self):
         return len(self.matrices)
-
-    def word(self, i) -> tuple:
-        out = []
-        i = int(i)
-        while i > 0:
-            out.append(int(self.letter[i]))
-            i = int(self.parent[i])
-        return tuple(reversed(out))
 
 
 def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
@@ -174,14 +162,14 @@ def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
     _first_new(ball.matrices, seen)
     offsets = list(ball.offsets)
     first = offsets[-2]     # the last level's first index
-    # (matrices, parents, letters) in blocks of at most _BLOCK frontier
-    # elements times the alphabet, so a level's products, rounded
-    # copies and keys are never all alive at once
-    blocks = [(ball.matrices, ball.parent, ball.letter)]
+    # (matrices, letters) in blocks of at most _BLOCK frontier elements
+    # times the alphabet, so a level's products, rounded copies and
+    # keys are never all alive at once
+    blocks = [(ball.matrices, ball.letter)]
     front = [tuple(a[first:] for a in blocks[0])]
     while len(offsets) <= word_bound + 1 and first < offsets[-1]:
-        level, start = [], first
-        for F, _, F_let in front:
+        level = []
+        for F, F_let in front:
             for b in range(0, len(F), _BLOCK):
                 Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
                 P = (Fb[:, None] @ L[None]).reshape(-1, dim, dim)
@@ -189,17 +177,14 @@ def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
                 # immediate backtracks are skipped, not merely deduplicated
                 ok = np.flatnonzero(np.repeat(Fb_let, len(signs)) != -let)
                 keep = ok[_first_new(P[ok], seen)]
-                level.append((P[keep], start + b + keep // len(signs),
-                              let[keep]))
-            start += len(F)
-        front, first = [blk for blk in level if len(blk[0])], start
+                level.append((P[keep], let[keep]))
+        first = offsets[-1]
+        front = [blk for blk in level if len(blk[0])]
         blocks += front
-        offsets.append(offsets[-1] + sum(len(m) for m, _, _ in front))
+        offsets.append(offsets[-1] + sum(len(m) for m, _ in front))
     del seen     # the keys outweigh the ball; free them before the copy
-    return WordBall(np.concatenate([m for m, _, _ in blocks]),
-                    np.concatenate([p for _, p, _ in blocks]).astype(np.int32),
-                    np.concatenate([t for _, _, t in blocks]),
-                    tuple(offsets))
+    return WordBall(np.concatenate([m for m, _ in blocks]),
+                    np.concatenate([t for _, t in blocks]), tuple(offsets))
 
 
 def _first_new(stack: np.ndarray, seen: set) -> list:
@@ -286,8 +271,8 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     """Truncated orbit of the decorated cusp vectors.
 
     Enumerates {gamma p : |gamma| <= word_bound, p cusp rep}, keeps
-    points with x0 <= height_bound, merges coincident points (shortest
-    word wins) and returns them sorted canonically.
+    points with x0 <= height_bound, merges coincident points (the first
+    in ball order wins) and returns them sorted canonically.
     """
     if word_bound < 0 or height_bound <= 0:
         raise GeometryError("orbit bounds must be nonnegative / positive")
@@ -312,7 +297,7 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
         for (e, cusp_id), q in zip(pairs[low], images[low]):
             if _merge_lookup(buckets, points, q) is not None:
                 continue
-            op = OrbitPoint(point=q, word=ball.word(e), cusp_id=int(cusp_id),
+            op = OrbitPoint(point=q, cusp_id=int(cusp_id),
                             matrix=ball.matrices[e].copy())   # not a view
             _merge_insert(buckets, points, op)
     points.sort(key=_canonical_key)
@@ -389,15 +374,6 @@ class OrbitSet:
         """OrbitPoint with the given decorated coordinates, or None."""
         idx = _merge_lookup(self._buckets, self.points, np.asarray(q, float))
         return None if idx is None else self.points[idx]
-
-
-def inverse_word_matrix(g: GroupSpec, word) -> np.ndarray:
-    """Matrix of the inverse word, built letter by letter."""
-    A = np.eye(g.dimension + 1)
-    for letter in reversed(word):
-        gen = g.generators[abs(letter) - 1]
-        A = A @ (gen if letter < 0 else lorentz_inverse(gen))
-    return A
 
 
 def validate_reflection(tau: np.ndarray, g: GroupSpec,

@@ -4,8 +4,9 @@ Everything downstream that talks about "orbits of faces", "orbits of
 cut-locus cells" or "orbits of return paths" reduces to one question:
 is there a group element mapping one finite decorated point set onto
 another?  ``find_group_element`` answers it from one candidate source:
-compositions of vertex words with cusp stabilizer elements, which
-cover elements well outside the word ball.  ``search_words`` builds
+vertex matrices composed with cusp stabilizer elements, which cover
+elements well outside the word ball.  A group element is its matrix,
+whose inverse is exactly J M^T J.  ``search_words`` builds
 those candidates as one stack per source vertex and scans it with
 ``stack_hits``, the one scan of a matrix stack: a screen by the image
 of the set centroid, then one batched greedy confirmation of all the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupSpec, inverse_word_matrix
+from .group import GroupSpec, lorentz_inverse
 from .minkowski import lorentz_gram
 
 PAIR_TOL = 1e-6
@@ -68,15 +69,14 @@ def set_match(A, B, tol: float) -> bool:
     return bool(greedy_deviation(A, B, tol) <= tol)
 
 
-def match_index(candidates, query, tol: float, query_first: bool = True):
+def match_index(candidates, query, tol: float):
     """Index of the first candidate set matching ``query``, or None.
 
-    Candidates of another shape never match.  ``query_first`` picks the
-    side whose rows lead the greedy pairing of ``set_match``.
+    Candidates of another shape never match; the query's rows lead the
+    greedy pairing of ``set_match``.
     """
     for i, B in enumerate(candidates):
-        if (set_match(query, B, tol) if query_first
-                else set_match(B, query, tol)):
+        if set_match(query, B, tol):
             return i
     return None
 
@@ -117,21 +117,21 @@ def stack_hits(stack, src, dst, tol: float, images=None):
 
 def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
                  dst_points, tol: float):
-    """First word candidate mapping ``src`` onto ``dst`` within the
+    """First candidate matrix mapping ``src`` onto ``dst`` within the
     absolute ``tol``, or None.
 
-    The candidates are Q.matrix @ s @ word(P)^-1 for each of the first
-    two source vertices P, each destination vertex Q on P's cusp and
-    each cusp stabilizer element s.  Each P builds its candidates as one
-    stack in (Q, s) order and scans it with ``stack_hits``, so the first
-    hit is the first in (P, Q, s) order.
+    The candidates are Q.matrix @ s @ lorentz_inverse(P.matrix) for each
+    of the first two source vertices P, each destination vertex Q on P's
+    cusp and each cusp stabilizer element s.  Each P builds its
+    candidates as one stack in (Q, s) order and scans it with
+    ``stack_hits``, so the first hit is the first in (P, Q, s) order.
     """
     for P in src_points[:2]:
         Qs = [Q.matrix for Q in dst_points if Q.cusp_id == P.cusp_id]
         if not Qs:
             continue
         S = g.stabilizer_stack(P.cusp_id, word_bound)
-        inv = inverse_word_matrix(g, P.word)
+        inv = lorentz_inverse(P.matrix)
         Ms = ((np.array(Qs)[:, None] @ S[None]) @ inv).reshape(-1, *inv.shape)
         idx = next(stack_hits(Ms, src, dst, tol), None)
         if idx is not None:
@@ -143,9 +143,10 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
                        src_points, dst_points):
     """Group element mapping the source set onto the destination set.
 
-    ``src_points`` / ``dst_points`` are the sets' OrbitPoints, carrying
-    words.  Sets whose Gram keys differ are refused without a search;
-    otherwise ``search_words`` runs at ``PAIR_TOL`` times the sets' scale.
+    ``src_points`` / ``dst_points`` are the sets' OrbitPoints, whose
+    matrices carry their cusp vectors onto them.  Sets whose Gram keys
+    differ are refused without a search; otherwise ``search_words``
+    runs at ``PAIR_TOL`` times the sets' scale.
     Returns the first matrix, in (P, Q, s) order, that maps the set
     within tolerance, or None.
     """

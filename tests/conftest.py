@@ -1,7 +1,6 @@
 import functools
 import importlib.util
 import pathlib
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -106,27 +105,6 @@ def cell_is_convex(cell):
 def hull_vertex_ids(hull):
     """Sorted indices of the points on some facet of an IncrementalHull."""
     return sorted({v for f in hull.facets for v in f.vertices})
-
-
-@dataclass
-class GroupElement:
-    word: tuple
-    matrix: np.ndarray
-
-
-def ball_elements(ball):
-    """The elements of a WordBall as GroupElements, in ball order."""
-    return [GroupElement(ball.word(i), ball.matrices[i])
-            for i in range(len(ball))]
-
-
-def stabilizer_elements(g, cusp_id, word_bound):
-    """The rows of ``g.stabilizer_stack`` as GroupElements, each with the
-    word of the ball element it is."""
-    ball = g.word_ball(word_bound)
-    index = {m.tobytes(): i for i, m in enumerate(ball.matrices)}
-    return [GroupElement(ball.word(index[m.tobytes()]), m)
-            for m in g.stabilizer_stack(cusp_id, word_bound)]
 
 
 def random_lightlike(rng, n, height_range=(0.5, 4.0)):

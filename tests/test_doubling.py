@@ -332,7 +332,7 @@ def _synthetic_decomposition(cell_vertex_sets):
     for vs in cell_vertex_sets:
         ops = []
         for c in vs:
-            op = OrbitPoint(point=np.asarray(c, float), word=(), cusp_id=0,
+            op = OrbitPoint(point=np.asarray(c, float), cusp_id=0,
                             matrix=np.eye(3), index=len(all_pts))
             all_pts.append(op)
             ops.append(op)
@@ -438,7 +438,7 @@ class TestTruncation:
         # (+-1, +-1, +-1)/sqrt(3), cut by the wall x3 = 0
         s3 = np.sqrt(3.0)
         ops = [OrbitPoint(point=np.array((1.0,) + v) / [1.0, s3, s3, s3],
-                          word=(), cusp_id=0, matrix=np.eye(4), index=i)
+                          cusp_id=0, matrix=np.eye(4), index=i)
                for i, v in enumerate(product((-1.0, 1.0), repeat=3))]
         cell, cops = ideal_cell_from_points(ops, np.array([1.0, 0, 0, 0]), 3)
         tau = np.diag([1.0, 1.0, 1.0, -1.0])

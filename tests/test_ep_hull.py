@@ -23,7 +23,7 @@ TRIANGLE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
 def make_orbit_points(coords):
     pts = []
     for i, c in enumerate(np.asarray(coords, dtype=float)):
-        pts.append(OrbitPoint(point=c, word=(), cusp_id=0,
+        pts.append(OrbitPoint(point=c, cusp_id=0,
                               matrix=np.eye(len(c)), index=i))
     return pts
 

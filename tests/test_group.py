@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import ball_elements, load_tool, stabilizer_elements
+from conftest import load_tool
 from hypdecomp import group
 from hypdecomp.doubling import symmetrize_decorations, wall_lifts
 from hypdecomp.fixtures import fixture_path
@@ -61,7 +61,7 @@ class TestOrbit:
         pts = orbit(spec_3ps.group, 0, 50.0)
         assert len(pts) == 3
         for op in pts:
-            assert op.word == ()
+            assert _same_bits(op.matrix, np.eye(3))
 
     def test_trivial_group(self):
         g = trivial_group([np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, -1.0])])
@@ -83,7 +83,8 @@ class TestOrbit:
         b = orbit(spec_3ps.group, 5, 20.0)
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert x.word == y.word and np.array_equal(x.point, y.point)
+            assert _same_bits(x.matrix, y.matrix)
+            assert np.array_equal(x.point, y.point)
 
     def test_canonical_order_matches_rounded_key(self, spec_3ps, spec_fig8):
         # reference order: height rounded to 1e-9 (numpy scalar round),
@@ -164,7 +165,7 @@ class TestMergeLookup:
                 p = height * s / np.linalg.norm(s)
                 if reference_lookup(buckets, points, p) is None:
                     _merge_insert(buckets, points,
-                                  OrbitPoint(p, (), 0, np.eye(k)))
+                                  OrbitPoint(p, 0, np.eye(k)))
                 s = r + rng.uniform(-1.5, 1.5, size=k) * RAY_MERGE_ANGLE
                 queries.append(height * s / np.linalg.norm(s))
         hits = 0
@@ -256,14 +257,14 @@ def reference_ball(g, word_bound):
 
 def reference_orbit(g, ref_ball, height_bound):
     buckets, points = {}, []
-    for word, A in ref_ball:
+    for _word, A in ref_ball:
         for cusp_id, p in enumerate(g.cusp_reps):
             q = A @ p
             if q[0] > height_bound:
                 continue
             if _merge_lookup(buckets, points, q) is not None:
                 continue
-            _merge_insert(buckets, points, OrbitPoint(q, word, cusp_id, A))
+            _merge_insert(buckets, points, OrbitPoint(q, cusp_id, A))
     points.sort(key=_canonical_key)
     return points
 
@@ -323,10 +324,8 @@ class TestWordBallStack:
         ball = g.word_ball(word_bound)
         ref = reference_ball(g, word_bound)
         assert len(ball) == len(ref)
-        assert ball.matrices.shape == (len(ref),) + ref[0][1].shape
-        for el, (word, A) in zip(ball_elements(ball), ref):
-            assert el.word == word
-            assert _same_bits(el.matrix, A)
+        assert _same_bits(ball.matrices, np.array([A for _, A in ref]))
+        assert ball.letter.tolist() == [w[-1] if w else 0 for w, _ in ref]
 
     @pytest.mark.parametrize("name", sorted(SHIPPED) + [
         "figure_eight_knot rotated", "figure_eight_knot H=12"])
@@ -340,16 +339,15 @@ class TestWordBallStack:
             pts = orbit(g, word_bound, height_bound)
             assert len(pts) == len(ref)
             for op, rp in zip(pts, ref):
-                assert (op.word, op.cusp_id) == (rp.word, rp.cusp_id)
+                assert op.cusp_id == rp.cusp_id
                 assert _same_bits(op.point, rp.point)
                 assert _same_bits(op.matrix, rp.matrix)
         for cusp_id, p in enumerate(g.cusp_reps):
             scale = float(np.max(np.abs(p)))
-            ref = [(w, A) for w, A in ref_ball
+            ref = [A for _, A in ref_ball
                    if np.max(np.abs(A @ p - p)) <= 1e-8 * scale]
-            got = stabilizer_elements(g, cusp_id, wb + 1)
-            assert [el.word for el in got] == [w for w, _ in ref]
-            assert all(_same_bits(el.matrix, A) for el, (_, A) in zip(got, ref))
+            assert _same_bits(g.stabilizer_stack(cusp_id, wb + 1),
+                              np.array(ref))
 
     def test_wall_lifts_match_reference(self):
         g = _fresh_group("figure3_surface")
@@ -375,8 +373,8 @@ class TestWordBallStack:
         g = GroupSpec(2, [], [], [np.array([1.0, 0.0, 1.0])])
         ball = g.word_ball(5)
         assert len(ball) == 1
-        (el,) = ball_elements(ball)
-        assert el.word == () and np.array_equal(el.matrix, np.eye(3))
+        assert _same_bits(ball.matrices, np.eye(3)[None])
+        assert ball.letter.tolist() == [0]
         assert len(orbit(g, 5, 10.0)) == 1
 
     def test_no_point_under_the_height_bound(self, spec_fig8):
@@ -386,8 +384,7 @@ class TestWordBallStack:
     def test_no_cusps(self, spec_3ps):
         g = GroupSpec(2, spec_3ps.group.generators, [], [])
         assert orbit(g, 4, 50.0) == []
-        assert [el.word for el in ball_elements(g.word_ball(4))] == [
-            w for w, _ in reference_ball(g, 4)]
+        assert _is_reference_prefix(g.word_ball(4), reference_arrays(g, 4), 4)
 
     def test_stack_is_read_only(self, spec_3ps):
         ball = spec_3ps.group.word_ball(2)
@@ -395,8 +392,9 @@ class TestWordBallStack:
             ball.matrices[0, 0, 0] = 2.0
 
     def test_ball_keeps_little_memory(self):
-        # what the cached ball keeps alive: the stack plus two int arrays,
-        # no per-element objects (those cost several times the stack);
+        # what the cached ball keeps alive: the stack plus its int32
+        # letters, no other per-element array and no per-element objects
+        # (those cost several times the stack);
         # while building, the dedup keys and one block of products at a
         # time (a whole level at once peaked at 5.5 times the stack)
         g = _fresh_group("figure3_surface")
@@ -410,28 +408,25 @@ class TestWordBallStack:
         finally:
             tracemalloc.stop()
         assert len(ball) == 115589
-        assert kept - before < 3 * ball.matrices.nbytes
+        assert kept - before < 1.1 * ball.matrices.nbytes
         assert peak - before < 4 * ball.matrices.nbytes
 
 
 def reference_arrays(g, word_bound):
-    """``reference_ball`` as (matrices, parents, letters, offsets) arrays."""
+    """``reference_ball`` as (matrices, letters, offsets) arrays."""
     ref = reference_ball(g, word_bound)
-    index = {word: i for i, (word, _) in enumerate(ref)}
-    parents = [index[word[:-1]] if word else -1 for word, _ in ref]
     letters = [word[-1] if word else 0 for word, _ in ref]
     offsets = [0] + [sum(len(word) <= k for word, _ in ref)
                      for k in range(word_bound + 1)]
-    return (np.array([A for _, A in ref]), np.array(parents, dtype=np.int32),
-            np.array(letters, dtype=np.int32), tuple(offsets))
+    return (np.array([A for _, A in ref]), np.array(letters, dtype=np.int32),
+            tuple(offsets))
 
 
 def _is_reference_prefix(ball, ref, word_bound):
-    matrices, parents, letters, offsets = ref
+    matrices, letters, offsets = ref
     n = offsets[word_bound + 1]
     return (ball.offsets == offsets[:word_bound + 2]
             and _same_bits(ball.matrices, matrices[:n])
-            and _same_bits(ball.parent, parents[:n])
             and _same_bits(ball.letter, letters[:n]))
 
 
@@ -456,7 +451,7 @@ class TestOneBall:
         deep, small = g.word_ball(5), g.word_ball(3)
         assert np.shares_memory(small.matrices, deep.matrices)
         assert len(small) == deep.offsets[4]
-        for a in (small.matrices, small.parent, small.letter):
+        for a in (small.matrices, small.letter):
             assert not a.flags.writeable
 
     def test_growth_starts_from_the_last_level(self, monkeypatch):

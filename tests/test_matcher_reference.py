@@ -28,8 +28,8 @@ from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
                                 _same_plane, _star_stack, _truncate_cell,
                                 external_orthogonality, quotient_classify,
                                 symmetrize_decorations, wall_lifts)
-from hypdecomp.group import (GroupSpec, inverse_word_matrix, lorentz_inverse,
-                             orbit, reflection_normal)
+from hypdecomp.group import (GroupSpec, lorentz_inverse, orbit,
+                             reflection_normal)
 from hypdecomp.matching import (PAIR_TOL, _gram_key, _scale, set_match,
                                 stack_hits)
 from hypdecomp.minkowski import GeometryError
@@ -55,7 +55,7 @@ def ref_find_group_element(g, word_bound, src_coords, dst_coords,
 
     if src_points is not None and dst_points is not None:
         for i, P in enumerate(src_points):
-            inv = inverse_word_matrix(g, P.word)
+            inv = lorentz_inverse(P.matrix)
             for Q in dst_points:
                 if Q.cusp_id != P.cusp_id:
                     continue
@@ -382,7 +382,7 @@ def loop_find_group_element(g, word_bound, src_coords, dst_coords,
     if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
         return None
     for P in src_points[:2]:
-        inv = inverse_word_matrix(g, P.word)
+        inv = lorentz_inverse(P.matrix)
         for Q in dst_points:
             if Q.cusp_id != P.cusp_id:
                 continue
@@ -520,7 +520,7 @@ class TestFirstCandidate:
                     g, wb, [P.point], [Q.point], [P], [Q])
                 assert _bits(got) == _bits(want)
                 if got is not None:
-                    inv = inverse_word_matrix(g, P.word)
+                    inv = lorentz_inverse(P.matrix)
                     assert _bits(got) == _bits(Q.matrix @ np.eye(3) @ inv)
 
 

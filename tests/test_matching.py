@@ -17,7 +17,6 @@ class TestMatchIndex:
                       SQUARE,                # first match
                       SQUARE.copy()]         # later match, not returned
         assert match_index(candidates, query, 1e-6) == 2
-        assert match_index(candidates, query, 1e-6, query_first=False) == 2
         assert match_index(candidates[:2], query, 1e-6) is None
         assert match_index([], query, 1e-6) is None
 
@@ -32,7 +31,7 @@ class TestGreedyDeviation:
 
 class TestGammaClasses:
     def _points(self, coords):
-        return [OrbitPoint(point=p, word=(), cusp_id=0, matrix=np.eye(3))
+        return [OrbitPoint(point=p, cusp_id=0, matrix=np.eye(3))
                 for p in coords]
 
     def test_only_close_gram_keys_are_searched(self, monkeypatch):
