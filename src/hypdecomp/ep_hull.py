@@ -298,8 +298,8 @@ def stability_certificate(g: GroupSpec, points, faces, word_bound: int,
 
     ``points`` is the orbit at (word_bound, height_bound) and ``faces``
     its certified faces.  The orbit at (word_bound + 1, 2 * height_bound)
-    is built whole, but ``stable_faces`` hulls only the part of it that
-    can cut a certified face.
+    grows no ball past word_bound, and ``stable_faces`` hulls only the
+    part of it that can cut a certified face.
     """
     big = orbit(g, word_bound + 1, 2.0 * height_bound)
     if not faces and len(points) != len(big):

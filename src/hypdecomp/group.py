@@ -4,9 +4,9 @@ The group itself is never stored, only a finite word ball enumerated
 breadth-first with matrix deduplication and kept as one matrix stack,
 one ball per spec: a larger bound grows it and a smaller one reads a
 prefix of it.  A group element is its matrix; no words are kept.
-Orbits of decorated light-cone points are truncated both by word
-length and by Minkowski height; the convex-hull stability certificate
-downstream detects insufficient bounds.
+Orbits of decorated light-cone points are truncated by word length and
+Minkowski height, forming the ball's last level only where it reaches
+the height; the hull's stability certificate detects short bounds.
 """
 
 from __future__ import annotations
@@ -276,34 +276,64 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     """
     if word_bound < 0 or height_bound <= 0:
         raise GeometryError("orbit bounds must be nonnegative / positive")
-    ball = g.word_ball(word_bound)
-    buckets = {}
-    points = []
-    if g.cusp_reps:
-        # x0 of every cusp image under the whole ball, from its top rows
-        # and up to a bound on their rounding, selects the (element, cusp)
-        # pairs whose image can lie within the height bound; only those
-        # are formed, bitwise as ball.matrices @ p forms them, then cut
-        # at the bound and merged in (element, cusp) order
-        P = np.array(g.cusp_reps)
-        top = ball.matrices[:, 0]
-        pairs = np.argwhere(top @ P.T - 1e-12 * (abs(top) @ abs(P).T)
-                            <= height_bound)
-        images = np.empty((len(pairs), P.shape[1]))
-        for c, p in enumerate(P):
-            of_c = pairs[:, 1] == c
-            images[of_c] = ball.matrices[pairs[of_c, 0]] @ p
-        low = images[:, 0] <= height_bound
-        for (e, cusp_id), q in zip(pairs[low], images[low]):
-            if _merge_lookup(buckets, points, q) is not None:
-                continue
-            op = OrbitPoint(point=q, cusp_id=int(cusp_id),
-                            matrix=ball.matrices[e].copy())   # not a view
-            _merge_insert(buckets, points, op)
+    # the top rows, up to a bound on their rounding, select the (element,
+    # cusp) pairs whose image can lie under the height bound; only those
+    # are formed, bitwise as matrices @ p forms them, then cut at the
+    # bound and merged in (element, cusp) order
+    P = np.array(g.cusp_reps).reshape(-1, g.dimension + 1)
+    matrices = _low_ball(g, P, word_bound, height_bound)
+    top = matrices[:, 0]
+    pairs = np.argwhere(top @ P.T - 1e-12 * (abs(top) @ abs(P).T)
+                        <= height_bound)
+    images = np.empty((len(pairs), P.shape[1]))
+    for c, p in enumerate(P):
+        of_c = pairs[:, 1] == c
+        images[of_c] = matrices[pairs[of_c, 0]] @ p
+    low = images[:, 0] <= height_bound
+    buckets, points = {}, []
+    for (e, cusp_id), q in zip(pairs[low], images[low]):
+        if _merge_lookup(buckets, points, q) is not None:
+            continue
+        op = OrbitPoint(point=q, cusp_id=int(cusp_id),
+                        matrix=matrices[e].copy())   # not a view
+        _merge_insert(buckets, points, op)
     points.sort(key=_canonical_key)
     for i, op in enumerate(points):
         op.index = i
     return points
+
+
+def _low_ball(g: GroupSpec, P, word_bound: int, height_bound: float):
+    """The ball's matrices at word_bound, bitwise and in ball order, less
+    last-level elements that map no cusp vector P under the height bound.
+
+    Only the ball at word_bound - 1 is built.  The top rows F[0] @ L of
+    its last level times the alphabet screen the candidates with a slack
+    that bounds their rounding and the dedup key's (2e-8 * sum |p|), so
+    a candidate sharing a survivor's key survives too and the survivors,
+    deduplicated as ``_grow`` does, keep what ``_grow`` keeps.
+    """
+    ball = g.word_ball(max(word_bound - 1, 0))
+    dim = ball.matrices.shape[-1]
+    signs = np.array([s for s, _ in g.letters()], dtype=np.int32)
+    L = np.array([m for _, m in g.letters()]).reshape(-1, dim, dim)
+    L_top = L.transpose(1, 0, 2).reshape(dim, -1)   # all F[0] @ L[j] at once
+    seen = set()
+    _first_new(ball.matrices, seen)
+    # the last level; at word bound 0 the ball is the identity alone
+    first = ball.offsets[-2] if word_bound else len(ball)
+    F, F_let = ball.matrices[first:], ball.letter[first:]
+    blocks = [ball.matrices]
+    for b in range(0, len(F), _BLOCK):
+        Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
+        top = (Fb[:, 0] @ L_top).reshape(-1, dim)
+        slack = (1e-12 * abs(Fb[:, 0]) @ abs(L_top) + 2e-8).reshape(-1, dim)
+        near = np.any(top @ P.T - slack @ abs(P).T <= height_bound, axis=1)
+        step = np.repeat(Fb_let, len(signs)) != -np.tile(signs, len(Fb))
+        e, j = np.divmod(np.flatnonzero(near & step), len(signs))
+        S = Fb[e] @ L[j]
+        blocks.append(S[_first_new(S, seen)])
+    return np.concatenate(blocks)
 
 
 def _canonical_key(op):

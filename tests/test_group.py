@@ -255,9 +255,9 @@ def reference_ball(g, word_bound):
     return ball
 
 
-def reference_orbit(g, ref_ball, height_bound):
+def reference_orbit(g, matrices, height_bound):
     buckets, points = {}, []
-    for _word, A in ref_ball:
+    for A in matrices:
         for cusp_id, p in enumerate(g.cusp_reps):
             q = A @ p
             if q[0] > height_bound:
@@ -298,9 +298,15 @@ BALL_CASES = ([(n, wb) for n, wb in SHIPPED.items()]
 
 
 def _orbit_case(name):
-    """Spec of a fixture, of its document rotated by diag(1, Q), or with a
-    raised height bound."""
+    """Spec of a fixture, of its document rotated by diag(1, Q), of its
+    symmetrized decorations, or with a raised height bound."""
     fixture, _, case = name.partition(" ")
+    if case == "symmetrized":
+        spec = load_spec(fixture_path(fixture))
+        o = spec.options
+        spec.group = symmetrize_decorations(spec.group, o.margin,
+                                            min(4, o.word_bound), o.height_bound)
+        return spec
     if case == "rotated":
         doc = json.loads(fixture_path(fixture).read_text())
         n = doc["dimension"]
@@ -328,26 +334,34 @@ class TestWordBallStack:
         assert ball.letter.tolist() == [w[-1] if w else 0 for w, _ in ref]
 
     @pytest.mark.parametrize("name", sorted(SHIPPED) + [
-        "figure_eight_knot rotated", "figure_eight_knot H=12"])
+        "figure_eight_knot rotated", "figure3_surface rotated",
+        "figure3_surface symmetrized", "figure_eight_knot H=12"])
     def test_orbit_and_stabilizers_match_reference(self, name):
         spec = _orbit_case(name)
         g, wb, hb = spec.group, spec.options.word_bound, spec.options.height_bound
-        ref_ball = reference_ball(g, wb + 1)
-        for word_bound, height_bound in ((wb, hb), (wb + 1, 2 * hb)):
-            ref = reference_orbit(g, ref_ball[:len(g.word_ball(word_bound))],
-                                  height_bound)
-            pts = orbit(g, word_bound, height_bound)
-            assert len(pts) == len(ref)
-            for op, rp in zip(pts, ref):
-                assert op.cusp_id == rp.cusp_id
-                assert _same_bits(op.point, rp.point)
-                assert _same_bits(op.matrix, rp.matrix)
+        matrices, _, offsets = reference_arrays(g, wb + 1)
+        _assert_orbits_match(g, matrices, offsets, [(0, hb)] + [
+            (w, f * hb) for w in (wb, wb + 1) for f in (0.25, 1, 2, 4)])
+        # an orbit builds the ball one level short of its word bound
+        assert max(g._ball_cache) <= wb
         for cusp_id, p in enumerate(g.cusp_reps):
             scale = float(np.max(np.abs(p)))
-            ref = [A for _, A in ref_ball
+            ref = [A for A in matrices
                    if np.max(np.abs(A @ p - p)) <= 1e-8 * scale]
             assert _same_bits(g.stabilizer_stack(cusp_id, wb + 1),
                               np.array(ref))
+
+    def test_orbit_of_a_closed_ball_matches_reference(self):
+        # a rotation of order 3: level 2 comes out empty, and so does the
+        # last level of every ball that an orbit with word bound >= 3 reads
+        c, s = -0.5, np.sqrt(0.75)
+        g = GroupSpec(2, [np.array([[1.0, 0.0, 0.0], [0.0, c, -s],
+                                    [0.0, s, c]])], [],
+                      [np.array([1.0, 0.0, 1.0]), np.array([2.0, 1.2, 1.6])])
+        matrices, _, offsets = reference_arrays(g, 5)
+        assert offsets == (0, 1, 3, 3, 3, 3, 3)
+        _assert_orbits_match(g, matrices, offsets,
+                             list(product(range(6), (0.5, 1.0, 4.0))))
 
     def test_wall_lifts_match_reference(self):
         g = _fresh_group("figure3_surface")
@@ -410,6 +424,20 @@ class TestWordBallStack:
         assert len(ball) == 115589
         assert kept - before < 1.1 * ball.matrices.nbytes
         assert peak - before < 4 * ball.matrices.nbytes
+
+
+def _assert_orbits_match(g, matrices, offsets, bounds):
+    """``orbit`` at each (word bound, height bound) is bitwise the
+    reference orbit of the reference ball's prefix at that word bound."""
+    for word_bound, height_bound in bounds:
+        ref = reference_orbit(g, matrices[:offsets[word_bound + 1]],
+                              height_bound)
+        pts = orbit(g, word_bound, height_bound)
+        assert len(pts) == len(ref)
+        for op, rp in zip(pts, ref):
+            assert op.cusp_id == rp.cusp_id
+            assert _same_bits(op.point, rp.point)
+            assert _same_bits(op.matrix, rp.matrix)
 
 
 def reference_arrays(g, word_bound):
@@ -495,18 +523,25 @@ class TestOneBall:
     def test_run_grows_one_ball_per_generator_set(self, monkeypatch):
         # g keeps the bound-4 ball that validation asked of it; the
         # symmetrized spec starts from that same object and grows its
-        # own copy, one level range per growth, none twice
+        # own copy, one level range per growth, none twice, and never
+        # past the word bound: the stability orbit at word bound + 1
+        # forms its last level itself
         spec = load_spec(fixture_path("figure3_surface"))
         g, opts = spec.group, spec.options
-        grown = []
-        grow = group._grow
+        grown, specs = [], []
+        grow, word_ball = group._grow, GroupSpec.word_ball
 
         def recorded(ball, alphabet, word_bound):
             out = grow(ball, alphabet, word_bound)
             grown.append((len(ball.offsets) - 2, len(out.offsets) - 2))
             return out
 
+        def asked(self, word_bound):
+            specs.append(self)
+            return word_ball(self, word_bound)
+
         monkeypatch.setattr(group, "_grow", recorded)
+        monkeypatch.setattr(GroupSpec, "word_ball", asked)
         ball4 = g.word_ball(4)
         gs = symmetrize_decorations(g, opts.margin, 4, opts.height_bound)
         assert gs.word_ball(4) is ball4
@@ -514,10 +549,29 @@ class TestOneBall:
         assert set(g._ball_cache) == {4}
         assert grown == [(0, 4), (4, opts.word_bound + 1)]
         grown.clear()
+        specs.clear()
         run(spec)
         assert set(g._ball_cache) == {4}
-        assert grown == [(4, opts.word_bound),
-                         (opts.word_bound, opts.word_bound + 1)]
+        assert grown == [(4, opts.word_bound)]
+        # g, the symmetrizing probe and the symmetrized spec
+        assert len({id(s) for s in specs}) == 3
+        assert all(max(s._ball_cache) <= opts.word_bound for s in specs)
+
+    def test_run_peaks_under_18_mb(self):
+        # the stability orbit at word bound + 1 forms its last level only
+        # where it can reach 2H: the whole ball of that length (115,589
+        # matrices) would peak at about 27 MB
+        spec = load_spec(fixture_path("figure3_surface"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 18e6
 
     def test_report_keeps_no_stack(self):
         # the report copies the few matrices it keeps (orbit points,

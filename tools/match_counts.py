@@ -14,9 +14,11 @@ the figure-eight knot at H = 12, and counts, per run:
 - ``low_images``: images of the cusp vectors under the word ball with
   x0 at most the height bound, over every ``orbit`` call;
 - ``kept_points``: the points those ``orbit`` calls keep after merging;
-- ``ball_keys``: matrices that the word ball keys for deduplication as
-  it grows, the rekeying of the stack it grows from included (the wall
-  lifts' keys are not counted).
+- ``ball_keys``: matrices keyed for deduplication, both by the word
+  ball as it grows (the rekeying of the stack it grows from included)
+  and by ``orbit`` as it forms its last level (the prefix ball and the
+  products that pass its height screen); the wall lifts' keys and
+  those of the whole ball that ``low_images`` reads are not counted.
 
 Run from the repository root:
 
@@ -31,6 +33,7 @@ import json
 import pathlib
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +51,7 @@ def counting(counts):
     search, hits_of, greedy, orbit, first_new = (
         matching.search_words, matching.stack_hits,
         matching.greedy_deviation, group.orbit, group._first_new)
-    screening = [False]
+    screening, keying = [False], [True]
 
     def counted_search(*args, **kwargs):
         counts["searches"] += 1
@@ -71,7 +74,13 @@ def counting(counts):
         return dev
 
     def counted_orbit(g, word_bound, height_bound):
-        ball = g.word_ball(word_bound)
+        # the whole ball, on a fresh spec and with its keys uncounted:
+        # g's own ball would grow past what the orbit builds
+        keying[0] = False
+        try:
+            ball = replace(g, _ball_cache={}).word_ball(word_bound)
+        finally:
+            keying[0] = True
         counts["low_images"] += sum(
             int(np.count_nonzero((ball.matrices @ p)[:, 0] <= height_bound))
             for p in g.cusp_reps)
@@ -80,7 +89,7 @@ def counting(counts):
         return points
 
     def counted_first_new(stack, seen):
-        counts["ball_keys"] += len(stack)
+        counts["ball_keys"] += keying[0] * len(stack)
         return first_new(stack, seen)
 
     patches = [(matching, "search_words", counted_search),
