@@ -24,7 +24,7 @@ import numpy as np
 from .decorations import horoball_distance
 from .ep_hull import (Decomposition, HullFace, assemble_decomposition,
                       count_face_classes)
-from .group import RAY_MERGE_ANGLE, GroupSpec, OrbitSet
+from .group import RAY_MERGE_ANGLE, GroupSpec, OrbitSet, _first_wins
 from .matching import GammaClasses, find_group_element, greedy_deviation
 from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 
@@ -154,12 +154,13 @@ def _vertex_enumeration(A, b, n):
         feasible = ~(np.min(resid, axis=1) < -1e-9)
         for k, on in zip(ks[feasible], np.abs(resid[feasible]) <= 1e-8):
             vertices.append((k, tuple(np.flatnonzero(on).tolist())))
-    # dedupe coincident basic solutions
-    uniq = []
-    for k, active in vertices:
-        if not any(np.max(np.abs(k - k2)) < 1e-9 for k2, _ in uniq):
-            uniq.append((k, active))
-    return uniq
+    # dedupe coincident basic solutions: a vertex within 1e-9 (max norm)
+    # of an earlier kept one is dropped, first wins
+    K = np.array([k for k, _ in vertices]).reshape(-1, n)
+    close = np.max(np.abs(K[:, None] - K[None]), axis=2) < 1e-9
+    later, earlier = np.nonzero(np.tril(close, -1))
+    keep = _first_wins(len(K), earlier, later)
+    return [v for v, kept in zip(vertices, keep) if kept]
 
 
 def _inside_ball(k) -> bool:
@@ -331,23 +332,29 @@ def dual_decomposition(complex_: CutComplex, g: GroupSpec,
     # neighbors inside the patch (pairings stay total)
     patch = list(pseudo)
     frontier = list(pseudo)
-    for _ in range(2):
+    letters = [m for _, m in g.letters()]
+    L = np.array(letters)
+    for _ in range(2 if letters else 0):     # no letters, no images
+        # every letter's images of every frontier vertex, looked up at once
+        flat = [i for face in frontier for i in face.vertex_ids]
+        X = np.array([points[i].point for i in flat])
+        images = (L[:, None] @ X[None, :, :, None])[..., 0]   # m @ x each
+        found = points.lookup(images.reshape(-1, n + 1)).reshape(
+            len(L), len(flat)).tolist()
         extra = []
+        start = 0
         for face in frontier:
-            for _, m in g.letters():
-                img_ids = []
-                for i in face.vertex_ids:
-                    op = points.find(m @ points[i].point)
-                    if op is None:
-                        break
-                    img_ids.append(op.index)
-                else:
-                    ids = tuple(sorted(img_ids))
+            stop = start + len(face.vertex_ids)
+            for m, hits in zip(letters, found):
+                img = hits[start:stop]
+                if -1 not in img:
+                    ids = tuple(sorted(points[j].index for j in img))
                     if ids not in seen:
                         seen.add(ids)
                         extra.append(HullFace(
                             vertex_ids=ids, support=m @ face.support,
                             max_height=float(max(points[i].point[0] for i in ids))))
+            start = stop
         patch.extend(extra)
         frontier = extra
         if not extra:

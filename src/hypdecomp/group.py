@@ -7,6 +7,9 @@ prefix of it.  A group element is its matrix; no words are kept.
 Orbits of decorated light-cone points are truncated by word length and
 Minkowski height, forming the ball's last level only where it reaches
 the height; the hull's stability certificate detects short bounds.
+Orbit points are merged and looked up in batches through one array
+index of their ray cells: a batch is one sorted search of the index and
+one vectorized same-point test of the candidate pairs it returns.
 """
 
 from __future__ import annotations
@@ -290,13 +293,18 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
         of_c = pairs[:, 1] == c
         images[of_c] = matrices[pairs[of_c, 0]] @ p
     low = images[:, 0] <= height_bound
-    buckets, points = {}, []
-    for (e, cusp_id), q in zip(pairs[low], images[low]):
-        if _merge_lookup(buckets, points, q) is not None:
-            continue
-        op = OrbitPoint(point=q, cusp_id=int(cusp_id),
-                        matrix=matrices[e].copy())   # not a view
-        _merge_insert(buckets, points, op)
+    pairs, Q = pairs[low], images[low]
+    # first wins: a point is dropped when it is the same as an earlier
+    # kept one; every (earlier, later) pair sharing a probe cell is tested
+    # at once, and only the keep decision loops, over integer pairs
+    index = _RayIndex(Q)
+    a, b = index.candidates(index.rays)
+    a, b = a[a < b], b[a < b]
+    same = _is_same(Q, index.rays, a, Q, index.rays, b)
+    kept = np.flatnonzero(_first_wins(len(Q), a[same], b[same]))
+    M = matrices[pairs[kept, 0]]    # a copy: no view of the ball is kept
+    points = [OrbitPoint(point=q, cusp_id=c, matrix=m) for q, c, m
+              in zip(Q[kept], pairs[kept, 1].tolist(), M)]
     points.sort(key=_canonical_key)
     for i, op in enumerate(points):
         op.index = i
@@ -344,52 +352,101 @@ def _canonical_key(op):
     return r[0], tuple(r)
 
 
+# The ray cell of a point q is floor((q / |q|) / _GRID).  A point that
+# merges with q has its ray within RAY_MERGE_ANGLE of q's, so it lies in
+# a probe cell of q: a cell of q's ray moved by up to _REACH along each
+# axis, usually q's own cell alone.
 _GRID = 1e-6
-_PROBE = np.array([[-2 * RAY_MERGE_ANGLE], [2 * RAY_MERGE_ANGLE]])
+_REACH = 2 * RAY_MERGE_ANGLE
 
 
-def _ray_cell(q):
-    ray = q / np.linalg.norm(q)
-    return tuple(np.floor(ray / _GRID).astype(np.int64).tolist())
+def _rays(Q):
+    """Unit rays of the rows of Q, bitwise q / np.linalg.norm(q); a zero
+    or non-finite row, or one too large to square, has no ray and gets
+    NaNs, which no test accepts."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(Q, Q))
+    ok = np.isfinite(norms) & (norms > 0)
+    rays = np.full(Q.shape, np.nan)
+    rays[ok] = Q[ok] / norms[ok, None]
+    return rays
 
 
-def _is_same_point(a, b):
-    ra, rb = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    cross = np.linalg.norm(ra - rb)  # ~ angle for tiny angles
-    return cross < RAY_MERGE_ANGLE and abs(a[0] - b[0]) < HEIGHT_MERGE_REL * a[0]
+def _cell_keys(cells):
+    """One opaque sortable key per row of an integer cell array: equal
+    rows give equal keys (the key order is not the cells' order)."""
+    cells = np.ascontiguousarray(cells)
+    return cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))
+                      ).ravel()
 
 
-def _probe_cells(q):
-    """Ray cells, in lexicographic order, that can hold a point merging
-    with q: those of its ray moved by up to 2 * RAY_MERGE_ANGLE along
-    each axis, usually just its own cell."""
-    ray = q / np.linalg.norm(q)
-    lo, hi = np.floor((ray + _PROBE) / _GRID).astype(np.int64).tolist()
-    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+def _is_same(P, P_rays, a, Q, Q_rays, b):
+    """The same-point test of the stored points P[a] against the queries
+    Q[b], pair by pair: rays within RAY_MERGE_ANGLE and heights within
+    HEIGHT_MERGE_REL of the stored one."""
+    d = P_rays[a]
+    d -= Q_rays[b]      # in place: two (pairs, d) arrays alive at once
+    h = P[a, 0]
+    return ((np.sqrt(np.vecdot(d, d)) < RAY_MERGE_ANGLE)
+            & (np.abs(h - Q[b, 0]) < HEIGHT_MERGE_REL * h))
 
 
-def _merge_lookup(buckets, points, q):
-    for cell in _probe_cells(q):
-        for idx in buckets.get(cell, ()):
-            if _is_same_point(points[idx].point, q):
-                return idx
-    return None
+def _first_wins(n, earlier, later):
+    """Which of n items a sequential first-wins merge keeps: an item is
+    dropped when it matches an earlier kept one.  The (earlier, later)
+    index pairs, earlier < later, list every match."""
+    keep = [True] * n
+    order = np.argsort(later, kind="stable")
+    for a, b in zip(earlier[order].tolist(), later[order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return keep
 
 
-def _merge_insert(buckets, points, op: OrbitPoint):
-    idx = len(points)
-    points.append(op)
-    buckets.setdefault(_ray_cell(op.point), []).append(idx)
+class _RayIndex:
+    """The rows of a point array that have a ray, sorted by ray cell and
+    then by row, so that a bucket of one cell is a contiguous run."""
+
+    def __init__(self, P):
+        self.rays = _rays(P)
+        rows = np.flatnonzero(~np.isnan(self.rays[:, 0]))
+        keys = _cell_keys(np.floor(self.rays[rows] / _GRID).astype(np.int64))
+        order = np.argsort(keys, kind="stable")
+        self.rows, self.keys = rows[order], keys[order]
+
+    def candidates(self, rays):
+        """(stored row, query row) pairs, the stored ray in a probe cell
+        of the query ray, one array each.  A query's pairs come in the
+        order of its probe cells, lexicographic, then of stored rows."""
+        q = np.flatnonzero(~np.isnan(rays[:, 0]))
+        lo = np.floor((rays[q] - _REACH) / _GRID).astype(np.int64)
+        span = np.floor((rays[q] + _REACH) / _GRID).astype(np.int64) - lo
+        # every query probes its lowest cell; the few whose reach crosses
+        # a cell boundary probe the others after it, in lexicographic order
+        wide = np.flatnonzero(span.any(axis=1))
+        steps = np.array(list(product((0, 1), repeat=rays.shape[1]))[1:])
+        w, s = np.nonzero(np.all(steps <= span[wide, None], axis=2))
+        probe_q = np.concatenate([q, q[wide[w]]])
+        keys = _cell_keys(np.concatenate([lo, lo[wide[w]] + steps[s]]))
+        left = np.searchsorted(self.keys, keys, "left")
+        counts = np.searchsorted(self.keys, keys, "right") - left
+        at = (np.repeat(left - np.cumsum(counts) + counts, counts)
+              + np.arange(counts.sum()))
+        return self.rows[at], np.repeat(probe_q, counts)
 
 
 class OrbitSet:
-    """Orbit point list with tolerance-aware coordinate lookup."""
+    """Orbit point list with tolerance-aware coordinate lookup.
+
+    The points' coordinates are kept as one array and indexed by ray
+    cell (``_RayIndex``), so a batch of queries is one sorted search
+    plus one vectorized same-point test on the candidate pairs.
+    """
 
     def __init__(self, points):
         self.points = points
-        self._buckets = {}
-        for i, op in enumerate(points):
-            self._buckets.setdefault(_ray_cell(op.point), []).append(i)
+        self._coords = np.array([op.point for op in points])
+        self._index = _RayIndex(self._coords) if points else None
 
     def __len__(self):
         return len(self.points)
@@ -400,10 +457,25 @@ class OrbitSet:
     def __getitem__(self, i):
         return self.points[i]
 
+    def lookup(self, Q):
+        """Position of the point each row of the (m, d) array Q coincides
+        with, -1 where none does: the first match in probe-cell order,
+        then in list order.  A zero or non-finite row is a miss."""
+        Q = np.asarray(Q, float)
+        out = np.full(len(Q), -1)
+        if self._index is None:
+            return out
+        rays = _rays(Q)
+        i, j = self._index.candidates(rays)
+        same = _is_same(self._coords, self._index.rays, i, Q, rays, j)
+        q, first = np.unique(j[same], return_index=True)
+        out[q] = i[same][first]
+        return out
+
     def find(self, q):
         """OrbitPoint with the given decorated coordinates, or None."""
-        idx = _merge_lookup(self._buckets, self.points, np.asarray(q, float))
-        return None if idx is None else self.points[idx]
+        idx = self.lookup(np.asarray(q, float)[None])[0]
+        return None if idx < 0 else self.points[idx]
 
 
 def validate_reflection(tau: np.ndarray, g: GroupSpec,

@@ -140,6 +140,22 @@ class TestDual:
         assert len(dec.cells) == 1
         assert len(dec.cells[0].vertex_ids) == 3
 
+    def test_no_letters_no_saturation(self, monkeypatch):
+        # a group without generators maps no vertex anywhere: the dual
+        # looks nothing up and its patch is its one region
+        g = trivial(SYM3)
+        pts = OrbitSet(orbit(g, 0, 10.0))
+        d = horoball_distance(SYM3[0], SYM3[1])
+        cx = cut_locus_complex(enumerate_return_paths(g, d + 0.1, 0, pts),
+                               g, 0, points=pts)
+
+        def no_lookup(self, Q):
+            raise AssertionError("looked up images without letters")
+
+        monkeypatch.setattr(OrbitSet, "lookup", no_lookup)
+        dec = dual_decomposition(cx, g, 0)
+        assert [sorted(c.vertex_ids) for c in dec.cells] == [[0, 1, 2]]
+
     def test_no_zero_cells_rejected(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))

@@ -1,6 +1,7 @@
 import gc
 import json
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -10,9 +11,8 @@ from conftest import load_tool
 from hypdecomp import group
 from hypdecomp.doubling import symmetrize_decorations, wall_lifts
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.group import (_GRID, RAY_MERGE_ANGLE, GroupSpec, OrbitPoint,
-                             OrbitSet, _canonical_key, _is_same_point,
-                             _merge_insert, _merge_lookup, _ray_cell,
+from hypdecomp.group import (_GRID, HEIGHT_MERGE_REL, RAY_MERGE_ANGLE,
+                             GroupSpec, OrbitPoint, OrbitSet, _canonical_key,
                              lorentz_inverse, orbit, reflection_normal,
                              validate_group, validate_reflection)
 from hypdecomp.io_cli import load_spec, parse_spec, run
@@ -129,6 +129,59 @@ class TestOrbit:
             orbit(spec_3ps.group, 2, 0.0)
 
 
+# Reference oracles: the per-point merge that the array ray-cell index
+# replaced.  A dict maps each ray cell to a bucket of point indices; a
+# lookup walks the probe cells of the query in lexicographic order, each
+# bucket in insertion order, and returns the first stored point that
+# the same-point test accepts.
+
+_PROBE = np.array([[-2 * RAY_MERGE_ANGLE], [2 * RAY_MERGE_ANGLE]])
+
+
+def _ray_cell(q):
+    ray = q / np.linalg.norm(q)
+    return tuple(np.floor(ray / _GRID).astype(np.int64).tolist())
+
+
+def _is_same_point(a, b):
+    ra, rb = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    cross = np.linalg.norm(ra - rb)  # ~ angle for tiny angles
+    return cross < RAY_MERGE_ANGLE and abs(a[0] - b[0]) < HEIGHT_MERGE_REL * a[0]
+
+
+def _probe_cells(q):
+    """Ray cells, in lexicographic order, that can hold a point merging
+    with q: those of its ray moved by up to 2 * RAY_MERGE_ANGLE along
+    each axis, usually just its own cell."""
+    ray = q / np.linalg.norm(q)
+    lo, hi = np.floor((ray + _PROBE) / _GRID).astype(np.int64).tolist()
+    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
+def _merge_lookup(buckets, points, q):
+    for cell in _probe_cells(q):
+        for idx in buckets.get(cell, ()):
+            if _is_same_point(points[idx].point, q):
+                return idx
+    return None
+
+
+def _merge_insert(buckets, points, op: OrbitPoint):
+    idx = len(points)
+    points.append(op)
+    buckets.setdefault(_ray_cell(op.point), []).append(idx)
+
+
+def reference_find(points, queries):
+    """``OrbitSet.lookup`` row by row: the position of the first match,
+    or -1."""
+    buckets = {}
+    for i, op in enumerate(points):
+        buckets.setdefault(_ray_cell(op.point), []).append(i)
+    found = (_merge_lookup(buckets, points, q) for q in queries)
+    return [-1 if idx is None else idx for idx in found]
+
+
 def reference_lookup(buckets, points, q):
     """First match over all 3^k ray cells around q's own, in lexicographic
     order: the lookup that probing only the reachable cells replaced."""
@@ -149,6 +202,39 @@ def _boundary_ray(rng, k):
               + rng.uniform(-3, 3, size=k - 1) * RAY_MERGE_ANGLE)
     r[-1] = np.copysign(np.sqrt(1.0 - r[:-1] @ r[:-1]), r[-1])
     return r
+
+
+def _future_boundary_ray(rng, k):
+    """A finite ``_boundary_ray`` turned to x0 > 0, so heights can merge."""
+    with np.errstate(invalid="ignore"):
+        r = _boundary_ray(rng, k)
+        while not np.all(np.isfinite(r)):     # its last entry was sqrt(< 0)
+            r = _boundary_ray(rng, k)
+    return r if r[0] > 0 else -r
+
+
+def _chain(rng, k, steps):
+    """Points whose rays leave a boundary ray along one direction t,
+    each ``steps[i]`` merge angles from the first; t is orthogonal to
+    x0 too, so the heights stay within the merge scale."""
+    r = _future_boundary_ray(rng, k)
+    t = rng.normal(size=k)
+    for u in (r, np.eye(k)[0] - r[0] * r):
+        t -= (t @ u) / (u @ u) * u
+    t /= np.linalg.norm(t)
+    height = rng.uniform(1.0, 5.0)
+    return [height * (r + s * RAY_MERGE_ANGLE * t)
+            / np.linalg.norm(r + s * RAY_MERGE_ANGLE * t) for s in steps]
+
+
+def _merged_cusps(points, height_bound=10.0):
+    """Cusp ids that ``orbit`` keeps when the points are the cusp vectors
+    of a group without generators, which must be what the per-point
+    merge keeps, bit for bit and in the same order."""
+    g = GroupSpec(len(points[0]) - 1, [], [], points)
+    _assert_orbits_match(g, np.eye(len(points[0]))[None], (0, 1),
+                         [(0, height_bound)])
+    return sorted(op.cusp_id for op in orbit(g, 0, height_bound))
 
 
 class TestMergeLookup:
@@ -178,6 +264,73 @@ class TestMergeLookup:
         assert any(_ray_cell(points[reference_lookup(buckets, points, q)].point)
                    != _ray_cell(q) for q in queries
                    if reference_lookup(buckets, points, q) is not None)
+        # the batched lookup answers every query as the per-row one
+        assert (OrbitSet(points).lookup(np.array(queries)).tolist()
+                == reference_find(points, queries))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_batched_merge_matches_reference(self, k):
+        # clusters of near points around boundary rays, merged in one
+        # orbit call and one point at a time
+        rng = np.random.default_rng((1, k))
+        points = []
+        for _ in range(200):
+            r = _future_boundary_ray(rng, k)
+            height = rng.uniform(1.0, 5.0)
+            for _ in range(4):
+                s = r + rng.uniform(-1.5, 1.5, size=k) * RAY_MERGE_ANGLE
+                points.append(height * s / np.linalg.norm(s))
+        assert 200 < len(_merged_cusps(points)) < len(points)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_non_transitive_chain_keeps_both_ends(self, k):
+        # a ~ b and b ~ c but not a ~ c: b merges into a, and c, compared
+        # with the kept points only, stays
+        rng = np.random.default_rng((2, k))
+        for _ in range(20):
+            a, b, c = _chain(rng, k, (0.0, 0.6, 1.2))
+            assert _is_same_point(a, b) and _is_same_point(b, c)
+            assert not _is_same_point(a, c)
+            assert _merged_cusps([a, b, c]) == [0, 2]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_first_match_in_probe_order_wins(self, k):
+        # the query b matches both stored points; the one in the earlier
+        # probe cell wins, whatever the list order
+        rng = np.random.default_rng((3, k))
+        across = 0
+        for _ in range(40):
+            a, b, c = _chain(rng, k, (0.0, 0.6, 1.2))
+            for stored in ([a, c], [c, a]):
+                ops = [OrbitPoint(p, 0, np.eye(k)) for p in stored]
+                want = reference_find(ops, [b])
+                assert OrbitSet(ops).lookup(b[None]).tolist() == want
+                assert OrbitSet(ops).find(b) is ops[want[0]]
+                across += want != [0]
+        assert across     # some query is answered by the later point
+
+    def test_empty_and_one_point_orbits(self):
+        q = np.array([[1.0, 0.0, 1.0], [2.0, 2.0, 0.0]])
+        assert OrbitSet([]).lookup(q).tolist() == [-1, -1]
+        assert OrbitSet([]).lookup(np.empty((0, 3))).tolist() == []
+        assert orbit(GroupSpec(2, [], [], []), 3, 10.0) == []
+        pts = orbit(GroupSpec(2, [], [], [q[0]]), 3, 10.0)
+        assert len(pts) == 1 and _same_bits(pts[0].point, q[0])
+        one = OrbitSet(pts)
+        assert one.lookup(q).tolist() == [0, -1]
+        assert one.lookup(np.empty((0, 3))).tolist() == []
+
+    def test_zero_and_non_finite_queries_miss_quietly(self, spec_fig8):
+        pts = OrbitSet(orbit(spec_fig8.group, 4, 8.0))
+        good = pts[3].point
+        bad = [np.zeros(4), np.full(4, np.nan), np.array([np.inf, 0, 0, 1]),
+               np.array([1.0, np.nan, 0.0, 1.0]), np.full(4, 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in bad:
+                assert pts.find(q) is None
+            assert pts.lookup(np.array([good] + bad + [good])).tolist() == (
+                [3] + [-1] * len(bad) + [3])
 
 
 class TestValidateReflection:
@@ -320,7 +473,36 @@ def _orbit_case(name):
     spec = load_spec(fixture_path(fixture))
     if case.startswith("H="):
         spec.options.height_bound = float(case[2:])
+    if case.startswith("W="):
+        spec.options.word_bound = int(case[2:])
     return spec
+
+
+# the fixtures, one seed-1 rotation of each, and the raised bounds of the
+# benchmark's ladder and of the bound sweep
+INDEX_CASES = sorted(SHIPPED) + [f"{name} rotated" for name in sorted(SHIPPED)] + [
+    "figure_eight_knot H=12", "figure_eight_knot H=16",
+    "figure3_surface H=320", "thrice_punctured_sphere W=8",
+    "once_punctured_torus W=8"]
+
+
+class TestRunLookups:
+    @pytest.mark.parametrize("name", INDEX_CASES)
+    def test_every_lookup_of_a_run_matches_reference(self, monkeypatch, name):
+        # each batch a run looks up (the dual saturation's, and each
+        # find's single row) is answered row by row as the per-point
+        # lookup answers it
+        lookup, rows = OrbitSet.lookup, []
+
+        def checked(self, Q):
+            got = lookup(self, Q)
+            assert got.tolist() == reference_find(self.points, Q)
+            rows.append(len(Q))
+            return got
+
+        monkeypatch.setattr(OrbitSet, "lookup", checked)
+        run(_orbit_case(name))
+        assert sum(rows) > len(rows)     # batches, not single rows only
 
 
 class TestWordBallStack:
@@ -333,9 +515,11 @@ class TestWordBallStack:
         assert _same_bits(ball.matrices, np.array([A for _, A in ref]))
         assert ball.letter.tolist() == [w[-1] if w else 0 for w, _ in ref]
 
-    @pytest.mark.parametrize("name", sorted(SHIPPED) + [
-        "figure_eight_knot rotated", "figure3_surface rotated",
-        "figure3_surface symmetrized", "figure_eight_knot H=12"])
+    # the shipped cases' bounds include knot H = 16 and figure3 H = 320
+    @pytest.mark.parametrize("name", [
+        name for name in INDEX_CASES
+        if name not in ("figure_eight_knot H=16", "figure3_surface H=320")]
+        + ["figure3_surface symmetrized"])
     def test_orbit_and_stabilizers_match_reference(self, name):
         spec = _orbit_case(name)
         g, wb, hb = spec.group, spec.options.word_bound, spec.options.height_bound

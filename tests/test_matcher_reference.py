@@ -546,6 +546,28 @@ class TestVertexEnumeration:
             assert len(got) == 2 ** n
             assert all(len(active) == n for _, active in got)
 
+    def test_degenerate_apex_and_a_1e9_chain(self):
+        # a square pyramid whose four sides meet at the apex (0, 0, 1), so
+        # four row combinations give the apex; two caps above it give the
+        # points 0.8e-9 and 1.6e-9 up each side edge, feasible within
+        # the 1e-9 residual since the sides are scaled by 0.1.  The
+        # chain apex ~ lower cap ~ upper cap is not transitive: the
+        # apex and the upper cap's points stay, the lower cap's go
+        s = 0.1
+        A = np.array([[-s, 0, -s], [s, 0, -s], [0, -s, -s], [0, s, -s],
+                      [0, 0, 1.0], [0, 0, -1.0], [0, 0, -1.0]])
+        b = np.array([-s, -s, -s, -s, 0.0, -(1 + 0.8e-9), -(1 + 1.6e-9)])
+        got = self._same_as_loop(A, b, 3)
+        top = [k for k, _ in got if k[2] > 0.5]
+        assert len(got) == 4 + len(top)      # the base corners, then these
+        assert len(top) == 5
+        apex = [k for k in top if np.max(np.abs(k - [0, 0, 1])) < 1e-12]
+        assert len(apex) == 1
+        for k in top:
+            if k is not apex[0]:
+                assert np.allclose(np.abs(k), [1.6e-9, 1.6e-9, 1 + 1.6e-9],
+                                   rtol=0, atol=1e-15)
+
     def test_several_blocks(self):
         rng = np.random.default_rng(20250810)
         n = 3

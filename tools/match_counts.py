@@ -18,7 +18,10 @@ the figure-eight knot at H = 12, and counts, per run:
   ball as it grows (the rekeying of the stack it grows from included)
   and by ``orbit`` as it forms its last level (the prefix ball and the
   products that pass its height screen); the wall lifts' keys and
-  those of the whole ball that ``low_images`` reads are not counted.
+  those of the whole ball that ``low_images`` reads are not counted;
+- ``merge_tests``: (stored, query) point pairs that share a probe cell
+  and so go through the exact same-point test (``group._is_same``),
+  both in the orbit merges and in the ``OrbitSet`` lookups.
 
 Run from the repository root:
 
@@ -48,9 +51,10 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
-    search, hits_of, greedy, orbit, first_new = (
+    search, hits_of, greedy, orbit, first_new, is_same = (
         matching.search_words, matching.stack_hits,
-        matching.greedy_deviation, group.orbit, group._first_new)
+        matching.greedy_deviation, group.orbit, group._first_new,
+        group._is_same)
     screening, keying = [False], [True]
 
     def counted_search(*args, **kwargs):
@@ -92,11 +96,16 @@ def counting(counts):
         counts["ball_keys"] += keying[0] * len(stack)
         return first_new(stack, seen)
 
+    def counted_is_same(P, P_rays, a, Q, Q_rays, b):
+        counts["merge_tests"] += len(a)
+        return is_same(P, P_rays, a, Q, Q_rays, b)
+
     patches = [(matching, "search_words", counted_search),
                (matching, "stack_hits", counted_stack_hits),
                (doubling, "stack_hits", counted_stack_hits),
                (matching, "greedy_deviation", counted_greedy)]
-    patches += [(group, "_first_new", counted_first_new)]
+    patches += [(group, "_first_new", counted_first_new),
+                (group, "_is_same", counted_is_same)]
     patches += [(mod, "orbit", counted_orbit)
                 for mod in (group, io_cli, ep_hull, doubling)]
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
@@ -121,7 +130,7 @@ def count(name, overrides):
     return {"setting": label} | {
         key: counts[key] for key in ("searches", "candidates", "survivors",
                                      "hits", "low_images", "kept_points",
-                                     "ball_keys")}
+                                     "ball_keys", "merge_tests")}
 
 
 def main():
