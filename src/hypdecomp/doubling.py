@@ -15,8 +15,8 @@ import numpy as np
 
 from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
-from .group import (RAY_MERGE_ANGLE, GroupSpec, _first_new, lorentz_inverse,
-                    orbit, reflection_normal)
+from .group import (RAY_MERGE_ANGLE, GroupSpec, lorentz_inverse, orbit,
+                    reflection_normal)
 from .matching import PAIR_TOL, _scale, match_index, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
@@ -153,45 +153,39 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
     reps = [p.copy() for p in g.cusp_reps]
     ball = g.word_ball(word_bound)
 
-    # exact pairing constraints p_j = G p_i from each reflection
+    # exact pairing constraints p_j = back tau p_i from each reflection,
+    # back the inverse of the ball element that puts p_j on tau p_i's ray
     constraints = []
     for r, tau in enumerate(g.reflections):
         for i, p in enumerate(reps):
-            q = tau @ p
-            hit = _ray_hit(ball, q, reps)
+            hit = _ray_hit(ball, tau @ p, reps)
             if hit is None:
                 raise SymmetrizeError(
                     f"reflection {r} maps cusp {i} outside every cusp orbit")
-            constraints.append((i, hit[1], tau))
+            e, j = hit
+            constraints.append((i, j, tau, lorentz_inverse(ball.matrices[e])))
 
     # propagate exact vectors from low-index anchors, then verify every
     # constraint (cycles and self-pairings must close up)
     assigned = {i: reps[i] for i in range(len(reps))}
 
-    def _target(i, j, tau):
-        q = tau @ assigned[i]
-        hit = _ray_hit(ball, q, [assigned[j]])
-        if hit is None:
-            raise SymmetrizeError("pairing lost during symmetrization")
-        return lorentz_inverse(ball.matrices[hit[0]]) @ q
-
     # one canonical (first-listed) constraint assigns each cusp; every
     # other constraint is a consistency check, so repeated reflections
     # cannot ping-pong a center between nearly equal float values
     primary = {}
-    for idx, (i, j, tau) in enumerate(constraints):
+    for idx, (i, j, _, _) in enumerate(constraints):
         if i < j and j not in primary:
             primary[j] = idx
 
     def _propagate():
         # each anchor i < j is final before j reads it: one pass suffices
         for j, idx in sorted(primary.items()):
-            i, _, tau = constraints[idx]
-            assigned[j] = _target(i, j, tau)
+            i, _, tau, back = constraints[idx]
+            assigned[j] = back @ (tau @ assigned[i])
 
     _propagate()
-    for i, j, tau in constraints:
-        target = _target(i, j, tau)
+    for i, j, tau, back in constraints:
+        target = back @ (tau @ assigned[i])
         rel = np.max(np.abs(assigned[j] - target)) / target[0]
         if rel > 1e-8:
             raise SymmetrizeError(
@@ -295,41 +289,21 @@ class MixedDecomposition:
         return not self.errors
 
 
-@dataclass(eq=False)
-class WallLifts:
-    """Wall lifts as one read-only (K, d, d) matrix stack.
+def wall_lifts(g: GroupSpec, word_bound: int) -> np.ndarray:
+    """Conjugates gamma tau gamma^-1 of the wall reflections by the N
+    ball elements gamma, as one read-only (R N, d, d) stack.
 
-    Lift i is ``matrices[i]``, a conjugate of the reflection of wall
-    ``walls[i]``; indexing, and so iteration, gives (wall index,
-    matrix) pairs.
+    Lift i conjugates wall i // N by ball element i % N.  Every
+    conjugate is kept, so two pairs that give one matrix give it twice.
     """
-
-    matrices: np.ndarray
-    walls: np.ndarray
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def __getitem__(self, i):
-        return int(self.walls[i]), self.matrices[i]
-
-
-def wall_lifts(g: GroupSpec, word_bound: int) -> WallLifts:
-    """Deduplicated conjugates gamma tau gamma^-1 of the wall reflections,
-    wall by wall and in ball order within a wall."""
     stack = g.word_ball(word_bound).matrices
     inverses = lorentz_inverse(stack)
     dim = stack.shape[-1]
-    # empty seeds: a group without reflections has an empty stack
-    mats, walls = [np.empty((0, dim, dim))], [np.empty(0, dtype=int)]
-    seen = set()
-    for r, tau in enumerate(g.reflections):
-        conj = stack @ tau @ inverses
-        mats.append(conj[_first_new(conj, seen)])
-        walls.append(np.full(len(mats[-1]), r))
-    matrices = np.concatenate(mats)
-    matrices.flags.writeable = False
-    return WallLifts(matrices, np.concatenate(walls))
+    # empty seed: a group without reflections has an empty stack
+    lifts = np.concatenate([np.empty((0, dim, dim))]
+                           + [stack @ tau @ inverses for tau in g.reflections])
+    lifts.flags.writeable = False
+    return lifts
 
 
 def _edge_wall_point(ka, kb, u):
@@ -443,19 +417,20 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
     case2 = {}
     mirrored_away = set()
     if g.reflections:
+        ball = g.word_ball(word_bound).matrices
         lifts = wall_lifts(g, word_bound)
         for ci, cell in enumerate(dec.cells):
             coords = np.array([op.point for op in dec.cell_points[ci]])
             scale = max(1.0, float(np.max(np.abs(coords))))
             planes = []
-            for idx in stack_hits(lifts.matrices, coords, coords,
-                                  PAIR_TOL * scale):
-                r, m = lifts[idx]
+            # a lift that repeats an earlier one repeats its plane
+            for idx in stack_hits(lifts, coords, coords, PAIR_TOL * scale):
+                m = lifts[idx]
                 u = reflection_normal(m, strict=False)
                 if u is None:
                     continue   # lift too deep in the ball to be usable
                 if not any(_same_plane(u, u2) for _, u2, _ in planes):
-                    planes.append((r, u, m))
+                    planes.append((idx // len(ball), u, m))
             if len(planes) > 1:
                 errors.append((ci, "cell meets two distinct wall orbits"))
                 continue
@@ -463,7 +438,6 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
                 case2[ci] = planes[0]
 
         tau0 = g.reflections[0]
-        ball = g.word_ball(word_bound).matrices
         for ci, cell in enumerate(dec.cells):
             if ci in case2 or ci in mirrored_away:
                 continue

@@ -194,7 +194,7 @@ class TestSymmetryLemma:
         for cell in cx.cells[1]:
             p, q = (pts[i].point for i in cell.nearest_ids)
             fence_normal = p - q
-            for r, m in lifts:
+            for m in lifts:
                 u = reflection_normal(m, strict=False)
                 if u is None:
                     continue

@@ -1,21 +1,22 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import load_tool, random_boost, random_lightlike
-from hypdecomp.decorations import horoball_distance
+from hypdecomp.decorations import horoball_distance, horoball_plane_distance
 from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 _edge_wall_point, _overlap_log_scale,
-                                _truncate_cell, check_hull_symmetry,
+                                _ray_hit, _truncate_cell, check_hull_symmetry,
                                 external_orthogonality, polar_vertex,
                                 quotient_classify, symmetrize_decorations,
                                 symmetry_direction_check, wall_lifts)
 from hypdecomp.ep_hull import (certified_faces, hull_faces,
                                ideal_cell_from_points)
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, orbit,
-                             reflection_normal)
+from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
+                             orbit, reflection_normal)
 from hypdecomp.io_cli import load_spec
 from hypdecomp.minkowski import (GeometryError, hyperboloid_to_klein,
                                  klein_to_hyperboloid, lorentz_product)
@@ -29,6 +30,59 @@ def g_fig3_sym(spec_fig3):
                                   margin=spec_fig3.options.margin,
                                   word_bound=4,
                                   height_bound=spec_fig3.options.height_bound)
+
+
+def ref_symmetrize_decorations(g, margin, word_bound, height_bound):
+    """The symmetrization that searched the ball again for the element
+    of each pairing on every use, kept as the reference."""
+    reps = [p.copy() for p in g.cusp_reps]
+    ball = g.word_ball(word_bound)
+    constraints = []
+    for r, tau in enumerate(g.reflections):
+        for i, p in enumerate(reps):
+            hit = _ray_hit(ball, tau @ p, reps)
+            assert hit is not None
+            constraints.append((i, hit[1], tau))
+    assigned = {i: reps[i] for i in range(len(reps))}
+
+    def _target(i, j, tau):
+        q = tau @ assigned[i]
+        hit = _ray_hit(ball, q, [assigned[j]])
+        assert hit is not None
+        return lorentz_inverse(ball.matrices[hit[0]]) @ q
+
+    primary = {}
+    for idx, (i, j, tau) in enumerate(constraints):
+        if i < j and j not in primary:
+            primary[j] = idx
+
+    def _propagate():
+        for j, idx in sorted(primary.items()):
+            i, _, tau = constraints[idx]
+            assigned[j] = _target(i, j, tau)
+
+    _propagate()
+    for i, j, tau in constraints:
+        target = _target(i, j, tau)
+        assert np.max(np.abs(assigned[j] - target)) / target[0] <= 1e-8
+    reps = [assigned[i] for i in range(len(reps))]
+    probe = replace(g, cusp_reps=reps, _ball_cache=dict(g._ball_cache))
+    pts = orbit(probe, word_bound, height_bound)
+    log_scale = 0.0
+    for tau in g.reflections:
+        u = reflection_normal(tau)
+        for op in pts:
+            log_scale = max(log_scale,
+                            margin - horoball_plane_distance(op.point, u))
+    log_scale = max(log_scale,
+                    _overlap_log_scale(np.array([op.point for op in pts])))
+    lam = float(np.exp(log_scale)) if log_scale > 1e-15 else 1.0
+    if lam != 1.0:
+        for i in range(len(reps)):
+            assigned[i] = lam * assigned[i]
+        _propagate()
+        reps = [assigned[i] for i in range(len(reps))]
+    return reps
 
 
 class TestSymmetrize:
@@ -99,6 +153,23 @@ class TestSymmetrize:
         with pytest.raises(SymmetrizeError):
             symmetrize_decorations(bad, margin=1.0, word_bound=3,
                                    height_bound=20.0)
+
+    # reversed, the first pairing maps cusp 0 to the ray of a ball
+    # element other than the identity, so the order of the products
+    # that propagate it shows in the last bits
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_found_elements_match_rescanning_reference(self, spec_fig3,
+                                                       reverse):
+        g = spec_fig3.group
+        g = GroupSpec(2, g.generators,
+                      g.reflections[::-1] if reverse else g.reflections,
+                      g.cusp_reps)
+        args = (spec_fig3.options.margin, 4, spec_fig3.options.height_bound)
+        got = symmetrize_decorations(g, *args).cusp_reps
+        ref = ref_symmetrize_decorations(replace(g, _ball_cache={}), *args)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
 
     def test_partner_center_exactly_reflected(self, g_fig3_sym):
         tau = g_fig3_sym.reflections[0]
@@ -297,28 +368,30 @@ class TestWallLifts:
     def test_lifts_are_involutions(self, spec_fig3):
         lifts = wall_lifts(spec_fig3.group, 2)
         assert len(lifts) > 2
-        for r, m in lifts:
+        for m in lifts:
             scale = float(np.max(np.abs(m))) ** 2
             assert np.max(np.abs(m @ m - np.eye(3))) < 1e-9 * max(1.0, scale)
 
     def test_one_read_only_stack(self, spec_fig3):
-        lifts = wall_lifts(spec_fig3.group, 2)
-        assert lifts.matrices.shape == (len(lifts), 3, 3)
-        assert lifts.walls.shape == (len(lifts),)
+        g = spec_fig3.group
+        ball = g.word_ball(2).matrices
+        lifts = wall_lifts(g, 2)
+        assert lifts.shape == (len(g.reflections) * len(ball), 3, 3)
         with pytest.raises(ValueError):
-            lifts.matrices[0, 0, 0] = 2.0
-        # walls in order, each pair a row of the stack
-        assert list(lifts.walls) == sorted(lifts.walls)
-        assert set(lifts.walls.tolist()) == {0, 1}
-        for i in (0, len(lifts) - 1):
-            r, m = lifts[i]
-            assert type(r) is int and r == lifts.walls[i]
-            assert np.array_equal(m, lifts.matrices[i])
+            lifts[0, 0, 0] = 2.0
+        # lift i conjugates wall i // N by ball element i % N:
+        # lift times element is element times wall, up to rounding
+        by_wall = lifts.reshape(len(g.reflections), len(ball), 3, 3)
+        for tau, conj in zip(g.reflections, by_wall):
+            err = np.max(np.abs(conj @ ball - ball @ tau), axis=(1, 2))
+            scale = np.max(np.abs(conj), axis=(1, 2)) * np.max(
+                np.abs(ball), axis=(1, 2))
+            assert np.all(err < 1e-12 * scale)
 
     def test_no_reflections_no_lifts(self, spec_3ps):
         lifts = wall_lifts(spec_3ps.group, 2)
-        assert len(lifts) == 0 and list(lifts) == []
-        assert lifts.matrices.shape == (0, 3, 3)
+        assert lifts.shape == (0, 3, 3)
+        assert not lifts.flags.writeable
 
 
 def _synthetic_decomposition(cell_vertex_sets):

@@ -2,8 +2,9 @@
 
 ``find_group_element`` used to fall through from its word candidates to
 a centroid scan of the whole word ball, and the quotient wrote the
-same screen-and-verify loop out inline four times.  Both are kept here
-verbatim as references: every run output that a group-element search
+same screen-and-verify loop out inline four times, over wall lifts
+deduplicated by their rounded bytes.  All are kept here verbatim as
+references: every run output that a group-element search
 feeds (return-path classes, cut-locus class ids and counts, the
 cross-validation, the quotient pairings and the canonical JSON) must
 be the same under the reference.
@@ -27,8 +28,8 @@ from hypdecomp.cutlocus import cross_validate
 from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
                                 _same_plane, _star_stack, _truncate_cell,
                                 external_orthogonality, quotient_classify,
-                                symmetrize_decorations, wall_lifts)
-from hypdecomp.group import (GroupSpec, lorentz_inverse, orbit,
+                                symmetrize_decorations)
+from hypdecomp.group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                              reflection_normal)
 from hypdecomp.matching import (PAIR_TOL, _gram_key, _scale, set_match,
                                 stack_hits)
@@ -84,6 +85,18 @@ def _ideal(cell, coords, ci):
                      source_class=ci)
 
 
+def ref_wall_lifts(g, word_bound):
+    """(wall, matrix) pairs of the conjugates, wall by wall and in ball
+    order, each matrix kept at its first occurrence only."""
+    stack = g.word_ball(word_bound).matrices
+    inverses = lorentz_inverse(stack)
+    out, seen = [], set()
+    for r, tau in enumerate(g.reflections):
+        conj = stack @ tau @ inverses
+        out += [(r, conj[i]) for i in _first_new(conj, seen)]
+    return out
+
+
 def ref_quotient_classify(dec, g, word_bound=4):
     errors = []
     cells_out = []
@@ -94,7 +107,7 @@ def ref_quotient_classify(dec, g, word_bound=4):
         pairings, unpaired = ref_quotient_pairings(cells_out, g, word_bound)
         return MixedDecomposition(dec.dimension, cells_out, pairings,
                                   unpaired, errors)
-    lifts = wall_lifts(g, word_bound)
+    lifts = ref_wall_lifts(g, word_bound)
     stack = np.stack([m for _, m in lifts])
     case2 = {}
     for ci, cell in enumerate(dec.cells):

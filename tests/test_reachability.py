@@ -28,7 +28,6 @@ PACKAGE = pathlib.Path(hypdecomp.__file__).resolve().parent
 ALLOWED = {
     "hypdecomp.io_cli.main": "the command line, python -m hypdecomp",
     "hypdecomp.group.WordBall.__len__": "bench/tracing.py",
-    "hypdecomp.doubling.WallLifts.__len__": "bench/tracing.py",
     "hypdecomp.minkowski.hyperboloid_to_ball": "model_convert",
     "hypdecomp.minkowski.ball_to_hyperboloid": "model_convert",
     "hypdecomp.minkowski._halfspace_involution": "model_convert",

@@ -6,6 +6,17 @@ from conftest import TOOLS, load_tool
 
 check_counts = load_tool("check_counts")
 match_counts = load_tool("match_counts")
+verdict_counts = load_tool("verdict_counts")
+
+OLD = [{"orbit": "a", "points": 3, "bad_pairs": 0}]
+
+
+def _gate(tmp_path, new, old=OLD):
+    """Exit status of check_counts.py on the two record lists."""
+    paths = [tmp_path / "new.json", tmp_path / "old.json"]
+    for path, records in zip(paths, (new, old)):
+        path.write_text(json.dumps(records))
+    return check_counts.main([str(path) for path in paths])
 
 
 def test_gate_flags_growth_new_records_and_bad_counts():
@@ -19,6 +30,42 @@ def test_gate_flags_growth_new_records_and_bad_counts():
     assert check_counts.worse(bad, bad) == [("a", "bad_pairs", 1)]
     assert check_counts.worse([{"orbit": "b", "points": 1}], old) == [
         ("b", "points", 1)]
+
+
+def test_gate_reports_a_new_count(tmp_path, capsys):
+    new = [{"orbit": "a", "points": 3, "bad_pairs": 0, "merges": 0}]
+    assert check_counts.worse(new, OLD) == [("a", "merges", 0)]
+    assert _gate(tmp_path, new) == 1
+    assert "('a', 'merges', 0)" in capsys.readouterr().out
+
+
+def test_gate_fails_on_a_missing_record(tmp_path, capsys):
+    assert _gate(tmp_path, OLD) == 0
+    old = OLD + [{"orbit": "b", "points": 1}]
+    assert check_counts.worse(OLD, old) == []
+    assert _gate(tmp_path, OLD, old) == 1
+    assert "missing record: b" in capsys.readouterr().out
+
+
+def test_gate_fails_on_a_rising_count(tmp_path):
+    assert _gate(tmp_path, [{"orbit": "a", "points": 4, "bad_pairs": 0}]) == 1
+    assert _gate(tmp_path, [{"orbit": "a", "points": 2, "bad_pairs": 0}]) == 0
+
+
+def test_gate_fails_on_a_nonzero_bad_count(tmp_path):
+    bad = [{"orbit": "a", "points": 3, "bad_pairs": 1}]
+    assert _gate(tmp_path, bad, bad) == 1
+
+
+def test_committed_verdict_counts_are_current():
+    committed = {r["run"]: r for r in
+                 json.loads((TOOLS / "verdict_counts.json").read_text())}
+    for workload in ("knot", "ladder"):
+        record = verdict_counts.record(workload, 0)
+        assert record == committed[record["run"]]
+    # the height-12 knot rung fails two certificates on the shipped input
+    assert record == {"run": "ladder seed=0", "failed": 1,
+                      "failing_certificates": 2, "raised": 0}
 
 
 def test_committed_match_counts_are_current():

@@ -17,8 +17,8 @@ the figure-eight knot at H = 12, and counts, per run:
 - ``ball_keys``: matrices keyed for deduplication, both by the word
   ball as it grows (the rekeying of the stack it grows from included)
   and by ``orbit`` as it forms its last level (the prefix ball and the
-  products that pass its height screen); the wall lifts' keys and
-  those of the whole ball that ``low_images`` reads are not counted;
+  products that pass its height screen); the keys of the whole ball
+  that ``low_images`` reads are not counted;
 - ``merge_tests``: (stored, query) point pairs that share a probe cell
   and so go through the exact same-point test (``group._is_same``),
   both in the orbit merges and in the ``OrbitSet`` lookups.
