@@ -248,9 +248,10 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                                         hit))
         # 1-cells for n = 3: polytope edges inside the ball
         if n == 3:
-            for (k1, a1), (k2, a2) in combinations(verts, 2):
-                shared = [i for i in set(a1) & set(a2) if i < nf]
-                if len(shared) < 2:
+            fence_sets = [{i for i in active if i < nf} for _, active in verts]
+            for ((k1, _), f1), ((k2, _), f2) in combinations(
+                    zip(verts, fence_sets), 2):
+                if len(f1 & f2) < 2:
                     continue
                 mid = 0.5 * (k1 + k2)
                 if not _inside_ball(mid):
@@ -280,17 +281,22 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
 
 
 def _facet_samples(witnesses, A, b, qi):
-    """Candidate interior samples of the facet on fence qi, inside the ball."""
-    inside = [w for w in witnesses if _inside_ball(w)]
-    cands = []
-    if inside:
-        cands.append(np.mean(inside, axis=0))
-    for i in range(len(witnesses)):
-        for j in range(i + 1, len(witnesses)):
+    """Candidate interior samples of the facet on fence qi, inside the ball.
+
+    The candidates are built one at a time, as the caller asks for the
+    next: the mean of the witnesses inside the ball, four mixes of each
+    witness pair, the mean of all witnesses.
+    """
+    def candidates():
+        inside = [w for w in witnesses if _inside_ball(w)]
+        if inside:
+            yield np.mean(inside, axis=0)
+        for wi, wj in combinations(witnesses, 2):
             for t in (0.5, 0.25, 0.75, 0.1):
-                cands.append(t * witnesses[i] + (1.0 - t) * witnesses[j])
-    cands.append(np.mean(witnesses, axis=0))
-    for k in cands:
+                yield t * wi + (1.0 - t) * wj
+        yield np.mean(witnesses, axis=0)
+
+    for k in candidates():
         if not _inside_ball(k):
             continue
         resid = A @ k - b

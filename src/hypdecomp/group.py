@@ -75,6 +75,9 @@ class GroupSpec:
     _ball_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _stab_cache: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # matching.search_words results, keyed by their inputs
+    _search_cache: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]

@@ -11,7 +11,11 @@ those candidates as one stack per source vertex and scans it with
 ``stack_hits``, the one scan of a matrix stack: a screen by the image
 of the set centroid, then one batched greedy confirmation of all the
 survivors.  The same scan serves the quotient's wall lifts, mirror
-partners and facet gluings.  ``GammaClasses`` keeps the Gram key of
+partners and facet gluings.  Each spec keeps the result of every
+search under its inputs, so a run that asks the same question twice
+(the doubled cut-locus complex classifies the same cells again)
+searches once.  ``match_index`` confirms a query against a list of
+candidate sets as one stack.  ``GammaClasses`` keeps the Gram key of
 each class representative, so an object is searched only against
 representatives whose key is close to its own.  All searches are
 deterministic.
@@ -34,19 +38,22 @@ def _scale(A, B) -> float:
 def greedy_deviation(A, B, tol: float = np.inf):
     """Worst distance of the greedy pairing of A's rows with B's.
 
-    ``A`` is one (m, d) set or a (k, m, d) stack of sets, each paired
-    with the rows of the set ``B``.  Each row of a set in turn takes the
-    nearest unused row of B (max-norm, the first one on ties).  A set's
-    value is its first distance above ``tol``, where its walk alone
-    would stop, or else its worst distance.  The k walks take their m
-    steps together; returns one value per set, shaped like A's leading
-    axes.
+    ``A`` and ``B`` are each one (m, d) set or a (k, m, d) stack of
+    sets; the set or stack on one side is paired with each set on the
+    other.  Each row of an A set in turn takes the nearest unused row of
+    its B set (max-norm, the first one on ties).  A pairing's value is
+    its first distance above ``tol``, where its walk alone would stop,
+    or else its worst distance.  The k walks take their m steps
+    together; returns one value per pairing, shaped like the stack's
+    leading axis (a scalar for two sets).
     """
     A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     sets = A.reshape(-1, *A.shape[-2:])
-    k, m = sets.shape[:2]
-    # D[s, i, j]: distance of row i of set s to row j of B
-    D = abs(np.asarray(B, dtype=float) - sets[:, :, None]).max(axis=3)
+    # D[s, i, j]: distance of row i of A set s to row j of B set s
+    D = abs(B.reshape(-1, *B.shape[-2:])[:, None] - sets[:, :, None]).max(axis=3)
+    k, m = D.shape[:2]
     rows = np.arange(k)
     steps = np.zeros((m, k))
     for i in range(m):
@@ -57,28 +64,24 @@ def greedy_deviation(A, B, tol: float = np.inf):
     first = over.argmax(axis=0)
     value = np.where(over[first, rows], steps[first, rows],
                      np.fmax.reduce(steps, axis=0, initial=0.0))
-    return value.reshape(A.shape[:-2])[()]
-
-
-def set_match(A, B, tol: float) -> bool:
-    """Greedy matching of two point sets within an absolute tolerance."""
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
-    if A.shape != B.shape:
-        return False
-    return bool(greedy_deviation(A, B, tol) <= tol)
+    return value.reshape(lead)[()]
 
 
 def match_index(candidates, query, tol: float):
     """Index of the first candidate set matching ``query``, or None.
 
-    Candidates of another shape never match; the query's rows lead the
-    greedy pairing of ``set_match``.
+    Candidates of another shape never match.  The rest are confirmed
+    at once, as one stack, by ``greedy_deviation`` with the query's
+    rows leading the greedy pairing; the first that passes wins.
     """
-    for i, B in enumerate(candidates):
-        if set_match(query, B, tol):
-            return i
-    return None
+    query = np.atleast_2d(query)
+    cands = [np.atleast_2d(B) for B in candidates]
+    same = [i for i, B in enumerate(cands) if B.shape == query.shape]
+    if not same:
+        return None
+    dev = greedy_deviation(query, np.array([cands[i] for i in same]), tol)
+    hit = np.flatnonzero(dev <= tol)
+    return same[hit[0]] if len(hit) else None
 
 
 def _gram_key(coords):
@@ -118,7 +121,32 @@ def stack_hits(stack, src, dst, tol: float, images=None):
 def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
                  dst_points, tol: float):
     """First candidate matrix mapping ``src`` onto ``dst`` within the
-    absolute ``tol``, or None.
+    absolute ``tol``, or None (see ``_search``).
+
+    Each result is kept in ``g._search_cache`` under every input bit the
+    search reads: the bound, the tolerance, the shapes and bytes of the
+    two float coordinate arrays and the cusp and matrix bytes of the
+    first two source vertices and of every destination vertex.  A
+    repeated search is a lookup that returns a copy of the kept matrix;
+    equal keys are identical inputs, so a hit is exactly what the
+    search would return.  The cache lives as long as the spec: in
+    ``run()``, the one symmetrized spec.
+    """
+    key = (word_bound, tol, src.shape, dst.shape, src.tobytes(),
+           dst.tobytes(),
+           tuple((P.cusp_id, P.matrix.tobytes()) for P in src_points[:2]),
+           tuple((Q.cusp_id, Q.matrix.tobytes()) for Q in dst_points))
+    cache = g._search_cache
+    if key not in cache:
+        cache[key] = _search(g, word_bound, src, dst, src_points, dst_points,
+                             tol)
+    M = cache[key]
+    return None if M is None else M.copy()
+
+
+def _search(g: GroupSpec, word_bound: int, src, dst, src_points, dst_points,
+            tol: float):
+    """The uncached search of ``search_words``.
 
     The candidates are Q.matrix @ s @ lorentz_inverse(P.matrix) for each
     of the first two source vertices P, each destination vertex Q on P's

@@ -8,6 +8,7 @@ import pytest
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
+from hypdecomp.matching import greedy_deviation
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -24,6 +25,16 @@ def load_tool(name):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250810)
+
+
+def set_match(A, B, tol: float) -> bool:
+    """Greedy matching of two point sets within an absolute tolerance:
+    one candidate of ``matching.match_index``, checked alone."""
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    if A.shape != B.shape:
+        return False
+    return bool(greedy_deviation(A, B, tol) <= tol)
 
 
 def _load(name):

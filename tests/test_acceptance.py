@@ -10,7 +10,7 @@ derivation.
 
 import numpy as np
 
-from conftest import random_lightlike
+from conftest import random_lightlike, set_match
 from test_decorations import halfspace_distance_oracle, shadow_projection_oracle
 
 from hypdecomp.cutlocus import dual_count_identity, enumerate_return_paths
@@ -20,7 +20,6 @@ from hypdecomp.ep_hull import (certified_faces, count_face_classes,
                                dihedral_angles, hull_faces)
 from hypdecomp.group import OrbitSet, orbit, validate_reflection
 from hypdecomp.io_cli import emit, load_spec, run
-from hypdecomp.matching import set_match
 from hypdecomp.minkowski import lorentz_product
 
 

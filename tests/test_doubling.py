@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import load_tool, random_boost, random_lightlike
+from conftest import load_tool, random_boost, random_lightlike, set_match
 from hypdecomp.decorations import horoball_distance, horoball_plane_distance
 from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 _edge_wall_point, _overlap_log_scale,
@@ -243,7 +243,6 @@ class TestHullSymmetry:
         coords = np.array([op.point for op in pts])
         band = opts.height_bound / 2.0
         victim = None
-        from hypdecomp.matching import set_match
         for i, f in enumerate(cert):
             own = coords[list(f.vertex_ids)]
             img = own @ tau.T
@@ -332,7 +331,6 @@ class TestQuotient:
 
     def test_doubling_consistency(self, report_fig3):
         # doubling a truncated cell across its wall recovers its source
-        from hypdecomp.matching import set_match
         dec = report_fig3.ep_decomposition
         for mc in report_fig3.mixed.cells:
             if mc.kind != "truncated":
@@ -345,7 +343,6 @@ class TestQuotient:
             assert set_match(src, full, 1e-8 * scale * 100)
 
     def test_case2_cells_fixed_setwise(self, report_fig3):
-        from hypdecomp.matching import set_match
         for mc in report_fig3.mixed.cells:
             full = np.vstack([mc.ambient_vertices,
                               mc.ambient_vertices @ mc.reflection.T])

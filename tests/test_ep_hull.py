@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cell_is_convex
+from conftest import cell_is_convex, set_match
 from hypdecomp import ep_hull
 from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
@@ -91,7 +91,6 @@ class TestHullFaces:
         cert = certified_faces(faces, spec.options.height_bound)
         coords = np.array([op.point for op in pts])
         face_sets = [coords[list(f.vertex_ids)] for f in faces]
-        from hypdecomp.matching import set_match
         misses = 0
         checked = 0
         for f in cert:

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import _load
+from conftest import _load, set_match
 from hypdecomp import cutlocus, ep_hull, io_cli, matching
 from hypdecomp.cutlocus import cross_validate
 from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
@@ -31,8 +31,7 @@ from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
                                 symmetrize_decorations)
 from hypdecomp.group import (GroupSpec, _first_new, lorentz_inverse, orbit,
                              reflection_normal)
-from hypdecomp.matching import (PAIR_TOL, _gram_key, _scale, set_match,
-                                stack_hits)
+from hypdecomp.matching import PAIR_TOL, _gram_key, _scale, stack_hits
 from hypdecomp.minkowski import GeometryError
 from test_doubling import _ray, _synthetic_decomposition
 

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import set_match
 from hypdecomp import matching
-from hypdecomp.group import GroupSpec, OrbitPoint
+from hypdecomp.doubling import symmetrize_decorations
+from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
+from hypdecomp.io_cli import run
 from hypdecomp.matching import (GammaClasses, greedy_deviation, match_index,
-                                set_match, stack_hits)
+                                stack_hits)
+from test_ep_hull import FIXTURES, _case_id, _spec
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
@@ -156,3 +162,163 @@ class TestBatchedGreedy:
             assert list(stack_hits(stack[:0], src, dst, 1e-6)) == []
             assert (list(stack_hits(stack[:1], src, dst, 1e-6))
                     == loop_stack_hits(stack[:1], src, dst, 1e-6))
+
+
+def loop_match_index(candidates, query, tol):
+    """The one-candidate-at-a-time loop that the stacked one replaced."""
+    for i, B in enumerate(candidates):
+        if set_match(query, B, tol):
+            return i
+    return None
+
+
+class TestStackedMatcher:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_b_side_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for m, d in ((1, 3), (2, 3), (3, 4), (4, 4)):
+            A = rng.normal(size=(m, d))
+            for k in (0, 1, 6):
+                B = _image_stack(rng, A, k)
+                for tol in (1e-6, 1e-3, np.inf):
+                    got = greedy_deviation(A, B, tol)
+                    assert got.shape == (k,)
+                    assert got.tolist() == [loop_greedy_deviation(A, b, tol)
+                                            for b in B]
+            # a stack on both sides pairs set i with set i
+            As, Bs = _image_stack(rng, A, 5), _image_stack(rng, A, 5)
+            assert greedy_deviation(As, Bs, 1e-6).tolist() == [
+                loop_greedy_deviation(a, b, 1e-6) for a, b in zip(As, Bs)]
+
+    def test_stacked_ties_take_the_first_row(self):
+        A = np.array([[1.0, 0.0], [2.0, 0.5]])
+        B = np.array([[0.0, 0.0], [2.0, 0.0]])
+        got = greedy_deviation(A, np.stack([B, B[::-1], B]))
+        assert got.tolist() == [loop_greedy_deviation(A, B),
+                                loop_greedy_deviation(A, B[::-1]),
+                                loop_greedy_deviation(A, B)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_index_matches_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        query = rng.normal(size=(3, 4))
+        # near and far images of the query mixed with sets of other shapes
+        candidates = []
+        for _ in range(12):
+            kind = rng.integers(3)
+            if kind == 0:
+                candidates.append(rng.normal(size=(int(rng.integers(1, 5)), 4)))
+            else:
+                candidates.append(_image_stack(rng, query, 1)[0])
+        for tol in (1e-9, 1e-6, 1e-3):
+            want = loop_match_index(candidates, query, tol)
+            assert match_index(candidates, query, tol) == want
+            assert match_index(iter(candidates), query, tol) == want
+            assert match_index((c for c in candidates[::-1]), query,
+                               tol) == loop_match_index(candidates[::-1],
+                                                        query, tol)
+
+    def test_first_of_two_matches_wins(self):
+        query = SQUARE[::-1]
+        candidates = [SQUARE[:2], SQUARE + 1.0, SQUARE, SQUARE[[1, 0, 3, 2]]]
+        assert match_index(candidates, query, 1e-6) == 2
+        assert match_index(candidates[::-1], query, 1e-6) == 0
+        assert loop_match_index(candidates, query, 1e-6) == 2
+
+    def test_empty_and_shape_only_candidates(self):
+        assert match_index([], SQUARE, 1e-6) is None
+        assert match_index((B for B in []), SQUARE, 1e-6) is None
+        assert match_index([SQUARE[:3], SQUARE[:, :1]], SQUARE, np.inf) is None
+        # one point: rows are promoted to sets as set_match does
+        assert match_index([np.zeros(2), np.ones(2)], np.ones(2), 1e-6) == 1
+
+
+# the fixtures, their first seed-1 rotations and the raised bounds of
+# the bound sweep
+CACHE_CASES = ([(name, None, {}) for name in FIXTURES]
+               + [(name, 0, {}) for name in FIXTURES]
+               + [("figure_eight_knot", None, {"height_bound": h})
+                  for h in (12.0, 16.0)]
+               + [("figure3_surface", None, {"height_bound": 320.0})])
+
+
+def _recorded_searches(monkeypatch, spec):
+    """(arguments, result) of every search_words call of one run."""
+    calls = []
+    search = matching.search_words
+
+    def recording(g, word_bound, src, dst, src_points, dst_points, tol):
+        args = (g, word_bound, src.copy(), dst.copy(), list(src_points),
+                list(dst_points), tol)
+        M = search(*args)
+        calls.append((args, M))
+        return M
+
+    monkeypatch.setattr(matching, "search_words", recording)
+    run(spec)
+    monkeypatch.undo()
+    return calls
+
+
+class TestSearchCache:
+    @pytest.mark.parametrize("name,draw,overrides", CACHE_CASES,
+                             ids=map(_case_id, CACHE_CASES))
+    def test_every_result_is_the_uncached_search(self, monkeypatch, name,
+                                                 draw, overrides):
+        calls = _recorded_searches(monkeypatch, _spec(name, draw, **overrides))
+        assert calls
+        for args, got in calls:
+            want = matching._search(*args)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def _hit_call(self, monkeypatch):
+        calls = _recorded_searches(monkeypatch,
+                                   _spec("once_punctured_torus", None))
+        return next(args for args, M in calls if M is not None)
+
+    def test_a_changed_result_leaves_later_hits_alone(self, monkeypatch):
+        args = self._hit_call(monkeypatch)
+        first = matching.search_words(*args)
+        kept = first.copy()
+        first[:] = 0.0
+        again = matching.search_words(*args)
+        assert again.tobytes() == kept.tobytes()
+        assert again is not first
+
+    def test_tol_and_word_bound_are_keyed(self, monkeypatch):
+        g, W, src, dst, sp, dp, tol = self._hit_call(monkeypatch)
+        made = []
+        search = matching._search
+
+        def counted(*args):
+            made.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(matching, "_search", counted)
+        g = replace(g)      # a fresh spec, so a fresh cache
+        assert g._search_cache == {}
+        for bound, t in ((W, tol), (W, 2.0 * tol), (W + 1, tol), (W, tol),
+                         (W, 2.0 * tol), (W + 1, tol)):
+            matching.search_words(g, bound, src, dst, sp, dp, t)
+        assert [(a[1], a[6]) for a in made] == [(W, tol), (W, 2.0 * tol),
+                                                (W + 1, tol)]
+
+    def test_input_and_symmetrized_specs_keep_their_own_caches(self):
+        spec = _spec("once_punctured_torus", None)
+        g = spec.group
+        o = spec.options
+        gs = symmetrize_decorations(g, margin=o.margin,
+                                    word_bound=min(4, o.word_bound),
+                                    height_bound=o.height_bound)
+        assert gs is not g and gs._search_cache is not g._search_cache
+        pts = OrbitSet(orbit(gs, o.word_bound, o.height_bound))
+        pair = [pts[0], pts[1]]
+        coords = np.array([op.point for op in pair])
+        classes = GammaClasses(gs, o.word_bound)
+        classes.classify(coords, pair)
+        classes.classify(coords, pair)
+        assert gs._search_cache and g._search_cache == {}

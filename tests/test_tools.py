@@ -75,4 +75,5 @@ def test_committed_match_counts_are_current():
         record = match_counts.count(name, {})
         assert record == committed[record["setting"]]
         assert 0 < record["hits"] <= record["survivors"] <= record["candidates"]
+        assert 0 < record["searches_made"] <= record["searches"]
         assert 0 < record["kept_points"] <= record["low_images"]

@@ -6,6 +6,8 @@ the figure-eight knot at H = 12, and counts, per run:
 
 - ``searches``: ``matching.search_words`` calls, from
   ``find_group_element`` and from ``GammaClasses.classify``;
+- ``searches_made``: the calls among them that miss the spec's search
+  cache and so search (``matching._search``);
 - ``candidates``: matrices in the stacks that ``stack_hits`` screens,
   the quotient's scans included;
 - ``survivors``: matrices that pass the centroid screen and go to the
@@ -51,8 +53,8 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
-    search, hits_of, greedy, orbit, first_new, is_same = (
-        matching.search_words, matching.stack_hits,
+    search, made, hits_of, greedy, orbit, first_new, is_same = (
+        matching.search_words, matching._search, matching.stack_hits,
         matching.greedy_deviation, group.orbit, group._first_new,
         group._is_same)
     screening, keying = [False], [True]
@@ -60,6 +62,10 @@ def counting(counts):
     def counted_search(*args, **kwargs):
         counts["searches"] += 1
         return search(*args, **kwargs)
+
+    def counted_made(*args, **kwargs):
+        counts["searches_made"] += 1
+        return made(*args, **kwargs)
 
     def counted_stack_hits(stack, src, dst, tol, images=None):
         counts["candidates"] += len(stack)
@@ -101,6 +107,7 @@ def counting(counts):
         return is_same(P, P_rays, a, Q, Q_rays, b)
 
     patches = [(matching, "search_words", counted_search),
+               (matching, "_search", counted_made),
                (matching, "stack_hits", counted_stack_hits),
                (doubling, "stack_hits", counted_stack_hits),
                (matching, "greedy_deviation", counted_greedy)]
@@ -128,9 +135,10 @@ def count(name, overrides):
             setattr(mod, attr, fn)
     label = f"{name} W={spec.options.word_bound} H={spec.options.height_bound:g}"
     return {"setting": label} | {
-        key: counts[key] for key in ("searches", "candidates", "survivors",
-                                     "hits", "low_images", "kept_points",
-                                     "ball_keys", "merge_tests")}
+        key: counts[key] for key in ("searches", "searches_made", "candidates",
+                                     "survivors", "hits", "low_images",
+                                     "kept_points", "ball_keys",
+                                     "merge_tests")}
 
 
 def main():
