@@ -24,7 +24,7 @@ import numpy as np
 from .decorations import horoball_distance
 from .ep_hull import (Decomposition, HullFace, assemble_decomposition,
                       count_face_classes)
-from .group import RAY_MERGE_ANGLE, GroupSpec, OrbitSet, _first_wins
+from .group import RAY_MERGE_ANGLE, GroupSpec, OrbitSet, _first_wins, _rays
 from .matching import GammaClasses, find_group_element, greedy_deviation
 from .minkowski import GeometryError, klein_to_hyperboloid, lorentz_gram
 
@@ -77,7 +77,10 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
     """Orbit classes of horoball pairs in ``points`` within the length bound.
 
     Deterministic and sorted by length; the decoration symmetry and
-    disjointness conditions are assumed to hold already.
+    disjointness conditions are assumed to hold already.  Per base, one
+    batched screen drops the points on its ray or, by their Lorentz
+    products less a rounding bound, beyond the length bound; the rest go
+    in orbit order through ``horoball_distance``, then ``classify``.
     """
     if length_bound <= 0:
         raise GeometryError("length bound must be positive")
@@ -89,13 +92,17 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
         base_ops.append(op)
     classes = GammaClasses(g, word_bound)
     paths = {}
+    Q = np.array([q.point for q in points]).reshape(-1, g.dimension + 1)
+    rays = _rays(Q)
     for c, base in enumerate(base_ops):
         p = base.point
-        ray_p = p / np.linalg.norm(p)
-        for q in points:
-            ray_q = q.point / np.linalg.norm(q.point)
-            if np.linalg.norm(ray_p - ray_q) < RAY_MERGE_ANGLE:
-                continue
+        gap = rays - p / np.linalg.norm(p)
+        apart = ~(np.sqrt(np.vecdot(gap, gap)) < RAY_MERGE_ANGLE)
+        # -<p, q> for every q, less a bound on its rounding error
+        low = ~(Q[:, 0] * p[0] - Q[:, 1:] @ p[1:] - 1e-12 * (abs(Q) @ abs(p))
+                > 2.0 * np.exp(length_bound + 1e-9))
+        for i in np.flatnonzero(apart & low).tolist():
+            q = points[i]
             d = horoball_distance(p, q.point)
             if d > length_bound + 1e-9:
                 continue
@@ -114,13 +121,8 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
 
 def _klein_constraints(p, competitors):
     """Rows (a, b) with domain(p) = {k : a . k >= b} per competitor."""
-    A = []
-    b = []
-    for q in competitors:
-        u = p - q.point
-        A.append(u[1:])
-        b.append(u[0])
-    return np.array(A), np.array(b)
+    U = p - np.array([q.point for q in competitors])
+    return U[:, 1:], U[:, 0]
 
 
 def _box_constraints(n):
@@ -167,9 +169,23 @@ def _inside_ball(k) -> bool:
     return float(k @ k) < (1.0 - BALL_MARGIN) ** 2
 
 
-def _log_distances(point_h, centers):
-    prods = -lorentz_gram(point_h[None, :], centers).ravel()
-    return np.log(prods)
+def _log_distances(X, centers):
+    """log -<x, c> for each center c and each point x of X (one or a
+    stack), from one (1, n) @ (n, m) product per point: bitwise alike."""
+    X = np.asarray(X, dtype=float)
+    spatial = (X[..., None, 1:] @ centers[:, 1:].T)[..., 0, :]
+    return np.log(X[..., :1] * centers[:, 0] - spatial)
+
+
+def _nearest_sets(klein_points, centers):
+    """Hyperboloid point of each Klein point and the indices of its
+    nearest centers, those within STRATUM_TOL * max(1, |least|) of its
+    least log distance, all from one stacked product."""
+    xs = [klein_to_hyperboloid(k) for k in klein_points]
+    d = _log_distances(np.reshape(xs, (-1, centers.shape[1])), centers)
+    dmin = d.min(axis=1)
+    near = d <= (dmin + STRATUM_TOL * np.maximum(1.0, abs(dmin)))[:, None]
+    return xs, [tuple(np.flatnonzero(row).tolist()) for row in near]
 
 
 def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
@@ -178,8 +194,9 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
 
     For each cusp the nearness domain is intersected from fence
     half-spaces; vertices, edges and fence facets strictly inside the
-    unit ball become 0-, 1- and (n-1)-cells.  Cells are grouped into
-    group orbits so the complex can be compared across reruns.
+    unit ball become 0-, 1- and (n-1)-cells.  Nearest sets come from one
+    ``_nearest_sets`` call for all vertices, one for all edge midpoints
+    and one per facet sample.  Cells are grouped into group orbits.
     ``points`` is the orbit the paths were enumerated in.
     """
     if not paths:
@@ -206,18 +223,10 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
         verts = _vertex_enumeration(A, b, n)
         centers = np.array([p_vec] + [q.point for q in comp])
 
-        def nearest_at(k_point):
-            x = klein_to_hyperboloid(k_point)
-            d = _log_distances(x, centers)
-            dmin = float(np.min(d))
-            return x, tuple(np.nonzero(d <= dmin + STRATUM_TOL * max(1.0, abs(dmin)))[0])
-
         # 0-cells: vertices with n active fences, strictly inside the ball
-        for k, active in verts:
-            fences = [i for i in active if i < nf]
-            if len(fences) < n or not _inside_ball(k):
-                continue
-            x, near = nearest_at(k)
+        inner = [k for k, active in verts
+                 if sum(i < nf for i in active) >= n and _inside_ball(k)]
+        for x, near in zip(*_nearest_sets(inner, centers)):
             if len(near) < n + 1:
                 raise GeometryError("inconsistent stratification at a vertex")
             ids = tuple(sorted([base_op.index] + [comp[i - 1].index
@@ -232,7 +241,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
             hit = None
             short = False
             for sample in _facet_samples(np.array(witnesses), A, b, qi):
-                x, near = nearest_at(sample)
+                [x], [near] = _nearest_sets([sample], centers)
                 if len(near) < 2:
                     short = True
                     continue
@@ -249,14 +258,11 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
         # 1-cells for n = 3: polytope edges inside the ball
         if n == 3:
             fence_sets = [{i for i in active if i < nf} for _, active in verts]
-            for ((k1, _), f1), ((k2, _), f2) in combinations(
-                    zip(verts, fence_sets), 2):
-                if len(f1 & f2) < 2:
-                    continue
-                mid = 0.5 * (k1 + k2)
-                if not _inside_ball(mid):
-                    continue
-                x, near = nearest_at(mid)
+            mids = [mid for ((k1, _), f1), ((k2, _), f2)
+                    in combinations(zip(verts, fence_sets), 2)
+                    if len(f1 & f2) >= 2
+                    and _inside_ball(mid := 0.5 * (k1 + k2))]
+            for x, near in zip(*_nearest_sets(mids, centers)):
                 if len(near) < 3:
                     raise GeometryError("inconsistent stratification on an edge")
                 if len(near) != 3:

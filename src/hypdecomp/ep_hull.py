@@ -20,7 +20,8 @@ import numpy as np
 
 from .group import GroupSpec, orbit
 from .hull import IncrementalHull
-from .matching import PAIR_TOL, find_group_element, match_index
+from .matching import (PAIR_TOL, find_group_element, greedy_deviation,
+                       match_index)
 from .minkowski import (CausalClass, GeometryError, classify,
                         hyperboloid_to_klein, lorentz_product,
                         minkowski_form)
@@ -379,12 +380,43 @@ def project_face(face: HullFace, points):
 # Quotient assembly.
 # ---------------------------------------------------------------------------
 
+def _face_walk(face_sets, L, tol: float) -> _UnionFind:
+    """Union-find of the faces that the generator walk joins.
+
+    Face i under letter L[l] joins the first face, in index order, that
+    its image matches within the absolute ``tol`` (a centroid screen,
+    then ``match_index``'s greedy test), unless that face is i.  Per
+    shape, the images under all letters are one product, screened in
+    blocks of about 2^14 differences and confirmed by one stacked
+    ``greedy_deviation``; unions run in (face, letter) order, so each
+    root is the one a face-by-face walk leaves."""
+    first = {}          # (face, letter) -> first face its image matches
+    for shape in sorted({fs.shape for fs in face_sets}):
+        idx = [i for i, fs in enumerate(face_sets) if fs.shape == shape]
+        F = np.array([face_sets[i] for i in idx])
+        images = F[:, None] @ np.swapaxes(L, 1, 2)   # [f, l] = F[f] @ L[l].T
+        centroids = F.mean(axis=1)
+        rows = max(1, 2 ** 14 // (len(L) * centroids.size + 1))
+        for b in range(0, len(idx), rows):
+            shift = images[b:b + rows].mean(axis=2)[:, :, None] - centroids
+            f, l, j = np.nonzero(np.abs(shift, out=shift).max(axis=3) <= tol)
+            ok = greedy_deviation(images[b + f, l], F[j], tol) <= tol
+            for fi, li, ji in np.stack([b + f, l, j])[:, ok].T.tolist():
+                first.setdefault((idx[fi], li), idx[ji])
+    uf = _UnionFind(range(len(face_sets)))
+    for (i, _), j in sorted(first.items()):
+        if j != i:
+            uf.union(i, j)
+    return uf
+
+
 def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                            all_faces) -> Decomposition:
     """Group certified faces into orbits and pair their facets.
 
     Orbit grouping walks generator images inside the enumerated face
-    set, joining face indices in one union-find, with a pairwise
+    set (``_face_walk``, all faces of one shape under all letters at
+    once), joining face indices in one union-find, with a pairwise
     group-element search as a fallback for components the walk cannot
     join.  Each facet's pairing matrix is the group element that
     ``find_group_element`` verifies to carry the hull neighbor across
@@ -396,9 +428,6 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     coords = np.array([op.point for op in ops])
 
     face_sets = [coords[list(f.vertex_ids)] for f in all_faces]
-    centroids = np.array([fs.mean(axis=0) for fs in face_sets])
-    scale = max(1.0, float(np.max(np.abs(coords))))
-    tol = PAIR_TOL * scale
     wanted = {id(f) for f in faces}
     certified_idx = [i for i, f in enumerate(all_faces) if id(f) in wanted]
 
@@ -407,16 +436,10 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                                   [ops[v] for v in all_faces[i].vertex_ids],
                                   [ops[v] for v in all_faces[j].vertex_ids])
 
-    uf = _UnionFind(range(len(all_faces)))
-    letters = [m for _, m in g.letters()]
-    for i, fs in enumerate(face_sets):
-        for m in letters:
-            img = fs @ m.T
-            close = np.nonzero(np.max(np.abs(centroids - img.mean(axis=0)),
-                                      axis=1) <= tol)[0]
-            k = match_index((face_sets[j] for j in close), img, tol)
-            if k is not None and close[k] != i:
-                uf.union(i, int(close[k]))
+    d = g.dimension + 1
+    L = np.array([m for _, m in g.letters()]).reshape(-1, d, d)
+    uf = _face_walk(face_sets, L,
+                    PAIR_TOL * max(1.0, float(np.max(np.abs(coords)))))
 
     # fallback: merge remaining certified components pairwise
     for ra, rb in combinations(sorted({uf.find(i) for i in certified_idx}), 2):

@@ -100,8 +100,7 @@ class GroupSpec:
         """All group elements of word length <= word_bound, BFS order:
         a read-only prefix of the spec's one ball, which starts as the
         identity and grows from its last level (``_grow``) on demand."""
-        ball = self._ball_cache.get(word_bound)
-        if ball is None:
+        if word_bound not in self._ball_cache:
             deepest = (self._ball_cache[max(self._ball_cache)]
                        if self._ball_cache else
                        WordBall(np.eye(self.dimension + 1)[None],
@@ -110,10 +109,12 @@ class GroupSpec:
             # grow unless the ball reaches the bound or its last level is empty
             if word_bound + 2 > len(at) and at[-2] < at[-1]:
                 deepest = _grow(deepest, self.letters(), word_bound)
-            cut = deepest.offsets[:word_bound + 2]
-            ball = self._ball_cache[word_bound] = WordBall(
-                deepest.matrices[:cut[-1]], deepest.letter[:cut[-1]], cut)
-        return ball
+            # every cached bound becomes a prefix of the one deepest stack
+            for w in {*self._ball_cache, word_bound}:
+                cut = deepest.offsets[:w + 2]
+                self._ball_cache[w] = WordBall(deepest.matrices[:cut[-1]],
+                                               deepest.letter[:cut[-1]], cut)
+        return self._ball_cache[word_bound]
 
     def stabilizer_stack(self, cusp_id: int, word_bound: int) -> np.ndarray:
         """Ball elements fixing the decorated cusp vector (identity

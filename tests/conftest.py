@@ -5,10 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
+from hypdecomp.ep_hull import _UnionFind
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
-from hypdecomp.matching import greedy_deviation
+from hypdecomp.matching import greedy_deviation, match_index
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -35,6 +36,24 @@ def set_match(A, B, tol: float) -> bool:
     if A.shape != B.shape:
         return False
     return bool(greedy_deviation(A, B, tol) <= tol)
+
+
+def face_walk(face_sets, L, tol: float):
+    """The generator walk of ``ep_hull._face_walk``, one (face, letter)
+    pair at a time: face i joins the first face, in index order, that
+    ``match_index`` confirms among those whose centroid lies within
+    ``tol`` of the centroid of its image."""
+    centroids = np.array([fs.mean(axis=0) for fs in face_sets])
+    uf = _UnionFind(range(len(face_sets)))
+    for i, fs in enumerate(face_sets):
+        for m in L:
+            img = fs @ m.T
+            close = np.nonzero(np.max(np.abs(centroids - img.mean(axis=0)),
+                                      axis=1) <= tol)[0]
+            k = match_index((face_sets[j] for j in close), img, tol)
+            if k is not None and close[k] != i:
+                uf.union(i, int(close[k]))
+    return uf
 
 
 def _load(name):

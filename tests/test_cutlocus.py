@@ -5,17 +5,43 @@ import numpy as np
 import pytest
 
 from conftest import cell_is_convex
-from hypdecomp.cutlocus import (_concyclic, cross_validate,
-                                cut_locus_complex, dual_count_identity,
-                                dual_decomposition, enumerate_return_paths)
+from hypdecomp import cutlocus
+from hypdecomp.cutlocus import (STRATUM_TOL, ReturnPath, _concyclic,
+                                cross_validate, cut_locus_complex,
+                                dual_count_identity, dual_decomposition,
+                                enumerate_return_paths)
 from hypdecomp.decorations import horoball_distance
+from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitSet, orbit, reflection_normal
+from hypdecomp.io_cli import load_spec, run
+from hypdecomp.matching import GammaClasses
 from hypdecomp.minkowski import (GeometryError, klein_to_hyperboloid,
                                  lorentz_gram, lorentz_product)
 
 
 def trivial(cusps):
     return GroupSpec(2, [], [], [np.asarray(c, dtype=float) for c in cusps])
+
+
+def reference_return_paths(g, length_bound, word_bound, points):
+    """``enumerate_return_paths`` one orbit point at a time, with a ray
+    test and a validated ``horoball_distance`` for every pair."""
+    classes = GammaClasses(g, word_bound)
+    paths = {}
+    for c, p in enumerate(g.cusp_reps):
+        base = points.find(p)
+        ray_p = base.point / np.linalg.norm(base.point)
+        for q in points:
+            if np.linalg.norm(ray_p - q.point / np.linalg.norm(q.point)) < 1e-10:
+                continue
+            d = horoball_distance(base.point, q.point)
+            if d > length_bound + 1e-9:
+                continue
+            cid, _ = classes.classify(np.array([base.point, q.point]), [base, q])
+            paths.setdefault(cid, ReturnPath(cid, max(0.0, d), [])).lifts.append(
+                (c, q))
+    return sorted(paths.values(), key=lambda rp: (round(rp.length, 9),
+                                                  rp.class_id))
 
 
 class TestReturnPaths:
@@ -54,6 +80,12 @@ class TestReturnPaths:
                 report.cut_complex.orbit_points)
             assert direct, name
             assert self._key(report.return_paths) == self._key(direct), name
+            ref = reference_return_paths(gs, opts.length_bound,
+                                         opts.word_bound,
+                                         report.cut_complex.orbit_points)
+            assert ([rp.class_id for rp in direct]
+                    == [rp.class_id for rp in ref]), name
+            assert self._key(direct) == self._key(ref), name
 
 
 SYM3 =[2.0 * np.array([1.0, math.cos(t), math.sin(t)])
@@ -127,6 +159,64 @@ class TestCutComplex:
     def test_empty_paths_rejected(self, spec_3ps):
         with pytest.raises(GeometryError):
             cut_locus_complex([], spec_3ps.group, 2, points=None)
+
+
+def nearest_at(k, centers):
+    """The nearest set of one Klein point as the complex took it one point
+    at a time: the centers within STRATUM_TOL of its least log distance."""
+    x = klein_to_hyperboloid(k)
+    d = np.log(-lorentz_gram(x[None, :], centers).ravel())
+    dmin = float(np.min(d))
+    return x, tuple(np.nonzero(d <= dmin + STRATUM_TOL * max(1.0, abs(dmin)))[0])
+
+
+class TestNearestSets:
+    @pytest.mark.parametrize("name", ["figure_eight_knot", "figure3_surface"])
+    def test_batches_match_one_point_path(self, monkeypatch, name):
+        # every batch of a run (the vertices, the n = 3 edge midpoints and
+        # each facet sample) gives each point the sample and nearest set
+        # that point gives alone, bitwise
+        calls = []
+        nearest_sets = cutlocus._nearest_sets
+
+        def recording(klein_points, centers):
+            xs, near = nearest_sets(klein_points, centers)
+            calls.append((list(klein_points), centers, xs, near))
+            return xs, near
+
+        monkeypatch.setattr(cutlocus, "_nearest_sets", recording)
+        run(load_spec(fixture_path(name)))
+        assert max(len(c[0]) for c in calls) > 1
+        for klein_points, centers, xs, near in calls:
+            assert len(xs) == len(near) == len(klein_points)
+            for k, x, got in zip(klein_points, xs, near):
+                want_x, want = nearest_at(k, centers)
+                assert x.tobytes() == want_x.tobytes()
+                assert got == want
+                [one_x], [one] = nearest_sets([k], centers)
+                assert one_x.tobytes() == x.tobytes() and one == got
+
+    def test_empty_batch(self):
+        assert cutlocus._nearest_sets([], np.array(SYM3)) == ([], [])
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_inconsistent_vertex_raises(self, monkeypatch, at):
+        # a fabricated vertex with two active fences that lies deep in
+        # the base's own domain has a nearest set of one center
+        g = trivial(SYM3)
+        pts = OrbitSet(orbit(g, 0, 10.0))
+        paths = enumerate_return_paths(g, horoball_distance(SYM3[0], SYM3[1])
+                                       + 0.1, 0, pts)
+        enumerate_vertices = cutlocus._vertex_enumeration
+
+        def with_fake(A, b, n):
+            verts = enumerate_vertices(A, b, n)
+            verts.insert(at % (len(verts) + 1), (np.array([0.0, 0.9]), (0, 1)))
+            return verts
+
+        monkeypatch.setattr(cutlocus, "_vertex_enumeration", with_fake)
+        with pytest.raises(GeometryError, match="at a vertex"):
+            cut_locus_complex(paths, g, 0, points=pts)
 
 
 class TestDual:

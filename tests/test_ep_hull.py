@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cell_is_convex, set_match
+from conftest import cell_is_convex, face_walk, set_match
 from hypdecomp import ep_hull
 from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
@@ -14,7 +14,7 @@ from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
                                support_vector)
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
-from hypdecomp.io_cli import load_spec, parse_spec
+from hypdecomp.io_cli import load_spec, parse_spec, run
 from hypdecomp.minkowski import GeometryError, lorentz_gram, lorentz_product
 
 TRIANGLE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
@@ -377,6 +377,64 @@ class TestAssemble:
             angles.extend(dihedral_angles(cell, cops).values())
         assert len(angles) == 12
         assert np.max(np.abs(np.array(angles) - np.pi / 3.0)) < 1e-6
+
+
+# the fixtures, the knot rung whose walk leaves four components for the
+# pairwise fallback, and one seed-1 rotation
+WALK_CASES = ([(name, None, {}) for name in FIXTURES]
+              + [("figure_eight_knot", None, {"height_bound": 12.0}),
+                 ("figure3_surface", 0, {})])
+
+
+def _roots(uf, n):
+    return [uf.find(i) for i in range(n)]
+
+
+class TestFaceWalk:
+    @pytest.mark.parametrize("name,draw,overrides", WALK_CASES,
+                             ids=map(_case_id, WALK_CASES))
+    def test_roots_match_face_by_face_walk(self, monkeypatch, name, draw,
+                                           overrides):
+        # both routes' walks leave every face the root the face-by-face
+        # walk leaves it, so the pairwise fallback compares the same roots
+        walks = []
+        walk = ep_hull._face_walk
+
+        def recording(face_sets, L, tol):
+            uf = walk(face_sets, L, tol)
+            walks.append((face_sets, L, tol, _roots(uf, len(face_sets))))
+            return uf
+
+        monkeypatch.setattr(ep_hull, "_face_walk", recording)
+        run(_spec(name, draw, **overrides))
+        assert len(walks) == 2
+        for face_sets, L, tol, roots in walks:
+            assert roots == _roots(face_walk(face_sets, L, tol),
+                                   len(face_sets))
+            assert any(r != i for i, r in enumerate(roots))
+
+    def test_screen_blocks_and_first_match(self, rng):
+        # enough faces that the screen runs in several blocks, with mixed
+        # shapes, images of faces with their rows permuted, and repeated
+        # faces, so a (face, letter) pair often has more than one match
+        G = rng.normal(size=(4, 4, 4))
+        L = np.concatenate([G, np.linalg.inv(G)])
+        faces = [rng.normal(size=(k, 4)) for k in [4] * 150 + [3] * 30]
+        for i in rng.integers(0, len(faces), 300):
+            img = faces[i] @ L[rng.integers(len(L))].T
+            faces.append(img[rng.permutation(len(img))])
+        faces += [faces[i].copy() for i in rng.integers(0, len(faces), 120)]
+        # _face_walk screens 2^14 differences at a time
+        assert 2 ** 14 // (len(L) * 4 * len(faces)) < len(faces) // 4
+        tol = 1e-6 * max(1.0, float(max(np.max(np.abs(f)) for f in faces)))
+        got = _roots(ep_hull._face_walk(faces, L, tol), len(faces))
+        assert got == _roots(face_walk(faces, L, tol), len(faces))
+        assert sum(r != i for i, r in enumerate(got)) > 300
+
+    def test_no_letters_joins_nothing(self):
+        faces = [TRIANGLE, TRIANGLE.copy()]
+        uf = ep_hull._face_walk(faces, np.zeros((0, 3, 3)), 1e-6)
+        assert _roots(uf, 2) == [0, 1]
 
 
 class TestDihedralAngles:

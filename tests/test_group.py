@@ -730,6 +730,29 @@ class TestOneBall:
         assert len({id(s) for s in specs}) == 3
         assert all(max(s._ball_cache) <= opts.word_bound for s in specs)
 
+    @pytest.mark.parametrize("name", ["figure3_surface", "figure_eight_knot"])
+    def test_run_leaves_every_bound_a_view_of_one_stack(self, monkeypatch,
+                                                         name):
+        # a growth re-cuts every bound the spec had cached from the grown
+        # stack, so no spec keeps an older, shorter copy of its prefix
+        specs = []
+        word_ball = GroupSpec.word_ball
+
+        def asked(self, word_bound):
+            specs.append(self)
+            return word_ball(self, word_bound)
+
+        monkeypatch.setattr(GroupSpec, "word_ball", asked)
+        run(load_spec(fixture_path(name)))
+        grown = [s for s in {id(s): s for s in specs}.values()
+                 if len(s._ball_cache) > 1]
+        assert grown
+        for s in grown:
+            deepest = s._ball_cache[max(s._ball_cache)]
+            for ball in s._ball_cache.values():
+                assert np.shares_memory(ball.matrices, deepest.matrices)
+                assert np.shares_memory(ball.letter, deepest.letter)
+
     def test_run_peaks_under_18_mb(self):
         # the stability orbit at word bound + 1 forms its last level only
         # where it can reach 2H: the whole ball of that length (115,589

@@ -1,11 +1,15 @@
 """The work-count tools that CI gates on."""
 
 import json
+from types import SimpleNamespace
 
 from conftest import TOOLS, load_tool
+from hypdecomp import io_cli
+from hypdecomp.minkowski import GeometryError
 
 check_counts = load_tool("check_counts")
 match_counts = load_tool("match_counts")
+output_digests = load_tool("output_digests")
 verdict_counts = load_tool("verdict_counts")
 
 OLD = [{"orbit": "a", "points": 3, "bad_pairs": 0}]
@@ -77,3 +81,29 @@ def test_committed_match_counts_are_current():
         assert 0 < record["hits"] <= record["survivors"] <= record["candidates"]
         assert 0 < record["searches_made"] <= record["searches"]
         assert 0 < record["kept_points"] <= record["low_images"]
+
+
+def test_output_digests_cover_every_benchmark_input():
+    W = output_digests.W
+    names = [name for name, _, _ in output_digests.inputs()]
+    specs = sum(len(specs) for specs in W.WORKLOADS.values())
+    assert len(names) == len(set(names)) == (
+        specs * sum(W.input_count(seed) for seed in output_digests.SEEDS)
+        + len(output_digests.EXTRAS))
+    assert "ladder seed=12 draw=5 figure_eight_knot --height-bound 12" in names
+
+
+def test_output_digest_is_the_golden_hash_or_the_raised_error():
+    W = output_digests.W
+    path = W.FIXTURES / "figure3_surface.json"
+    golden = W.load_golden()["specs"]["figure3_surface"]
+    line = output_digests.digest(io_cli, "figure3_surface", path, {})
+    assert line == {"input": "figure3_surface", "sha256": golden["sha256"],
+                    "ok": True, "verdicts": golden["verdicts"]}
+
+    def fails(spec):
+        raise GeometryError("no orbit")
+
+    broken = SimpleNamespace(load_spec=io_cli.load_spec, run=fails)
+    assert output_digests.digest(broken, "x", path, {}) == {
+        "input": "x", "raised": "GeometryError: no orbit"}
