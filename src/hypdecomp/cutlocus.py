@@ -17,7 +17,7 @@ cross-validation meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -80,7 +80,8 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
     disjointness conditions are assumed to hold already.  Per base, one
     batched screen drops the points on its ray or, by their Lorentz
     products less a rounding bound, beyond the length bound; the rest go
-    in orbit order through ``horoball_distance``, then ``classify``.
+    in orbit order through ``horoball_distance``, and the pairs within
+    the bound through one ``classify``.
     """
     if length_bound <= 0:
         raise GeometryError("length bound must be positive")
@@ -90,8 +91,7 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
         if op is None:
             raise GeometryError(f"cusp representative {c} missing from orbit")
         base_ops.append(op)
-    classes = GammaClasses(g, word_bound)
-    paths = {}
+    pairs = []              # (cusp, base, partner, length)
     Q = np.array([q.point for q in points]).reshape(-1, g.dimension + 1)
     rays = _rays(Q)
     for c, base in enumerate(base_ops):
@@ -104,15 +104,16 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
         for i in np.flatnonzero(apart & low).tolist():
             q = points[i]
             d = horoball_distance(p, q.point)
-            if d > length_bound + 1e-9:
-                continue
-            cid, _ = classes.classify(np.array([p, q.point]), [base, q])
-            if cid not in paths:
-                paths[cid] = ReturnPath(class_id=cid, length=max(0.0, d),
-                                        lifts=[])
-            paths[cid].lifts.append((c, q))
-    out = sorted(paths.values(), key=lambda rp: (round(rp.length, 9), rp.class_id))
-    return out
+            if d <= length_bound + 1e-9:
+                pairs.append((c, base, q, d))
+    ids = GammaClasses(g, word_bound).classify(
+        [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
+    paths = {}
+    for cid, (c, _, q, d) in zip(ids, pairs):
+        if cid not in paths:
+            paths[cid] = ReturnPath(class_id=cid, length=max(0.0, d), lifts=[])
+        paths[cid].lifts.append((c, q))
+    return sorted(paths.values(), key=lambda rp: (round(rp.length, 9), rp.class_id))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,10 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
     For each cusp the nearness domain is intersected from fence
     half-spaces; vertices, edges and fence facets strictly inside the
     unit ball become 0-, 1- and (n-1)-cells.  Nearest sets come from one
-    ``_nearest_sets`` call for all vertices, one for all edge midpoints
-    and one per facet sample.  Cells are grouped into group orbits.
+    ``_nearest_sets`` call for all vertices, one for all edge midpoints,
+    one for the first sample of every fence and one per later facet
+    sample.  Each stratum's cells are grouped into group orbits by one
+    ``classify``.
     ``points`` is the orbit the paths were enumerated in.
     """
     if not paths:
@@ -233,15 +236,24 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                                                   for i in near if i > 0]))
             ops = [points[i] for i in ids]
             cells[0].append(CutCell(0, ids, ops, x))
-        # (n-1)-cells: one per fence carrying a facet
+        # (n-1)-cells: one per fence carrying a facet; the first samples
+        # of all fences share one call, later samples go one at a time
+        fences = []
         for qi in range(nf):
             witnesses = [k for k, active in verts if qi in active]
-            if len(witnesses) < n:
-                continue
+            if len(witnesses) >= n:
+                fences.append((qi, _facet_samples(np.array(witnesses), A, b,
+                                                  qi)))
+        firsts = [next(samples, None) for _, samples in fences]
+        tested = iter(zip(*_nearest_sets([k for k in firsts if k is not None],
+                                          centers)))
+        for (qi, samples), first in zip(fences, firsts):
             hit = None
             short = False
-            for sample in _facet_samples(np.array(witnesses), A, b, qi):
-                [x], [near] = _nearest_sets([sample], centers)
+            later = (pair for k in samples
+                     for pair in zip(*_nearest_sets([k], centers)))
+            for x, near in chain([] if first is None else [next(tested)],
+                                 later):
                 if len(near) < 2:
                     short = True
                     continue
@@ -278,9 +290,10 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
     class_counts = {}
     for k in range(n):
         classes = GammaClasses(g, word_bound)
-        for cell in cells[k]:
-            coords = np.array([op.point for op in cell.nearest_points])
-            cell.class_id, _ = classes.classify(coords, cell.nearest_points)
+        ids = classes.classify([(np.array([op.point for op in cell.nearest_points]),
+                                 cell.nearest_points) for cell in cells[k]])
+        for cell, cid in zip(cells[k], ids):
+            cell.class_id = cid
         class_counts[k] = len(classes.reps)
     return CutComplex(dimension=n, cells=cells, class_counts=class_counts,
                       orbit_points=points)

@@ -6,19 +6,22 @@ is there a group element mapping one finite decorated point set onto
 another?  ``find_group_element`` answers it from one candidate source:
 vertex matrices composed with cusp stabilizer elements, which cover
 elements well outside the word ball.  A group element is its matrix,
-whose inverse is exactly J M^T J.  ``search_words`` builds
-those candidates as one stack per source vertex and scans it with
-``stack_hits``, the one scan of a matrix stack: a screen by the image
-of the set centroid, then one batched greedy confirmation of all the
-survivors.  The same scan serves the quotient's wall lifts, mirror
-partners and facet gluings.  Each spec keeps the result of every
-search under its inputs, so a run that asks the same question twice
-(the doubled cut-locus complex classifies the same cells again)
-searches once.  ``match_index`` confirms a query against a list of
-candidate sets as one stack.  ``GammaClasses`` keeps the Gram key of
-each class representative, so an object is searched only against
-representatives whose key is close to its own.  All searches are
-deterministic.
+whose inverse is exactly J M^T J.  ``_first_hits`` builds those
+candidates as one stack per cusp and scans it with ``pair_hits`` for
+any number of source sets at once: a cheap screen by the image of each
+set centroid, an exact one of its survivors, then one batched greedy
+confirmation.  ``stack_hits`` finds the same hits in one matrix stack
+for one set, with the exact screen alone; it serves the quotient's wall
+lifts, mirror partners and facet gluings.  ``GammaClasses.classify`` sorts a whole list of objects into
+classes in rounds, one per representative: a round tests every pending
+object against it with one ``_first_hits``.  It keeps the Gram key of
+each representative, so an object is tested only against
+representatives whose key is close to its own.  Each spec keeps the
+result of every search and of every pair a round decides under its
+inputs, so a run that asks the same question twice (the doubled
+cut-locus complex has the cells of the kept one) searches once.
+``match_index`` confirms a query against a list of candidate sets as
+one stack.  All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -118,24 +121,64 @@ def stack_hits(stack, src, dst, tol: float, images=None):
         yield from close[dev <= tol].tolist()
 
 
+def pair_hits(left, right, srcs, dst, tols):
+    """Hits of the candidates ``left[j] @ right[k]`` mapping ``srcs[k]``
+    onto ``dst`` within ``tols[k]``.
+
+    Candidate (j, k) is a hit exactly when ``stack_hits`` finds j in
+    the stack ``left @ right[k]`` for ``srcs[k]`` at ``tols[k]``.
+    Returns the hits' k, j and matrices, in (j, k) order.  All pairs are
+    screened at once with the cheap images ``left[j] @ (right[k] @ c)``
+    of the source centroids c.  Only the survivors form their exact
+    matrix and centroid image, as ``stack_hits`` forms them, for the
+    exact screen; its survivors go through one ``greedy_deviation``.
+    """
+    cents = np.array([src.mean(axis=0) for src in srcs])
+    goal = dst.mean(axis=0)
+    cheap = left @ (right @ cents[..., None])[..., 0].T
+    # the cheap and the exact image both round L R c (L = left[j],
+    # R = right[k]) in two products of d <= 4 terms, so they differ by
+    # a few 1e-16 times |L| |R| |c|; 1e-12 times the largest row sum of
+    # |L| times max(|R| |c|) bounds that with a wide margin
+    bound = (np.abs(right) @ np.abs(cents)[..., None]).max(axis=(1, 2))
+    slack = 1e-12 * np.outer(np.abs(left).sum(axis=2).max(axis=1), bound)
+    j, k = np.nonzero(np.max(np.abs(cheap - goal[:, None]), axis=1)
+                      <= tols + slack)
+    M = left[j] @ right[k]
+    close = (np.max(np.abs((M @ cents[k][..., None])[..., 0] - goal), axis=1)
+             <= tols[k])
+    j, k, M = j[close], k[close], M[close]
+    if len(M):
+        hit = greedy_deviation(srcs[k] @ np.swapaxes(M, 1, 2), dst) <= tols[k]
+        j, k, M = j[hit], k[hit], M[hit]
+    return k, j, M
+
+
+def _search_key(word_bound: int, tol: float, src, dst, src_points,
+                dst_points):
+    """Every input bit of a search: the bound, the tolerance, the shapes
+    and bytes of the two float coordinate arrays and the cusp and matrix
+    bytes of the first two source vertices and of every destination
+    vertex."""
+    return (word_bound, tol, src.shape, dst.shape, src.tobytes(),
+            dst.tobytes(),
+            tuple((P.cusp_id, P.matrix.tobytes()) for P in src_points[:2]),
+            tuple((Q.cusp_id, Q.matrix.tobytes()) for Q in dst_points))
+
+
 def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
                  dst_points, tol: float):
     """First candidate matrix mapping ``src`` onto ``dst`` within the
     absolute ``tol``, or None (see ``_search``).
 
-    Each result is kept in ``g._search_cache`` under every input bit the
-    search reads: the bound, the tolerance, the shapes and bytes of the
-    two float coordinate arrays and the cusp and matrix bytes of the
-    first two source vertices and of every destination vertex.  A
+    Each result is kept in ``g._search_cache`` under ``_search_key``;
+    ``GammaClasses.classify`` files the pairs it decides there too.  A
     repeated search is a lookup that returns a copy of the kept matrix;
     equal keys are identical inputs, so a hit is exactly what the
     search would return.  The cache lives as long as the spec: in
     ``run()``, the one symmetrized spec.
     """
-    key = (word_bound, tol, src.shape, dst.shape, src.tobytes(),
-           dst.tobytes(),
-           tuple((P.cusp_id, P.matrix.tobytes()) for P in src_points[:2]),
-           tuple((Q.cusp_id, Q.matrix.tobytes()) for Q in dst_points))
+    key = _search_key(word_bound, tol, src, dst, src_points, dst_points)
     cache = g._search_cache
     if key not in cache:
         cache[key] = _search(g, word_bound, src, dst, src_points, dst_points,
@@ -146,25 +189,47 @@ def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
 
 def _search(g: GroupSpec, word_bound: int, src, dst, src_points, dst_points,
             tol: float):
-    """The uncached search of ``search_words``.
+    """The uncached search of ``search_words``: ``_first_hits`` of the
+    one source."""
+    return _first_hits(g, word_bound, [src], [src_points], [tol], dst,
+                       dst_points).get(0)
 
-    The candidates are Q.matrix @ s @ lorentz_inverse(P.matrix) for each
-    of the first two source vertices P, each destination vertex Q on P's
-    cusp and each cusp stabilizer element s.  Each P builds its
-    candidates as one stack in (Q, s) order and scans it with
-    ``stack_hits``, so the first hit is the first in (P, Q, s) order.
+
+def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
+                dst_points):
+    """{k: first matrix mapping ``srcs[k]`` onto ``dst`` within the
+    absolute ``tols[k]``}, sources without one left out.
+
+    The candidates of a source are Q.matrix @ s @ lorentz_inverse(P.matrix)
+    for each of its first two vertices P, each destination vertex Q on
+    P's cusp and each cusp stabilizer element s; the first hit in
+    (P, Q, s) order wins.  All sources try their first P at once, one
+    ``pair_hits`` per cusp over its (Q, s) stack, then those without a
+    hit their second.
     """
-    for P in src_points[:2]:
-        Qs = [Q.matrix for Q in dst_points if Q.cusp_id == P.cusp_id]
-        if not Qs:
-            continue
-        S = g.stabilizer_stack(P.cusp_id, word_bound)
-        inv = lorentz_inverse(P.matrix)
-        Ms = ((np.array(Qs)[:, None] @ S[None]) @ inv).reshape(-1, *inv.shape)
-        idx = next(stack_hits(Ms, src, dst, tol), None)
-        if idx is not None:
-            return Ms[idx].copy()
-    return None
+    d = dst.shape[1]
+    hits, lefts = {}, {}
+    for pos in (0, 1):
+        by_cusp = {}
+        for k, points in enumerate(src_points):
+            if k not in hits and len(points) > pos:
+                by_cusp.setdefault(points[pos].cusp_id, []).append(k)
+        for cusp, group in by_cusp.items():
+            if cusp not in lefts:
+                Qs = [Q.matrix for Q in dst_points if Q.cusp_id == cusp]
+                S = g.stabilizer_stack(cusp, word_bound)
+                lefts[cusp] = (np.array(Qs)[:, None] @ S[None]).reshape(
+                    -1, d, d) if Qs else None
+            if lefts[cusp] is None:
+                continue
+            right = lorentz_inverse(np.array([src_points[k][pos].matrix
+                                              for k in group]))
+            which, _, M = pair_hits(lefts[cusp], right,
+                                    np.array([srcs[k] for k in group]), dst,
+                                    np.array([tols[k] for k in group]))
+            for first in np.unique(which, return_index=True)[1]:
+                hits[group[which[first]]] = M[first].copy()
+    return hits
 
 
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
@@ -199,26 +264,69 @@ class GammaClasses:
         self.word_bound = word_bound
         self.reps = []          # (coords, points, Gram key, max |coord|)
 
-    def classify(self, coords, points):
-        """Class index and matrix mapping the object onto its class rep.
+    def classify(self, objects):
+        """Class index of each (coords, points) object, in order.
 
-        Only representatives of the object's shape whose Gram key is
-        close to its own are searched, with ``search_words`` at the
-        scale that screen used.  Unseen objects start a new class with
-        themselves as rep (and the identity matrix).
+        The ids, and the reps appended, are those of taking the objects
+        in turn, trying each against the reps in order and making it a
+        new rep when none matches.  An object only tries the reps of
+        its shape whose Gram key is close to its own, with the search
+        of ``search_words`` at the scale that screen used.  The work
+        goes in rounds, one per rep: every pending object is screened
+        against it at once, and the first object still pending after a
+        round over the last rep becomes the next rep.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        key = _gram_key(coords)
-        top = float(np.max(np.abs(coords)))
-        for ci, (rc, rp, rkey, rtop) in enumerate(self.reps):
-            if rc.shape != coords.shape:
-                continue
-            scale = max(1.0, top, rtop)
-            if not _gram_close(key, rkey, scale, self.tol):
-                continue
-            M = search_words(self.g, self.word_bound, coords, rc, points, rp,
-                             self.tol * scale)
-            if M is not None:
-                return ci, M
-        self.reps.append((coords, points, key, top))
-        return len(self.reps) - 1, np.eye(self.g.dimension + 1)
+        coords = [np.atleast_2d(np.asarray(c, dtype=float)) for c, _ in objects]
+        points = [p for _, p in objects]
+        keys = [_gram_key(c) for c in coords]
+        tops = [float(np.max(np.abs(c))) for c in coords]
+        by_shape = {}
+        for i, c in enumerate(coords):
+            by_shape.setdefault(c.shape, []).append(i)
+        stacks = {shape: (np.array(idx), np.array([keys[i] for i in idx]),
+                          np.array([tops[i] for i in idx]))
+                  for shape, idx in by_shape.items()}
+        ids = np.full(len(coords), -1)
+        ci = 0
+        while (pending := np.flatnonzero(ids < 0)).size:
+            if ci == len(self.reps):
+                i = pending[0]
+                self.reps.append((coords[i], points[i], keys[i], tops[i]))
+                ids[i] = ci
+            rc, _, rkey, rtop = self.reps[ci]
+            if rc.shape in stacks:
+                idx, K, T = stacks[rc.shape]
+                scale = np.maximum(np.maximum(1.0, T), rtop)
+                close = ~(np.max(np.abs(K - rkey), axis=1)
+                          > self.tol * scale * scale)
+                tried = close & (ids[idx] < 0)
+                found = self._matches(ci, coords, points, idx[tried],
+                                      scale[tried])
+                ids[found] = ci
+            ci += 1
+        return ids.tolist()
+
+    def _matches(self, ci, coords, points, tried, scales):
+        """The objects among ``tried`` that rep ``ci`` matches.
+
+        A pair whose ``_search_key`` is in ``g._search_cache`` reads its
+        result there.  The other keys are searched at once, one object
+        each, by ``_first_hits``, and filed there with the matrix
+        ``_search`` returns.
+        """
+        g, wb = self.g, self.word_bound
+        rc, rp, _, _ = self.reps[ci]
+        cache = g._search_cache
+        keys, todo = [], {}
+        for i, scale in zip(tried.tolist(), scales.tolist()):
+            tol = self.tol * scale
+            keys.append(_search_key(wb, tol, coords[i], rc, points[i], rp))
+            if keys[-1] not in cache:
+                todo.setdefault(keys[-1], (i, tol))
+        hits = _first_hits(g, wb, [coords[i] for i, _ in todo.values()],
+                           [points[i] for i, _ in todo.values()],
+                           [tol for _, tol in todo.values()], rc, rp)
+        for n, key in enumerate(todo):
+            cache[key] = hits.get(n)
+        return [i for i, key in zip(tried.tolist(), keys)
+                if cache[key] is not None]

@@ -26,8 +26,7 @@ def trivial(cusps):
 def reference_return_paths(g, length_bound, word_bound, points):
     """``enumerate_return_paths`` one orbit point at a time, with a ray
     test and a validated ``horoball_distance`` for every pair."""
-    classes = GammaClasses(g, word_bound)
-    paths = {}
+    pairs = []
     for c, p in enumerate(g.cusp_reps):
         base = points.find(p)
         ray_p = base.point / np.linalg.norm(base.point)
@@ -35,11 +34,14 @@ def reference_return_paths(g, length_bound, word_bound, points):
             if np.linalg.norm(ray_p - q.point / np.linalg.norm(q.point)) < 1e-10:
                 continue
             d = horoball_distance(base.point, q.point)
-            if d > length_bound + 1e-9:
-                continue
-            cid, _ = classes.classify(np.array([base.point, q.point]), [base, q])
-            paths.setdefault(cid, ReturnPath(cid, max(0.0, d), [])).lifts.append(
-                (c, q))
+            if d <= length_bound + 1e-9:
+                pairs.append((c, base, q, d))
+    ids = GammaClasses(g, word_bound).classify(
+        [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
+    paths = {}
+    for cid, (c, _, q, d) in zip(ids, pairs):
+        paths.setdefault(cid, ReturnPath(cid, max(0.0, d), [])).lifts.append(
+            (c, q))
     return sorted(paths.values(), key=lambda rp: (round(rp.length, 9),
                                                   rp.class_id))
 
@@ -173,9 +175,10 @@ def nearest_at(k, centers):
 class TestNearestSets:
     @pytest.mark.parametrize("name", ["figure_eight_knot", "figure3_surface"])
     def test_batches_match_one_point_path(self, monkeypatch, name):
-        # every batch of a run (the vertices, the n = 3 edge midpoints and
-        # each facet sample) gives each point the sample and nearest set
-        # that point gives alone, bitwise
+        # every batch of a run (the vertices, the n = 3 edge midpoints,
+        # the first sample of every fence and each later facet sample)
+        # gives each point the sample and nearest set that point gives
+        # alone, bitwise
         calls = []
         nearest_sets = cutlocus._nearest_sets
 
@@ -217,6 +220,62 @@ class TestNearestSets:
         monkeypatch.setattr(cutlocus, "_vertex_enumeration", with_fake)
         with pytest.raises(GeometryError, match="at a vertex"):
             cut_locus_complex(paths, g, 0, points=pts)
+
+
+# the Klein points deep in the domain of SYM3's first horoball (one
+# nearest center) and at the vertex all three domains share (three)
+DEEP = (0.0, 0.9)
+TRIPLE = (0.0, 0.0)
+
+
+class TestFenceWalk:
+    @staticmethod
+    def _sym3():
+        g = trivial(SYM3)
+        pts = OrbitSet(orbit(g, 0, 10.0))
+        paths = enumerate_return_paths(g, horoball_distance(SYM3[0], SYM3[1])
+                                       + 0.1, 0, pts)
+        return g, pts, paths
+
+    @staticmethod
+    def _lead(monkeypatch, lead, rest=True):
+        """Make every fence walk try the Klein points ``lead`` first."""
+        samples = cutlocus._facet_samples
+
+        def led(witnesses, A, b, qi):
+            yield from (np.array(k) for k in lead)
+            if rest:
+                yield from samples(witnesses, A, b, qi)
+
+        monkeypatch.setattr(cutlocus, "_facet_samples", led)
+
+    @staticmethod
+    def _bits(cells):
+        return [(c.nearest_ids, c.sample.tobytes()) for c in cells]
+
+    @pytest.mark.parametrize("lead", [[DEEP], [TRIPLE], [DEEP, TRIPLE],
+                                      [TRIPLE, DEEP, DEEP]])
+    def test_walk_passes_first_samples_that_miss(self, monkeypatch, lead):
+        # a first sample on one center or on three is passed over, and
+        # the walk goes on to the fence's own samples
+        g, pts, paths = self._sym3()
+        want = cut_locus_complex(paths, g, 0, points=pts).cells[1]
+        assert len(want) == 6
+        self._lead(monkeypatch, lead)
+        got = cut_locus_complex(paths, g, 0, points=pts).cells[1]
+        assert self._bits(got) == self._bits(want)
+
+    def test_fence_on_one_center_only_raises(self, monkeypatch):
+        g, pts, paths = self._sym3()
+        self._lead(monkeypatch, [TRIPLE, DEEP, TRIPLE], rest=False)
+        with pytest.raises(GeometryError, match="on a fence"):
+            cut_locus_complex(paths, g, 0, points=pts)
+
+    def test_fence_on_finer_strata_only_has_no_cell(self, monkeypatch):
+        g, pts, paths = self._sym3()
+        self._lead(monkeypatch, [TRIPLE, TRIPLE], rest=False)
+        cx = cut_locus_complex(paths, g, 0, points=pts)
+        assert cx.cells[1] == [] and cx.class_counts[1] == 0
 
 
 class TestDual:

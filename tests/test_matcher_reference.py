@@ -10,10 +10,10 @@ cross-validation, the quotient pairings and the canonical JSON) must
 be the same under the reference.
 
 The word-candidate loop (one ``set_match`` per candidate), the
-classification that searches every representative and the cut-locus
-vertex enumeration that solves one system at a time are kept too:
-the stacked versions must return the same matrices, classes and
-vertices, bit for bit.
+classification that takes one object at a time and searches every
+representative, and the cut-locus vertex enumeration that solves one
+system at a time are kept too: the stacked versions must return the
+same matrices, classes and representatives, and vertices, bit for bit.
 """
 
 from contextlib import contextmanager
@@ -405,15 +405,22 @@ def loop_find_group_element(g, word_bound, src_coords, dst_coords,
     return None
 
 
-def loop_classify(classes, coords, points):
-    """What ``classes.classify`` returns when every rep is searched."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    for ci, (rc, rp, *_) in enumerate(classes.reps):
-        M = loop_find_group_element(classes.g, classes.word_bound, coords, rc,
-                                    points, rp, classes.tol)
-        if M is not None:
-            return ci, M
-    return len(classes.reps), np.eye(classes.g.dimension + 1)
+def loop_classify(classes, objects):
+    """The ids and reps ``classes.classify(objects)`` must give: the
+    objects one at a time, each searched against every rep in turn."""
+    reps = [(rc, rp) for rc, rp, *_ in classes.reps]
+    ids = []
+    for coords, points in objects:
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        ci = next((ci for ci, (rc, rp) in enumerate(reps)
+                   if loop_find_group_element(classes.g, classes.word_bound,
+                                              coords, rc, points, rp,
+                                              classes.tol) is not None),
+                  len(reps))
+        if ci == len(reps):
+            reps.append((coords, points))
+        ids.append(ci)
+    return ids, reps
 
 
 def loop_vertex_enumeration(A, b, n):
@@ -439,6 +446,11 @@ def loop_vertex_enumeration(A, b, n):
 
 def _bits(M):
     return None if M is None else (M.shape, M.tobytes())
+
+
+def _rep_bits(reps):
+    return [(rc.shape, rc.tobytes(), [id(op) for op in rp])
+            for rc, rp, *_ in reps]
 
 
 def _vertex_bits(verts):
@@ -474,10 +486,11 @@ def loop_pairs(request):
                                                                 **kwargs))))
         return got
 
-    def classify(self, coords, points):
-        want = loop_classify(self, coords, points)
-        got = stacked_classify(self, coords, points)
-        classes.append(((got[0], _bits(got[1])), (want[0], _bits(want[1]))))
+    def classify(self, objects):
+        want_ids, want_reps = loop_classify(self, objects)
+        got = stacked_classify(self, objects)
+        classes.append(((got, _rep_bits(self.reps)),
+                        (want_ids, _rep_bits(want_reps))))
         return got
 
     def enum(A, b, n):

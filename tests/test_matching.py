@@ -8,7 +8,8 @@ from hypdecomp import matching
 from hypdecomp.doubling import symmetrize_decorations
 from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
 from hypdecomp.io_cli import run
-from hypdecomp.matching import (GammaClasses, greedy_deviation, match_index,
+from hypdecomp.matching import (PAIR_TOL, GammaClasses, _scale, _search_key,
+                                greedy_deviation, match_index, pair_hits,
                                 stack_hits)
 from test_ep_hull import FIXTURES, _case_id, _spec
 
@@ -35,37 +36,138 @@ class TestGreedyDeviation:
         assert not set_match(SQUARE[::-1], B, 2.5e-7)
 
 
+def _rotation(phi):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
 class TestGammaClasses:
-    def _points(self, coords):
-        return [OrbitPoint(point=p, cusp_id=0, matrix=np.eye(3))
-                for p in coords]
+    PAIR = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
-    def test_only_close_gram_keys_are_searched(self, monkeypatch):
+    def _objects(self, *sets):
+        return [(c, [OrbitPoint(point=p, cusp_id=0, matrix=np.eye(3))
+                     for p in c]) for c in sets]
+
+    def _classes(self):
+        # the trivial group: every candidate is the identity
+        return GammaClasses(GroupSpec(2, [], [], [self.PAIR[0]]), 2)
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The destination set and the sources of every ``pair_hits``
+        call."""
         calls = []
-        search = matching.search_words
+        hits = matching.pair_hits
 
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return search(*args, **kwargs)
+        def counted(left, right, srcs, dst, tols):
+            calls.append((dst, srcs))
+            return hits(left, right, srcs, dst, tols)
 
-        monkeypatch.setattr(matching, "search_words", counted)
-        pair = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        g = GroupSpec(2, [], [], [pair[0]])
-        classes = GammaClasses(g, 2)
-        assert classes.classify(pair, self._points(pair))[0] == 0
-        assert not calls
+        monkeypatch.setattr(matching, "pair_hits", counted)
+        return calls
+
+    def test_only_close_gram_keys_are_searched(self, searched):
+        pair = self.PAIR
+        classes = self._classes()
+        assert classes.classify(self._objects(pair)) == [0]
+        assert not searched
         # another shape never reaches the search
         triple = np.vstack([pair, [[1.0, -1.0, 0.0]]])
-        assert classes.classify(triple, self._points(triple))[0] == 1
-        assert not calls
+        assert classes.classify(self._objects(triple)) == [1]
+        assert not searched
         # a far Gram key (the same rays, twice the horoball scale) neither
+        assert classes.classify(self._objects(2.0 * pair)) == [2]
+        assert not searched
+        # the object itself passes the screen and is found, by the identity
+        assert classes.classify(self._objects(pair)) == [0]
+        assert len(searched) == 1 and searched[0][0] is classes.reps[0][0]
+        [M] = classes.g._search_cache.values()
+        assert np.array_equal(M, np.eye(3))
+
+    def test_equal_objects_share_one_search(self, searched):
+        classes = self._classes()
+        pair = self.PAIR
         far = 2.0 * pair
-        assert classes.classify(far, self._points(far))[0] == 2
-        assert not calls
-        # the object itself passes the screen and is found
-        ci, M = classes.classify(pair, self._points(pair))
-        assert ci == 0 and np.array_equal(M, np.eye(3))
-        assert len(calls) == 1 and calls[0] is classes.reps[0][0]
+        objects = self._objects(pair, far, pair.copy(), far.copy(), pair)
+        assert classes.classify(objects) == [0, 1, 0, 1, 0]
+        # one round per rep, one source per distinct search key
+        assert [len(srcs) for _, srcs in searched] == [1, 1]
+        assert classes.classify(objects) == [0, 1, 0, 1, 0]
+        assert len(searched) == 2
+
+    def test_gram_far_object_starts_a_class_unsearched(self, searched):
+        classes = self._classes()
+        objects = self._objects(self.PAIR, 2.0 * self.PAIR)
+        assert classes.classify(objects) == [0, 1]
+        assert not searched and classes.g._search_cache == {}
+        assert [rp for _, rp, *_ in classes.reps] == [p for _, p in objects]
+
+    def test_shapes_split_into_their_own_rounds(self):
+        pair = self.PAIR
+        triple = np.vstack([pair, [[1.0, -1.0, 0.0]]])
+        classes = self._classes()
+        objects = self._objects(pair, triple, pair.copy(), triple.copy(),
+                                2.0 * pair, 2.0 * pair)
+        assert classes.classify(objects) == [0, 1, 0, 1, 2, 2]
+        assert [rp for _, rp, *_ in classes.reps] == [
+            objects[i][1] for i in (0, 1, 4)]
+        # a later call tries the reps it finds first
+        assert classes.classify(self._objects(triple, pair)) == [1, 0]
+        assert len(classes.reps) == 3
+
+    def test_first_of_two_matching_reps_wins(self):
+        # b is a but turned by 1.6e-6, beyond the tolerance 1e-6; x, half
+        # way, is within it of both
+        a = np.array([[1.0, np.cos(t), np.sin(t)] for t in (0.3, 2.0, 4.0)])
+        b, x = (a @ _rotation(phi).T for phi in (1.6e-6, 0.8e-6))
+        assert not set_match(a, b, 1e-6)
+        assert set_match(x, a, 1e-6) and set_match(x, b, 1e-6)
+        for order in ((a, b), (b, a)):
+            classes = self._classes()
+            assert classes.classify(self._objects(*order, x)) == [0, 1, 0]
+            assert classes.reps[0][0] is order[0]
+
+    def test_empty_list(self):
+        classes = self._classes()
+        assert classes.classify([]) == []
+        assert classes.reps == []
+        classes.classify(self._objects(self.PAIR))
+        assert classes.classify([]) == [] and len(classes.reps) == 1
+
+    @pytest.mark.parametrize("name", ["thrice_punctured_sphere",
+                                      "once_punctured_torus"])
+    def test_filed_matrix_is_the_search_result(self, name):
+        # every (object, rep) pair a classify decides is in the spec's
+        # search cache, with what ``_search`` returns for it: for a lone
+        # vertex every stabilizer element hits, and the first must win
+        spec = _spec(name)
+        g, wb = spec.group, spec.options.word_bound
+        assert len(g.stabilizer_stack(0, wb)) > 1
+        pts = OrbitSet(orbit(g, wb, spec.options.height_bound))
+        base = pts.find(g.cusp_reps[0])
+        objects = [(np.array([base.point, q.point]), [base, q])
+                   for q in pts if q is not base]
+        objects += [(q.point, [q]) for q in pts]
+        classes = GammaClasses(g, wb)
+        ids = classes.classify(objects)
+        assert len(classes.reps) < len(objects)
+        found = []
+        for (coords, points), ci in zip(objects, ids):
+            coords = np.atleast_2d(coords)
+            for rc, rp, *_ in classes.reps[:ci + 1]:
+                if rc.shape != coords.shape:
+                    continue
+                tol = PAIR_TOL * _scale(coords, rc)
+                key = _search_key(wb, tol, coords, rc, points, rp)
+                if key not in g._search_cache:
+                    continue
+                got = g._search_cache[key]
+                want = matching._search(g, wb, coords, rc, points, rp, tol)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes()
+                found.append(got is not None)
+        assert True in found and False in found
 
 
 def loop_greedy_deviation(A, B, tol=np.inf):
@@ -162,6 +264,29 @@ class TestBatchedGreedy:
             assert list(stack_hits(stack[:0], src, dst, 1e-6)) == []
             assert (list(stack_hits(stack[:1], src, dst, 1e-6))
                     == loop_stack_hits(stack[:1], src, dst, 1e-6))
+
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_pair_hits_match_stack_hits(self, d):
+        rng = np.random.default_rng(d)
+        src = rng.normal(size=(3, d))
+        rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        dst = src @ rot.T
+        # left[j] @ right[k] is the true map, a near miss or unrelated
+        left = np.array([rot + rng.uniform(-s, s, size=(d, d))
+                         for s in (0.0, 1e-10, 1e-7, 1e-3, 0.5)] * 2)
+        right = np.array([np.eye(d) + rng.uniform(-s, s, size=(d, d))
+                          for s in (0.0, 1e-11, 1e-7, 0.0, 0.1, 0.0)])
+        srcs = np.array([src + rng.uniform(-s, s, size=src.shape)
+                         for s in (0.0, 1e-9, 0.0, 1e-6, 0.0, 0.2)])
+        tols = np.array([1e-9, 1e-6, 1e-6, 1e-9, 1e-6, 1e-6])
+        k, j, M = pair_hits(left, right, srcs, dst, tols)
+        want = sorted((jj, kk) for kk in range(len(right))
+                      for jj in stack_hits(left @ right[kk], srcs[kk], dst,
+                                           tols[kk]))
+        assert len(want) > 2 and list(zip(j.tolist(), k.tolist())) == want
+        for kk, jj, m in zip(k, j, M):
+            assert m.tobytes() == (left @ right[kk])[jj].tobytes()
 
 
 def loop_match_index(candidates, query, tol):
@@ -319,6 +444,5 @@ class TestSearchCache:
         pair = [pts[0], pts[1]]
         coords = np.array([op.point for op in pair])
         classes = GammaClasses(gs, o.word_bound)
-        classes.classify(coords, pair)
-        classes.classify(coords, pair)
+        assert classes.classify([(coords, pair), (coords, pair)]) == [0, 0]
         assert gs._search_cache and g._search_cache == {}

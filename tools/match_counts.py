@@ -4,14 +4,16 @@
 Runs ``io_cli.run`` on the four fixtures at their shipped bounds and on
 the figure-eight knot at H = 12, and counts, per run:
 
-- ``searches``: ``matching.search_words`` calls, from
-  ``find_group_element`` and from ``GammaClasses.classify``;
+- ``searches``: ``matching.search_words`` calls, all from
+  ``find_group_element``;
 - ``searches_made``: the calls among them that miss the spec's search
   cache and so search (``matching._search``);
-- ``candidates``: matrices in the stacks that ``stack_hits`` screens,
-  the quotient's scans included;
-- ``survivors``: matrices that pass the centroid screen and go to the
-  greedy confirmation;
+- ``candidates``: (source, matrix) pairs that ``matching.pair_hits``
+  screens, for the searches and for the rounds of
+  ``GammaClasses.classify``, and matrices in the stacks that the
+  quotient's ``stack_hits`` scans screen;
+- ``survivors``: pairs or matrices that pass the centroid screen and
+  go to the greedy confirmation;
 - ``hits``: survivors that the confirmation accepts;
 - ``low_images``: images of the cusp vectors under the word ball with
   x0 at most the height bound, over every ``orbit`` call;
@@ -53,10 +55,11 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
-    search, made, hits_of, greedy, orbit, first_new, is_same = (
-        matching.search_words, matching._search, matching.stack_hits,
-        matching.greedy_deviation, group.orbit, group._first_new,
-        group._is_same)
+    (search, made, hits_of, pair_hits, greedy, orbit, first_new,
+     is_same) = (matching.search_words, matching._search,
+                 matching.stack_hits, matching.pair_hits,
+                 matching.greedy_deviation, group.orbit, group._first_new,
+                 group._is_same)
     screening, keying = [False], [True]
 
     def counted_search(*args, **kwargs):
@@ -76,6 +79,16 @@ def counting(counts):
             screening[0] = False
         counts["hits"] += len(hits)
         return iter(hits)
+
+    def counted_pair_hits(left, right, srcs, dst, tols):
+        counts["candidates"] += len(left) * len(right)
+        screening[0] = True
+        try:
+            hits = pair_hits(left, right, srcs, dst, tols)
+        finally:
+            screening[0] = False
+        counts["hits"] += len(hits[0])
+        return hits
 
     def counted_greedy(A, B, tol=np.inf):
         dev = greedy(A, B, tol)
@@ -108,7 +121,7 @@ def counting(counts):
 
     patches = [(matching, "search_words", counted_search),
                (matching, "_search", counted_made),
-               (matching, "stack_hits", counted_stack_hits),
+               (matching, "pair_hits", counted_pair_hits),
                (doubling, "stack_hits", counted_stack_hits),
                (matching, "greedy_deviation", counted_greedy)]
     patches += [(group, "_first_new", counted_first_new),
