@@ -17,7 +17,7 @@ cross-validation meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -196,10 +196,10 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
     For each cusp the nearness domain is intersected from fence
     half-spaces; vertices, edges and fence facets strictly inside the
     unit ball become 0-, 1- and (n-1)-cells.  Nearest sets come from one
-    ``_nearest_sets`` call for all vertices, one for all edge midpoints,
-    one for the first sample of every fence and one per later facet
-    sample.  Each stratum's cells are grouped into group orbits by one
-    ``classify``.
+    ``_nearest_sets`` call for all vertices, one for all edge midpoints
+    and one per round of facet samples, which takes the next sample of
+    every fence without a facet cell yet.  Each stratum's cells are
+    grouped into group orbits by one ``classify``.
     ``points`` is the orbit the paths were enumerated in.
     """
     if not paths:
@@ -236,37 +236,31 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                                                   for i in near if i > 0]))
             ops = [points[i] for i in ids]
             cells[0].append(CutCell(0, ids, ops, x))
-        # (n-1)-cells: one per fence carrying a facet; the first samples
-        # of all fences share one call, later samples go one at a time
-        fences = []
+        # (n-1)-cells: one per fence with a sample near it alone; each
+        # round tests the next sample of every fence still open at once
+        samples = {}
         for qi in range(nf):
             witnesses = [k for k, active in verts if qi in active]
             if len(witnesses) >= n:
-                fences.append((qi, _facet_samples(np.array(witnesses), A, b,
-                                                  qi)))
-        firsts = [next(samples, None) for _, samples in fences]
-        tested = iter(zip(*_nearest_sets([k for k in firsts if k is not None],
-                                          centers)))
-        for (qi, samples), first in zip(fences, firsts):
-            hit = None
-            short = False
-            later = (pair for k in samples
-                     for pair in zip(*_nearest_sets([k], centers)))
-            for x, near in chain([] if first is None else [next(tested)],
-                                 later):
-                if len(near) < 2:
-                    short = True
-                    continue
+                samples[qi] = _facet_samples(np.array(witnesses), A, b, qi)
+        hits, short, open_ = {}, set(), list(samples)
+        while todo := [(qi, k) for qi in open_
+                       if (k := next(samples[qi], None)) is not None]:
+            open_ = []
+            for (qi, _), x, near in zip(todo, *_nearest_sets(
+                    [k for _, k in todo], centers)):
                 if len(near) == 2:
-                    hit = x
-                    break
-            if hit is None:
-                if short:
-                    raise GeometryError("inconsistent stratification on a fence")
-                continue   # every sample landed on a finer stratum
+                    hits[qi] = x
+                    continue
+                open_.append(qi)
+                if len(near) < 2:
+                    short.add(qi)
+        if short - hits.keys():
+            raise GeometryError("inconsistent stratification on a fence")
+        for qi, x in sorted(hits.items()):
             ids = tuple(sorted([base_op.index, comp[qi].index]))
             cells[n - 1].append(CutCell(n - 1, ids, [points[i] for i in ids],
-                                        hit))
+                                        x))
         # 1-cells for n = 3: polytope edges inside the ball
         if n == 3:
             fence_sets = [{i for i in active if i < nf} for _, active in verts]

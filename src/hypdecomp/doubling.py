@@ -207,14 +207,19 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
     # (3) pairwise disjointness
     log_scale = max(log_scale,
                     _overlap_log_scale(np.array([op.point for op in pts])))
-    lam = float(np.exp(log_scale)) if log_scale > 1e-15 else 1.0
-    if lam != 1.0:
-        for i in range(len(reps)):
-            assigned[i] = lam * assigned[i]
-        # re-propagate so every paired center is the exact matrix image of
-        # its scaled anchor (mirror partners match bitwise)
-        _propagate()
-        reps = [assigned[i] for i in range(len(reps))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = float(np.exp(log_scale)) if log_scale > 1e-15 else 1.0
+        if lam != 1.0:
+            for i in range(len(reps)):
+                assigned[i] = lam * assigned[i]
+            # re-propagate so every paired center is the exact matrix image
+            # of its scaled anchor (mirror partners match bitwise)
+            _propagate()
+            reps = [assigned[i] for i in range(len(reps))]
+    if not (np.isfinite(lam) and np.isfinite(reps).all()):
+        raise SymmetrizeError(f"margin {margin:g} asks for the decoration "
+                              f"scale exp({log_scale:g}), past the float "
+                              "range")
     return replace(g, cusp_reps=reps, _ball_cache=dict(g._ball_cache))
 
 

@@ -75,7 +75,7 @@ class GroupSpec:
     _ball_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _stab_cache: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-    # matching.search_words results, keyed by their inputs
+    # matching._first_hits results, keyed by their inputs
     _search_cache: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
 

@@ -3,25 +3,24 @@
 Everything downstream that talks about "orbits of faces", "orbits of
 cut-locus cells" or "orbits of return paths" reduces to one question:
 is there a group element mapping one finite decorated point set onto
-another?  ``find_group_element`` answers it from one candidate source:
-vertex matrices composed with cusp stabilizer elements, which cover
-elements well outside the word ball.  A group element is its matrix,
-whose inverse is exactly J M^T J.  ``_first_hits`` builds those
-candidates as one stack per cusp and scans it with ``pair_hits`` for
-any number of source sets at once: a cheap screen by the image of each
-set centroid, an exact one of its survivors, then one batched greedy
-confirmation.  ``stack_hits`` finds the same hits in one matrix stack
-for one set, with the exact screen alone; it serves the quotient's wall
-lifts, mirror partners and facet gluings.  ``GammaClasses.classify`` sorts a whole list of objects into
-classes in rounds, one per representative: a round tests every pending
-object against it with one ``_first_hits``.  It keeps the Gram key of
-each representative, so an object is tested only against
-representatives whose key is close to its own.  Each spec keeps the
-result of every search and of every pair a round decides under its
-inputs, so a run that asks the same question twice (the doubled
+another?  ``_first_hits`` is the one search that answers it, for any
+number of source sets onto one destination.  Its candidates are vertex
+matrices composed with cusp stabilizer elements, which cover elements
+well outside the word ball; a group element is its matrix, whose
+inverse is exactly J M^T J.  It builds them as one stack per cusp and
+scans it with ``pair_hits``: a cheap screen by the image of each set
+centroid, an exact one of its survivors, then one batched greedy
+confirmation.  It alone reads and fills the spec's cache of search
+results, so a run that asks the same question twice (the doubled
 cut-locus complex has the cells of the kept one) searches once.
-``match_index`` confirms a query against a list of candidate sets as
-one stack.  All searches are deterministic.
+``find_group_element`` asks it about one source;
+``GammaClasses.classify`` sorts a list of objects into classes in
+rounds, one per representative, each one ``_first_hits`` over the
+pending objects whose Gram key is close to the representative's.
+``stack_hits`` finds the hits in one matrix stack for one set, with
+the exact screen alone; it serves the quotient's wall lifts, mirror
+partners and facet gluings.  ``match_index`` confirms a query against
+a list of candidate sets as one stack.  All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -92,13 +91,14 @@ def _gram_key(coords):
     return np.sort(G.ravel())
 
 
-def _gram_close(key_a, key_b, scale: float, tol: float) -> bool:
-    """Whether two Gram keys of one shape can belong to one group orbit.
+def _gram_close(keys, key, scale, tol: float):
+    """Whether each Gram key of ``keys`` (one, or a stack on the leading
+    axis) and ``key``, of one shape, can belong to one group orbit.
 
-    ``scale`` is ``_scale`` of the two sets; the keys are quadratic in
-    the coordinates, hence the squared scale.
+    ``scale`` is ``_scale`` of each pair of sets; the keys are quadratic
+    in the coordinates, hence the squared scale.
     """
-    return not np.max(np.abs(key_a - key_b)) > tol * scale * scale
+    return ~(np.max(np.abs(keys - key), axis=-1) > tol * scale * scale)
 
 
 def stack_hits(stack, src, dst, tol: float, images=None):
@@ -166,54 +166,36 @@ def _search_key(word_bound: int, tol: float, src, dst, src_points,
             tuple((Q.cusp_id, Q.matrix.tobytes()) for Q in dst_points))
 
 
-def search_words(g: GroupSpec, word_bound: int, src, dst, src_points,
-                 dst_points, tol: float):
-    """First candidate matrix mapping ``src`` onto ``dst`` within the
-    absolute ``tol``, or None (see ``_search``).
-
-    Each result is kept in ``g._search_cache`` under ``_search_key``;
-    ``GammaClasses.classify`` files the pairs it decides there too.  A
-    repeated search is a lookup that returns a copy of the kept matrix;
-    equal keys are identical inputs, so a hit is exactly what the
-    search would return.  The cache lives as long as the spec: in
-    ``run()``, the one symmetrized spec.
-    """
-    key = _search_key(word_bound, tol, src, dst, src_points, dst_points)
-    cache = g._search_cache
-    if key not in cache:
-        cache[key] = _search(g, word_bound, src, dst, src_points, dst_points,
-                             tol)
-    M = cache[key]
-    return None if M is None else M.copy()
-
-
-def _search(g: GroupSpec, word_bound: int, src, dst, src_points, dst_points,
-            tol: float):
-    """The uncached search of ``search_words``: ``_first_hits`` of the
-    one source."""
-    return _first_hits(g, word_bound, [src], [src_points], [tol], dst,
-                       dst_points).get(0)
-
-
 def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
                 dst_points):
-    """{k: first matrix mapping ``srcs[k]`` onto ``dst`` within the
-    absolute ``tols[k]``}, sources without one left out.
+    """First matrix mapping each ``srcs[k]`` onto ``dst`` within the
+    absolute ``tols[k]``, or None, one per source.
 
     The candidates of a source are Q.matrix @ s @ lorentz_inverse(P.matrix)
     for each of its first two vertices P, each destination vertex Q on
     P's cusp and each cusp stabilizer element s; the first hit in
-    (P, Q, s) order wins.  All sources try their first P at once, one
-    ``pair_hits`` per cusp over its (Q, s) stack, then those without a
-    hit their second.
+    (P, Q, s) order wins.  Each result is kept in ``g._search_cache``
+    under ``_search_key`` and returned as kept, uncopied; equal keys are
+    identical inputs, so a kept result is exactly what the search would
+    return.  Only the distinct keys not kept yet are searched: their
+    sources try their first P at once, one ``pair_hits`` per cusp over
+    its (Q, s) stack, then those without a hit their second.  The cache
+    lives as long as the spec: in ``run()``, the one symmetrized spec.
     """
+    cache = g._search_cache
+    keys = [_search_key(word_bound, tol, src, dst, points, dst_points)
+            for src, points, tol in zip(srcs, src_points, tols)]
+    todo = {}           # key -> the first source that has it
+    for k, key in enumerate(keys):
+        if key not in cache:
+            todo.setdefault(key, k)
     d = dst.shape[1]
     hits, lefts = {}, {}
     for pos in (0, 1):
         by_cusp = {}
-        for k, points in enumerate(src_points):
-            if k not in hits and len(points) > pos:
-                by_cusp.setdefault(points[pos].cusp_id, []).append(k)
+        for k in todo.values():
+            if k not in hits and len(src_points[k]) > pos:
+                by_cusp.setdefault(src_points[k][pos].cusp_id, []).append(k)
         for cusp, group in by_cusp.items():
             if cusp not in lefts:
                 Qs = [Q.matrix for Q in dst_points if Q.cusp_id == cusp]
@@ -229,7 +211,9 @@ def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
                                     np.array([tols[k] for k in group]))
             for first in np.unique(which, return_index=True)[1]:
                 hits[group[which[first]]] = M[first].copy()
-    return hits
+    for key, k in todo.items():
+        cache[key] = hits.get(k)
+    return [cache[key] for key in keys]
 
 
 def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
@@ -238,10 +222,10 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
 
     ``src_points`` / ``dst_points`` are the sets' OrbitPoints, whose
     matrices carry their cusp vectors onto them.  Sets whose Gram keys
-    differ are refused without a search; otherwise ``search_words``
-    runs at ``PAIR_TOL`` times the sets' scale.
-    Returns the first matrix, in (P, Q, s) order, that maps the set
-    within tolerance, or None.
+    differ are refused without a search; otherwise ``_first_hits`` of
+    the one source runs at ``PAIR_TOL`` times the sets' scale.
+    Returns a copy of the first matrix, in (P, Q, s) order, that maps
+    the set within tolerance, or None.
     """
     src = np.atleast_2d(np.asarray(src_coords, dtype=float))
     dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
@@ -250,8 +234,9 @@ def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
     scale = _scale(src, dst)
     if not _gram_close(_gram_key(src), _gram_key(dst), scale, PAIR_TOL):
         return None
-    return search_words(g, word_bound, src, dst, src_points, dst_points,
-                        PAIR_TOL * scale)
+    [M] = _first_hits(g, word_bound, [src], [src_points], [PAIR_TOL * scale],
+                      dst, dst_points)
+    return None if M is None else M.copy()
 
 
 class GammaClasses:
@@ -271,9 +256,10 @@ class GammaClasses:
         in turn, trying each against the reps in order and making it a
         new rep when none matches.  An object only tries the reps of
         its shape whose Gram key is close to its own, with the search
-        of ``search_words`` at the scale that screen used.  The work
+        of ``_first_hits`` at the scale that screen used.  The work
         goes in rounds, one per rep: every pending object is screened
-        against it at once, and the first object still pending after a
+        against it at once and the survivors are searched in one
+        ``_first_hits`` call; the first object still pending after a
         round over the last rep becomes the next rep.
         """
         coords = [np.atleast_2d(np.asarray(c, dtype=float)) for c, _ in objects]
@@ -293,40 +279,15 @@ class GammaClasses:
                 i = pending[0]
                 self.reps.append((coords[i], points[i], keys[i], tops[i]))
                 ids[i] = ci
-            rc, _, rkey, rtop = self.reps[ci]
+            rc, rp, rkey, rtop = self.reps[ci]
             if rc.shape in stacks:
                 idx, K, T = stacks[rc.shape]
                 scale = np.maximum(np.maximum(1.0, T), rtop)
-                close = ~(np.max(np.abs(K - rkey), axis=1)
-                          > self.tol * scale * scale)
-                tried = close & (ids[idx] < 0)
-                found = self._matches(ci, coords, points, idx[tried],
-                                      scale[tried])
-                ids[found] = ci
+                tried = _gram_close(K, rkey, scale, self.tol) & (ids[idx] < 0)
+                found = _first_hits(self.g, self.word_bound,
+                                    [coords[i] for i in idx[tried]],
+                                    [points[i] for i in idx[tried]],
+                                    self.tol * scale[tried], rc, rp)
+                ids[idx[tried][[M is not None for M in found]]] = ci
             ci += 1
         return ids.tolist()
-
-    def _matches(self, ci, coords, points, tried, scales):
-        """The objects among ``tried`` that rep ``ci`` matches.
-
-        A pair whose ``_search_key`` is in ``g._search_cache`` reads its
-        result there.  The other keys are searched at once, one object
-        each, by ``_first_hits``, and filed there with the matrix
-        ``_search`` returns.
-        """
-        g, wb = self.g, self.word_bound
-        rc, rp, _, _ = self.reps[ci]
-        cache = g._search_cache
-        keys, todo = [], {}
-        for i, scale in zip(tried.tolist(), scales.tolist()):
-            tol = self.tol * scale
-            keys.append(_search_key(wb, tol, coords[i], rc, points[i], rp))
-            if keys[-1] not in cache:
-                todo.setdefault(keys[-1], (i, tol))
-        hits = _first_hits(g, wb, [coords[i] for i, _ in todo.values()],
-                           [points[i] for i, _ in todo.values()],
-                           [tol for _, tol in todo.values()], rc, rp)
-        for n, key in enumerate(todo):
-            cache[key] = hits.get(n)
-        return [i for i, key in zip(tried.tolist(), keys)
-                if cache[key] is not None]

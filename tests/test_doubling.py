@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import product
 
@@ -17,7 +18,7 @@ from hypdecomp.ep_hull import (certified_faces, hull_faces,
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
                              orbit, reflection_normal)
-from hypdecomp.io_cli import load_spec
+from hypdecomp.io_cli import load_spec, main, run
 from hypdecomp.minkowski import (GeometryError, hyperboloid_to_klein,
                                  klein_to_hyperboloid, lorentz_product)
 
@@ -153,6 +154,24 @@ class TestSymmetrize:
         with pytest.raises(SymmetrizeError):
             symmetrize_decorations(bad, margin=1.0, word_bound=3,
                                    height_bound=20.0)
+
+    def test_overflowing_scale_rejected(self, tmp_path, capsys):
+        # exp(margin) overflows: the cusp vectors would be inf and nan
+        path = fixture_path("figure3_surface")
+        spec = load_spec(path)
+        spec.options.margin = 1e6
+        cert = run(spec).certificates["decoration_symmetry"]
+        assert not cert.ok and "margin 1e+06" in cert.detail
+        out = tmp_path / "report.json"
+        assert main(["--input", str(path), "--margin", "1e6",
+                     "--json", str(out)]) == 2
+        capsys.readouterr()
+
+        def non_finite(constant):
+            raise AssertionError(f"{constant} in the JSON report")
+
+        doc = json.loads(out.read_text(), parse_constant=non_finite)
+        assert not doc["certificates"]["decoration_symmetry"]["ok"]
 
     # reversed, the first pairing maps cusp 0 to the ray of a ball
     # element other than the identity, so the order of the products

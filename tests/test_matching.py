@@ -6,9 +6,11 @@ import pytest
 from conftest import set_match
 from hypdecomp import matching
 from hypdecomp.doubling import symmetrize_decorations
-from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
+from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
+                             orbit)
 from hypdecomp.io_cli import run
-from hypdecomp.matching import (PAIR_TOL, GammaClasses, _scale, _search_key,
+from hypdecomp.matching import (PAIR_TOL, GammaClasses, _first_hits, _scale,
+                                _search_key, find_group_element,
                                 greedy_deviation, match_index, pair_hits,
                                 stack_hits)
 from test_ep_hull import FIXTURES, _case_id, _spec
@@ -138,8 +140,9 @@ class TestGammaClasses:
                                       "once_punctured_torus"])
     def test_filed_matrix_is_the_search_result(self, name):
         # every (object, rep) pair a classify decides is in the spec's
-        # search cache, with what ``_search`` returns for it: for a lone
-        # vertex every stabilizer element hits, and the first must win
+        # search cache, with what ``_first_hits`` on a fresh spec returns
+        # for it: for a lone vertex every stabilizer element hits, and
+        # the first must win
         spec = _spec(name)
         g, wb = spec.group, spec.options.word_bound
         assert len(g.stabilizer_stack(0, wb)) > 1
@@ -162,12 +165,67 @@ class TestGammaClasses:
                 if key not in g._search_cache:
                     continue
                 got = g._search_cache[key]
-                want = matching._search(g, wb, coords, rc, points, rp, tol)
+                [want] = _first_hits(replace(g), wb, [coords], [points],
+                                     [tol], rc, rp)
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got.tobytes() == want.tobytes()
                 found.append(got is not None)
         assert True in found and False in found
+
+
+def loop_first_hit(g, word_bound, src, src_points, tol, dst, dst_points):
+    """The first Q.matrix @ s @ P^-1, in (P, Q, s) order, mapping ``src``
+    onto ``dst`` within ``tol``, trying one candidate at a time."""
+    for P in src_points[:2]:
+        inv = lorentz_inverse(P.matrix)
+        for Q in dst_points:
+            if Q.cusp_id == P.cusp_id:
+                for s in g.stabilizer_stack(P.cusp_id, word_bound):
+                    M = Q.matrix @ s @ inv
+                    if greedy_deviation(src @ M.T, dst, tol) <= tol:
+                        return M
+    return None
+
+
+class TestFirstHits:
+    @pytest.mark.parametrize("name,lone", [("once_punctured_torus", False),
+                                           ("thrice_punctured_sphere", True)],
+                             ids=["pairs", "lone vertices"])
+    def test_sources_at_once_are_sources_one_at_a_time(self, name, lone):
+        # pairs from the base vertex, or lone vertices, a third of them
+        # repeated as equal copies, against the first: some hit, others
+        # do not.  Every stabilizer element hits a lone vertex of the
+        # destination's cusp, and the first in (P, Q, s) order must win.
+        spec = _spec(name)
+        g, wb = spec.group, spec.options.word_bound
+        pts = OrbitSet(orbit(g, wb, spec.options.height_bound))
+        base = pts.find(g.cusp_reps[0])
+        if lone:
+            objects = [(np.atleast_2d(q.point), [q]) for q in pts]
+        else:
+            objects = [(np.array([base.point, q.point]), [base, q])
+                       for q in pts if q is not base]
+        n = len(objects)
+        objects += [(c.copy(), list(p)) for c, p in objects[::3]]
+        dst, dst_points = objects[0]
+        srcs = [c for c, _ in objects]
+        points = [p for _, p in objects]
+        tols = [PAIR_TOL * _scale(c, dst) for c in srcs]
+        got = _first_hits(replace(g), wb, srcs, points, tols, dst, dst_points)
+        assert len(got) == len(srcs)
+        hit = [M is not None for M in got]
+        assert sum(hit) > 1 and not all(hit)
+        assert True in hit[n:] and False in hit[n:]
+        for args, M in zip(zip(srcs, points, tols), got):
+            [want] = _first_hits(replace(g), wb, *([a] for a in args), dst,
+                                 dst_points)
+            loop = loop_first_hit(g, wb, *args, dst, dst_points)
+            assert (M is None) == (want is None) == (loop is None)
+            if M is not None:
+                assert M.dtype == want.dtype and M.shape == want.shape
+                assert M.tobytes() == want.tobytes()
+                assert np.array_equal(M, loop)
 
 
 def loop_greedy_deviation(A, B, tol=np.inf):
@@ -368,18 +426,19 @@ CACHE_CASES = ([(name, None, {}) for name in FIXTURES]
 
 
 def _recorded_searches(monkeypatch, spec):
-    """(arguments, result) of every search_words call of one run."""
+    """(arguments, results) of every _first_hits call of one run."""
     calls = []
-    search = matching.search_words
+    first_hits = matching._first_hits
 
-    def recording(g, word_bound, src, dst, src_points, dst_points, tol):
-        args = (g, word_bound, src.copy(), dst.copy(), list(src_points),
-                list(dst_points), tol)
-        M = search(*args)
-        calls.append((args, M))
-        return M
+    def recording(g, word_bound, srcs, src_points, tols, dst, dst_points):
+        args = (g, word_bound, [src.copy() for src in srcs],
+                [list(p) for p in src_points], list(tols), dst.copy(),
+                list(dst_points))
+        found = first_hits(*args)
+        calls.append((args, found))
+        return found
 
-    monkeypatch.setattr(matching, "search_words", recording)
+    monkeypatch.setattr(matching, "_first_hits", recording)
     run(spec)
     monkeypatch.undo()
     return calls
@@ -392,45 +451,55 @@ class TestSearchCache:
                                                  draw, overrides):
         calls = _recorded_searches(monkeypatch, _spec(name, draw, **overrides))
         assert calls
-        for args, got in calls:
-            want = matching._search(*args)
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        for (g, *args), found in calls:
+            for got, want in zip(found, _first_hits(replace(g), *args),
+                                 strict=True):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     def _hit_call(self, monkeypatch):
+        """(g, word bound, source, destination, their points, tolerance)
+        of the first hit of a run."""
         calls = _recorded_searches(monkeypatch,
                                    _spec("once_punctured_torus", None))
-        return next(args for args, M in calls if M is not None)
+        return next((g, W, src, dst, sp, dp, tol)
+                    for (g, W, srcs, sps, tols, dst, dp), found in calls
+                    for src, sp, tol, M in zip(srcs, sps, tols, found)
+                    if M is not None)
 
     def test_a_changed_result_leaves_later_hits_alone(self, monkeypatch):
-        args = self._hit_call(monkeypatch)
-        first = matching.search_words(*args)
+        g, W, src, dst, sp, dp, _ = self._hit_call(monkeypatch)
+        first = find_group_element(g, W, src, dst, sp, dp)
         kept = first.copy()
         first[:] = 0.0
-        again = matching.search_words(*args)
+        again = find_group_element(g, W, src, dst, sp, dp)
         assert again.tobytes() == kept.tobytes()
         assert again is not first
 
     def test_tol_and_word_bound_are_keyed(self, monkeypatch):
         g, W, src, dst, sp, dp, tol = self._hit_call(monkeypatch)
-        made = []
-        search = matching._search
+        searched = []
+        hits = matching.pair_hits
 
         def counted(*args):
-            made.append(args)
-            return search(*args)
+            searched.append(args)
+            return hits(*args)
 
-        monkeypatch.setattr(matching, "_search", counted)
+        monkeypatch.setattr(matching, "pair_hits", counted)
         g = replace(g)      # a fresh spec, so a fresh cache
         assert g._search_cache == {}
+        made = []
         for bound, t in ((W, tol), (W, 2.0 * tol), (W + 1, tol), (W, tol),
                          (W, 2.0 * tol), (W + 1, tol)):
-            matching.search_words(g, bound, src, dst, sp, dp, t)
-        assert [(a[1], a[6]) for a in made] == [(W, tol), (W, 2.0 * tol),
-                                                (W + 1, tol)]
+            before = len(searched)
+            _first_hits(g, bound, [src], [sp], [t], dst, dp)
+            if len(searched) > before:
+                made.append((bound, t))
+        assert made == [(W, tol), (W, 2.0 * tol), (W + 1, tol)]
 
     def test_input_and_symmetrized_specs_keep_their_own_caches(self):
         spec = _spec("once_punctured_torus", None)

@@ -4,10 +4,10 @@
 Runs ``io_cli.run`` on the four fixtures at their shipped bounds and on
 the figure-eight knot at H = 12, and counts, per run:
 
-- ``searches``: ``matching.search_words`` calls, all from
-  ``find_group_element``;
+- ``searches``: ``find_group_element`` calls that pass its shape and
+  Gram screens and so reach ``matching._first_hits``;
 - ``searches_made``: the calls among them that miss the spec's search
-  cache and so search (``matching._search``);
+  cache and so search (the entries they add to it);
 - ``candidates``: (source, matrix) pairs that ``matching.pair_hits``
   screens, for the searches and for the rounds of
   ``GammaClasses.classify``, and matrices in the stacks that the
@@ -46,7 +46,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hypdecomp import doubling, ep_hull, group, io_cli, matching
+from hypdecomp import cutlocus, doubling, ep_hull, group, io_cli, matching
 from hypdecomp.fixtures import NAMES, fixture_path
 
 SETTINGS = [(name, {}) for name in NAMES] + [
@@ -55,20 +55,27 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
-    (search, made, hits_of, pair_hits, greedy, orbit, first_new,
-     is_same) = (matching.search_words, matching._search,
+    (find, first_hits, hits_of, pair_hits, greedy, orbit, first_new,
+     is_same) = (matching.find_group_element, matching._first_hits,
                  matching.stack_hits, matching.pair_hits,
                  matching.greedy_deviation, group.orbit, group._first_new,
                  group._is_same)
-    screening, keying = [False], [True]
+    finding, screening, keying = [False], [False], [True]
 
-    def counted_search(*args, **kwargs):
-        counts["searches"] += 1
-        return search(*args, **kwargs)
+    def counted_find(*args, **kwargs):
+        finding[0] = True
+        try:
+            return find(*args, **kwargs)
+        finally:
+            finding[0] = False
 
-    def counted_made(*args, **kwargs):
-        counts["searches_made"] += 1
-        return made(*args, **kwargs)
+    def counted_first_hits(g, word_bound, srcs, *args):
+        kept = len(g._search_cache)
+        hits = first_hits(g, word_bound, srcs, *args)
+        if finding[0]:
+            counts["searches"] += len(srcs)
+            counts["searches_made"] += len(g._search_cache) - kept
+        return hits
 
     def counted_stack_hits(stack, src, dst, tol, images=None):
         counts["candidates"] += len(stack)
@@ -119,11 +126,12 @@ def counting(counts):
         counts["merge_tests"] += len(a)
         return is_same(P, P_rays, a, Q, Q_rays, b)
 
-    patches = [(matching, "search_words", counted_search),
-               (matching, "_search", counted_made),
-               (matching, "pair_hits", counted_pair_hits),
-               (doubling, "stack_hits", counted_stack_hits),
-               (matching, "greedy_deviation", counted_greedy)]
+    patches = [(mod, "find_group_element", counted_find)
+               for mod in (matching, ep_hull, cutlocus)]
+    patches += [(matching, "_first_hits", counted_first_hits),
+                (matching, "pair_hits", counted_pair_hits),
+                (doubling, "stack_hits", counted_stack_hits),
+                (matching, "greedy_deviation", counted_greedy)]
     patches += [(group, "_first_new", counted_first_new),
                 (group, "_is_same", counted_is_same)]
     patches += [(mod, "orbit", counted_orbit)
