@@ -39,10 +39,15 @@ def horoball_distance(p, q) -> float:
     for disjoint horoballs it is the length of their short cut, the
     shortest segment between them.  The closed form is validated
     against the explicit upper-half-space construction in the test
-    suite before anything downstream trusts it.
+    suite before anything downstream trusts it.  A product that rounding
+    made nonnegative (centers on distinct rays) is rejected.
     """
     p, q = _check_pair(p, q)
-    return math.log(-lorentz_product(p, q) / 2.0)
+    pq = lorentz_product(p, q)
+    if pq >= 0:
+        raise GeometryError(f"horoball centers with Lorentz product {pq:g} "
+                            ">= 0 have no distance")
+    return math.log(-pq / 2.0)
 
 
 def shadow_radius(d: float) -> float:

@@ -198,15 +198,19 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
     pts = orbit(probe, word_bound, height_bound)
 
     log_scale = 0.0
-    # (2) wall margin, every orbit horoball against every base wall
-    for tau in g.reflections:
-        u = reflection_normal(tau)
-        for op in pts:
-            d = horoball_plane_distance(op.point, u)
-            log_scale = max(log_scale, margin - d)
-    # (3) pairwise disjointness
-    log_scale = max(log_scale,
-                    _overlap_log_scale(np.array([op.point for op in pts])))
+    try:
+        # (2) wall margin, every orbit horoball against every base wall
+        for tau in g.reflections:
+            u = reflection_normal(tau)
+            for op in pts:
+                d = horoball_plane_distance(op.point, u)
+                log_scale = max(log_scale, margin - d)
+        # (3) pairwise disjointness
+        log_scale = max(log_scale,
+                        _overlap_log_scale(np.array([op.point for op in pts])))
+    except GeometryError as exc:
+        raise SymmetrizeError(
+            f"orbit scan of the decorations failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         lam = float(np.exp(log_scale)) if log_scale > 1e-15 else 1.0
         if lam != 1.0:
@@ -215,12 +219,18 @@ def symmetrize_decorations(g: GroupSpec, margin: float, word_bound: int,
             # re-propagate so every paired center is the exact matrix image
             # of its scaled anchor (mirror partners match bitwise)
             _propagate()
-            reps = [assigned[i] for i in range(len(reps))]
-    if not (np.isfinite(lam) and np.isfinite(reps).all()):
+    scaled = [assigned[i] for i in range(len(reps))]
+    if not (np.isfinite(lam) and np.isfinite(scaled).all()):
         raise SymmetrizeError(f"margin {margin:g} asks for the decoration "
                               f"scale exp({log_scale:g}), past the float "
                               "range")
-    return replace(g, cusp_reps=reps, _ball_cache=dict(g._ball_cache))
+    # a cusp the scale lifts above the height bound is in no orbit
+    for i, (p, q) in enumerate(zip(reps, scaled)):
+        if q[0] > height_bound >= p[0]:
+            raise SymmetrizeError(
+                f"margin {margin:g} lifts cusp {i} to height {q[0]:g}, above "
+                f"the height bound {height_bound:g}")
+    return replace(g, cusp_reps=scaled, _ball_cache=dict(g._ball_cache))
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ def _face_walk(face_sets, L, tol: float) -> _UnionFind:
         for b in range(0, len(idx), rows):
             shift = images[b:b + rows].mean(axis=2)[:, :, None] - centroids
             f, l, j = np.nonzero(np.abs(shift, out=shift).max(axis=3) <= tol)
-            ok = greedy_deviation(images[b + f, l], F[j], tol) <= tol
+            ok = greedy_deviation(images[b + f, l], F[j]) <= tol
             for fi, li, ji in np.stack([b + f, l, j])[:, ok].T.tolist():
                 first.setdefault((idx[fi], li), idx[ji])
     uf = _UnionFind(range(len(face_sets)))

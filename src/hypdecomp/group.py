@@ -5,8 +5,9 @@ breadth-first with matrix deduplication and kept as one matrix stack,
 one ball per spec: a larger bound grows it and a smaller one reads a
 prefix of it.  A group element is its matrix; no words are kept.
 Orbits of decorated light-cone points are truncated by word length and
-Minkowski height, forming the ball's last level only where it reaches
-the height; the hull's stability certificate detects short bounds.
+Minkowski height; ``_grow``, which forms every ball level, forms the
+orbit's last level only where it reaches the height, uncached.  The
+hull's stability certificate detects short bounds.
 Orbit points are merged and looked up in batches through one array
 index of their ray cells: a batch is one sorted search of the index and
 one vectorized same-point test of the candidate pairs it returns.
@@ -154,17 +155,23 @@ class WordBall:
         return len(self.matrices)
 
 
-def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
+def _grow(ball: WordBall, alphabet, word_bound: int, reach=None) -> WordBall:
     """The ball grown from its last level up to word_bound or closure.
 
-    Each level multiplies the frontier by every letter in batched
-    products, one block of the frontier at a time, rounds them once and
-    keeps the first occurrence of each rounded matrix, in (frontier
-    element, letter) order; the dedup keys start from the ball's stack.
+    Each level multiplies the frontier, one block at a time, by the
+    letters that do not undo an element's last letter, rounds the
+    products once and keeps the first occurrence of each rounded matrix
+    in (element, letter) order; the dedup keys start from the ball's
+    stack.  The orbit's ``reach = (P, height_bound)`` screens its one
+    new level: only products whose top row F[0] @ L, less a slack for
+    its rounding and the key's (2e-8 * sum |p|), maps a row of P under
+    the bound are formed, so the level keeps exactly the products of the
+    unscreened one that can reach the height.  Never cache such a ball.
     """
     dim = ball.matrices.shape[-1]
     signs = np.array([s for s, _ in alphabet], dtype=np.int32)
     L = np.array([m for _, m in alphabet]).reshape(-1, dim, dim)
+    L_top = L.transpose(1, 0, 2).reshape(dim, -1)   # all F[0] @ L[j] at once
     seen = set()
     _first_new(ball.matrices, seen)
     offsets = list(ball.offsets)
@@ -179,12 +186,19 @@ def _grow(ball: WordBall, alphabet, word_bound: int) -> WordBall:
         for F, F_let in front:
             for b in range(0, len(F), _BLOCK):
                 Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
-                P = (Fb[:, None] @ L[None]).reshape(-1, dim, dim)
-                let = np.tile(signs, len(Fb))
                 # immediate backtracks are skipped, not merely deduplicated
-                ok = np.flatnonzero(np.repeat(Fb_let, len(signs)) != -let)
-                keep = ok[_first_new(P[ok], seen)]
-                level.append((P[keep], let[keep]))
+                pick = np.repeat(Fb_let, len(signs)) != -np.tile(signs, len(Fb))
+                if reach is not None:
+                    P, height_bound = reach
+                    top = (Fb[:, 0] @ L_top).reshape(-1, dim)
+                    slack = (1e-12 * abs(Fb[:, 0]) @ abs(L_top)
+                             + 2e-8).reshape(-1, dim)
+                    pick &= np.any(top @ P.T - slack @ abs(P).T
+                                   <= height_bound, axis=1)
+                e, j = np.divmod(np.flatnonzero(pick), len(signs))
+                S = Fb[e] @ L[j]
+                keep = _first_new(S, seen)
+                level.append((S[keep], signs[j[keep]]))
         first = offsets[-1]
         front = [blk for blk in level if len(blk[0])]
         blocks += front
@@ -288,7 +302,9 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     # are formed, bitwise as matrices @ p forms them, then cut at the
     # bound and merged in (element, cusp) order
     P = np.array(g.cusp_reps).reshape(-1, g.dimension + 1)
-    matrices = _low_ball(g, P, word_bound, height_bound)
+    # the ball at word_bound - 1 and a last level screened by height
+    matrices = _grow(g.word_ball(max(word_bound - 1, 0)), g.letters(),
+                     word_bound, (P, height_bound)).matrices
     top = matrices[:, 0]
     pairs = np.argwhere(top @ P.T - 1e-12 * (abs(top) @ abs(P).T)
                         <= height_bound)
@@ -313,39 +329,6 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     for i, op in enumerate(points):
         op.index = i
     return points
-
-
-def _low_ball(g: GroupSpec, P, word_bound: int, height_bound: float):
-    """The ball's matrices at word_bound, bitwise and in ball order, less
-    last-level elements that map no cusp vector P under the height bound.
-
-    Only the ball at word_bound - 1 is built.  The top rows F[0] @ L of
-    its last level times the alphabet screen the candidates with a slack
-    that bounds their rounding and the dedup key's (2e-8 * sum |p|), so
-    a candidate sharing a survivor's key survives too and the survivors,
-    deduplicated as ``_grow`` does, keep what ``_grow`` keeps.
-    """
-    ball = g.word_ball(max(word_bound - 1, 0))
-    dim = ball.matrices.shape[-1]
-    signs = np.array([s for s, _ in g.letters()], dtype=np.int32)
-    L = np.array([m for _, m in g.letters()]).reshape(-1, dim, dim)
-    L_top = L.transpose(1, 0, 2).reshape(dim, -1)   # all F[0] @ L[j] at once
-    seen = set()
-    _first_new(ball.matrices, seen)
-    # the last level; at word bound 0 the ball is the identity alone
-    first = ball.offsets[-2] if word_bound else len(ball)
-    F, F_let = ball.matrices[first:], ball.letter[first:]
-    blocks = [ball.matrices]
-    for b in range(0, len(F), _BLOCK):
-        Fb, Fb_let = F[b:b + _BLOCK], F_let[b:b + _BLOCK]
-        top = (Fb[:, 0] @ L_top).reshape(-1, dim)
-        slack = (1e-12 * abs(Fb[:, 0]) @ abs(L_top) + 2e-8).reshape(-1, dim)
-        near = np.any(top @ P.T - slack @ abs(P).T <= height_bound, axis=1)
-        step = np.repeat(Fb_let, len(signs)) != -np.tile(signs, len(Fb))
-        e, j = np.divmod(np.flatnonzero(near & step), len(signs))
-        S = Fb[e] @ L[j]
-        blocks.append(S[_first_new(S, seen)])
-    return np.concatenate(blocks)
 
 
 def _canonical_key(op):

@@ -37,17 +37,15 @@ def _scale(A, B) -> float:
     return max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
 
 
-def greedy_deviation(A, B, tol: float = np.inf):
+def greedy_deviation(A, B):
     """Worst distance of the greedy pairing of A's rows with B's.
 
     ``A`` and ``B`` are each one (m, d) set or a (k, m, d) stack of
     sets; the set or stack on one side is paired with each set on the
     other.  Each row of an A set in turn takes the nearest unused row of
-    its B set (max-norm, the first one on ties).  A pairing's value is
-    its first distance above ``tol``, where its walk alone would stop,
-    or else its worst distance.  The k walks take their m steps
-    together; returns one value per pairing, shaped like the stack's
-    leading axis (a scalar for two sets).
+    its B set (max-norm, the first one on ties).  The k walks take their
+    m steps together; returns one value per pairing, shaped like the
+    stack's leading axis (a scalar for two sets).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -57,16 +55,12 @@ def greedy_deviation(A, B, tol: float = np.inf):
     D = abs(B.reshape(-1, *B.shape[-2:])[:, None] - sets[:, :, None]).max(axis=3)
     k, m = D.shape[:2]
     rows = np.arange(k)
-    steps = np.zeros((m, k))
+    worst = np.zeros(k)
     for i in range(m):
         j = D[:, i].argmin(axis=1)
-        steps[i] = D[rows, i, j]
+        worst = np.fmax(worst, D[rows, i, j])
         D[rows, i + 1:, j] = np.inf     # row j of B is taken
-    over = steps > tol
-    first = over.argmax(axis=0)
-    value = np.where(over[first, rows], steps[first, rows],
-                     np.fmax.reduce(steps, axis=0, initial=0.0))
-    return value.reshape(lead)[()]
+    return worst.reshape(lead)[()]
 
 
 def match_index(candidates, query, tol: float):
@@ -81,7 +75,7 @@ def match_index(candidates, query, tol: float):
     same = [i for i, B in enumerate(cands) if B.shape == query.shape]
     if not same:
         return None
-    dev = greedy_deviation(query, np.array([cands[i] for i in same]), tol)
+    dev = greedy_deviation(query, np.array([cands[i] for i in same]))
     hit = np.flatnonzero(dev <= tol)
     return same[hit[0]] if len(hit) else None
 
@@ -117,7 +111,7 @@ def stack_hits(stack, src, dst, tol: float, images=None):
     close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)), axis=1)
                            <= tol)
     if len(close):
-        dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst, tol)
+        dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst)
         yield from close[dev <= tol].tolist()
 
 

@@ -35,7 +35,7 @@ def set_match(A, B, tol: float) -> bool:
     B = np.atleast_2d(B)
     if A.shape != B.shape:
         return False
-    return bool(greedy_deviation(A, B, tol) <= tol)
+    return bool(greedy_deviation(A, B) <= tol)
 
 
 def face_walk(face_sets, L, tol: float):

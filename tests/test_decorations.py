@@ -135,6 +135,17 @@ class TestHoroballDistance:
         with pytest.raises(GeometryError):
             horoball_distance(p, p)
 
+    def test_nonnegative_product_rejected(self):
+        # one horoball reached by two words: rays 5e-10 apart, too far to
+        # be one point, and a height rounded so that their Lorentz
+        # product, about -1e-15 in exact arithmetic, reads positive
+        p = np.array([46.4, 46.4, 0.0])
+        t = 4e-10
+        q = np.array([46.4 - 4e-8, 46.4 * np.cos(t), 46.4 * np.sin(t)])
+        assert lorentz_product(p, q) > 0
+        with pytest.raises(GeometryError, match=">= 0 have no distance"):
+            horoball_distance(p, q)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_oracle_agreement_random_pairs(self, rng, n):
         # acceptance-grade check: 100 random decorated pairs

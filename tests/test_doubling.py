@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -15,7 +16,7 @@ from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 symmetry_direction_check, wall_lifts)
 from hypdecomp.ep_hull import (certified_faces, hull_faces,
                                ideal_cell_from_points)
-from hypdecomp.fixtures import fixture_path
+from hypdecomp.fixtures import NAMES, fixture_path
 from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
                              orbit, reflection_normal)
 from hypdecomp.io_cli import load_spec, main, run
@@ -172,6 +173,41 @@ class TestSymmetrize:
 
         doc = json.loads(out.read_text(), parse_constant=non_finite)
         assert not doc["certificates"]["decoration_symmetry"]["ok"]
+
+    # figure3's margin 6 scales both cusps to height 403, above H = 160,
+    # where no orbit holds them; at 708 the scale is finite but the
+    # orbit's products of the 3e307-high cusps would overflow
+    @pytest.mark.parametrize("margin", ["6", "708"])
+    def test_scale_above_the_height_bound_rejected(self, margin, tmp_path,
+                                                   capsys):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", str(fixture_path("figure3_surface")),
+                         "--margin", margin, "--json", str(out)])
+        assert code == 2
+        assert (f"[FAIL] decoration_symmetry  (margin {margin} lifts cusp 0 "
+                "to height ") in capsys.readouterr().out
+
+        def non_finite(constant):
+            raise AssertionError(f"{constant} in the JSON report")
+
+        doc = json.loads(out.read_text(), parse_constant=non_finite)
+        cert = doc["certificates"]["decoration_symmetry"]
+        assert not cert["ok"] and "above the height bound 160" in cert["detail"]
+
+    def test_scale_under_the_height_bound_kept(self, spec_fig3):
+        # margin 5 lifts figure3's cusps to 148, still under H = 160; the
+        # shipped margins leave every fixture's cusps at 2.72 or lower
+        o = spec_fig3.options
+        gs = symmetrize_decorations(spec_fig3.group, 5.0, 4, o.height_bound)
+        assert all(140 < p[0] < o.height_bound for p in gs.cusp_reps)
+        for name in NAMES:
+            spec = load_spec(fixture_path(name))
+            o = spec.options
+            gs = symmetrize_decorations(spec.group, o.margin,
+                                        min(4, o.word_bound), o.height_bound)
+            assert max(p[0] for p in gs.cusp_reps) < 2.72 + 1e-9
 
     # reversed, the first pairing maps cusp 0 to the ray of a ball
     # element other than the identity, so the order of the products

@@ -698,15 +698,16 @@ class TestOneBall:
         # symmetrized spec starts from that same object and grows its
         # own copy, one level range per growth, none twice, and never
         # past the word bound: the stability orbit at word bound + 1
-        # forms its last level itself
+        # forms its last level itself, screened by height and uncached
         spec = load_spec(fixture_path("figure3_surface"))
         g, opts = spec.group, spec.options
         grown, specs = [], []
         grow, word_ball = group._grow, GroupSpec.word_ball
 
-        def recorded(ball, alphabet, word_bound):
-            out = grow(ball, alphabet, word_bound)
-            grown.append((len(ball.offsets) - 2, len(out.offsets) - 2))
+        def recorded(ball, alphabet, word_bound, reach=None):
+            out = grow(ball, alphabet, word_bound, reach)
+            if reach is None:
+                grown.append((len(ball.offsets) - 2, len(out.offsets) - 2))
             return out
 
         def asked(self, word_bound):

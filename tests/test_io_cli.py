@@ -337,24 +337,30 @@ class TestCli:
     @pytest.mark.parametrize("name", NAMES)
     def test_empty_orbit_fails_certificates(self, name, capsys):
         # no decorated point lies under the height bound: both routes
-        # fail their certificates instead of raising
+        # fail their certificates instead of raising; the torus's cusp
+        # lies at 0.5 until disjointness scales it to 1, above the bound,
+        # which the symmetrization refuses
         code = main(["--input", str(fixture_path(name)),
                      "--height-bound", "0.5"])
         assert code == 2
         out = capsys.readouterr().out
-        assert "[FAIL] ep_stability" in out
-        assert "[FAIL] cutlocus_stability" in out
+        if name == "once_punctured_torus":
+            assert ("[FAIL] decoration_symmetry  (margin 1 lifts cusp 0 to "
+                    "height 1, above the height bound 0.5)") in out
+        else:
+            assert "[FAIL] ep_stability" in out
+            assert "[FAIL] cutlocus_stability" in out
 
     @pytest.mark.parametrize("name", NAMES)
     def test_wide_margin_runs_to_a_verdict(self, name, capsys):
-        # a margin of 100 from the walls scales figure3's decorations
-        # above the height bound, leaving no orbit point; fixtures
-        # without walls are unaffected
+        # a margin of 100 from the walls would scale figure3's decorations
+        # above the height bound, where no orbit holds them, so the
+        # symmetrization refuses it; fixtures without walls are unaffected
         code = main(["--input", str(fixture_path(name)), "--margin", "100"])
         out = capsys.readouterr().out
         if name == "figure3_surface":
             assert code == 2
-            assert "[FAIL] ep_stability" in out
+            assert "[FAIL] decoration_symmetry  (margin 100 lifts" in out
         else:
             assert code == 0
 

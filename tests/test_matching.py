@@ -183,7 +183,7 @@ def loop_first_hit(g, word_bound, src, src_points, tol, dst, dst_points):
             if Q.cusp_id == P.cusp_id:
                 for s in g.stabilizer_stack(P.cusp_id, word_bound):
                     M = Q.matrix @ s @ inv
-                    if greedy_deviation(src @ M.T, dst, tol) <= tol:
+                    if greedy_deviation(src @ M.T, dst) <= tol:
                         return M
     return None
 
@@ -272,17 +272,15 @@ class TestBatchedGreedy:
         for m, d in ((2, 3), (3, 4), (4, 4)):
             B = rng.normal(size=(m, d))
             A = _image_stack(rng, B, k)
-            for tol in (1e-6, 1e-3, np.inf):
-                got = greedy_deviation(A, B, tol)
-                assert got.shape == (k,)
-                want = [loop_greedy_deviation(a, B, tol) for a in A]
-                assert got.tolist() == want
+            got = greedy_deviation(A, B)
+            assert got.shape == (k,)
+            assert got.tolist() == [loop_greedy_deviation(a, B) for a in A]
 
     def test_one_set_is_a_scalar(self):
         B = SQUARE + 1e-7
-        got = greedy_deviation(SQUARE[::-1], B, 1e-6)
+        got = greedy_deviation(SQUARE[::-1], B)
         assert np.ndim(got) == 0
-        assert got == loop_greedy_deviation(SQUARE[::-1], B, 1e-6)
+        assert got == loop_greedy_deviation(SQUARE[::-1], B)
 
     def test_argmin_tie_takes_the_first_row(self):
         # the first row is 1 from both rows of B; taking the first leaves
@@ -294,15 +292,14 @@ class TestBatchedGreedy:
         got = greedy_deviation(np.stack([A, A[::-1], A]), B)
         assert got.tolist() == [1.0, loop_greedy_deviation(A[::-1], B), 1.0]
 
-    def test_miss_on_the_first_row_is_the_value(self):
-        # the walk stops at the first row (1 > tol); a full walk would
-        # reach 9 on the second
+    def test_value_past_a_miss_is_the_worst_distance(self):
+        # a walk stopped at the first row's miss (1 > tol) reads 1, the
+        # whole walk reaches 9 on the second row; both miss at tol
         A = np.array([[1.0, 0.0], [9.0, 0.0]])
         B = np.array([[0.0, 0.0], [0.0, 0.2]])
         assert loop_greedy_deviation(A, B, 0.5) == 1.0
-        got = greedy_deviation(np.stack([A, B[::-1]]), B, 0.5)
-        assert got.tolist() == [1.0, 0.0]
-        assert greedy_deviation(A, B) == 9.0
+        got = greedy_deviation(np.stack([A, B[::-1]]), B)
+        assert got.tolist() == [9.0, 0.0] == [loop_greedy_deviation(A, B), 0.0]
         assert not set_match(A, B, 0.5)
 
     def test_stack_hits_match_loop(self):
@@ -363,15 +360,13 @@ class TestStackedMatcher:
             A = rng.normal(size=(m, d))
             for k in (0, 1, 6):
                 B = _image_stack(rng, A, k)
-                for tol in (1e-6, 1e-3, np.inf):
-                    got = greedy_deviation(A, B, tol)
-                    assert got.shape == (k,)
-                    assert got.tolist() == [loop_greedy_deviation(A, b, tol)
-                                            for b in B]
+                got = greedy_deviation(A, B)
+                assert got.shape == (k,)
+                assert got.tolist() == [loop_greedy_deviation(A, b) for b in B]
             # a stack on both sides pairs set i with set i
             As, Bs = _image_stack(rng, A, 5), _image_stack(rng, A, 5)
-            assert greedy_deviation(As, Bs, 1e-6).tolist() == [
-                loop_greedy_deviation(a, b, 1e-6) for a, b in zip(As, Bs)]
+            assert greedy_deviation(As, Bs).tolist() == [
+                loop_greedy_deviation(a, b) for a, b in zip(As, Bs)]
 
     def test_stacked_ties_take_the_first_row(self):
         A = np.array([[1.0, 0.0], [2.0, 0.5]])

@@ -1,0 +1,89 @@
+"""Presentation invariance: a Nielsen rewrite of the generators changes
+the input, not the manifold, so a run must not raise on it, and when it
+certifies its cells must be those of the unrewritten input.
+
+Each fixture runs at its shipped bounds under four rewrites of its
+first two generators a, b (any further generators follow unchanged).
+The rewrites that do not certify today are strict xfails naming their
+cause (ROADMAP open item 20).
+"""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+
+from hypdecomp.fixtures import NAMES, fixture_path
+from hypdecomp.group import GroupSpec, lorentz_inverse
+from hypdecomp.io_cli import load_spec, main, run
+from test_bounds import gram_signature, same_cells
+
+REWRITES = {
+    "(a, ab)": lambda a, b: [a, a @ b],
+    "(bab^-1, b)": lambda a, b: [b @ a @ lorentz_inverse(b), b],
+    "(b^-1, a)": lambda a, b: [lorentz_inverse(b), a],
+    "(a, b, ab)": lambda a, b: [a, b, a @ b],
+}
+CASES = [(name, rewrite) for name in NAMES for rewrite in REWRITES]
+
+WINDOW = ("the word-bound window depends on the presentation and leaves "
+          "facets unpaired (ROADMAP items 4 and 15)")
+NOT_CERTIFIED = {
+    ("figure_eight_knot", "(a, ab)"): WINDOW,
+    ("figure_eight_knot", "(bab^-1, b)"): WINDOW,
+    ("figure3_surface", "(bab^-1, b)"): (
+        "cause 1(b): one horoball reached by two words is kept twice, and "
+        "the pair fails decoration_symmetry (ROADMAP item 10)"),
+}
+
+
+def rewritten_generators(name, rewrite):
+    a, b, *rest = load_spec(fixture_path(name)).group.generators
+    return REWRITES[rewrite](a, b) + rest
+
+
+@functools.cache
+def rewritten_run(name, rewrite):
+    spec = load_spec(fixture_path(name))
+    g = spec.group
+    spec.group = GroupSpec(g.dimension, rewritten_generators(name, rewrite),
+                           g.reflections, g.cusp_reps, g.name)
+    return run(spec)
+
+
+@pytest.mark.parametrize("name,rewrite", CASES)
+def test_rewrite_runs_to_a_verdict(name, rewrite, all_reports):
+    report = rewritten_run(name, rewrite)
+    if report.ok:
+        assert same_cells(gram_signature(report),
+                          gram_signature(all_reports[name]))
+
+
+@pytest.mark.parametrize("name,rewrite", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason=NOT_CERTIFIED[case]))
+    if case in NOT_CERTIFIED else case for case in CASES])
+def test_rewrite_certifies_the_same_cells(name, rewrite, all_reports):
+    report = rewritten_run(name, rewrite)
+    assert report.ok, [k for k, c in report.certificates.items() if not c.ok]
+    assert same_cells(gram_signature(report),
+                      gram_signature(all_reports[name]))
+
+
+def test_duplicate_horoball_fails_decoration_symmetry(tmp_path, capsys):
+    # under (bab^-1, b, ...) two orbit points of figure3 lie 4e-10 apart
+    # in ray, above the merge angle, with a positive Lorentz product: the
+    # symmetrizing overlap scan fails a certificate instead of raising
+    report = rewritten_run("figure3_surface", "(bab^-1, b)")
+    cert = report.certificates["decoration_symmetry"]
+    assert not cert.ok and ">= 0 have no distance" in cert.detail
+    doc = json.loads(fixture_path("figure3_surface").read_text())
+    doc["generators"] = [np.asarray(m).tolist() for m in
+                         rewritten_generators("figure3_surface",
+                                              "(bab^-1, b)")]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "[FAIL] decoration_symmetry" in out and not err

@@ -18,11 +18,12 @@ the figure-eight knot at H = 12, and counts, per run:
 - ``low_images``: images of the cusp vectors under the word ball with
   x0 at most the height bound, over every ``orbit`` call;
 - ``kept_points``: the points those ``orbit`` calls keep after merging;
-- ``ball_keys``: matrices keyed for deduplication, both by the word
-  ball as it grows (the rekeying of the stack it grows from included)
-  and by ``orbit`` as it forms its last level (the prefix ball and the
-  products that pass its height screen); the keys of the whole ball
-  that ``low_images`` reads are not counted;
+- ``ball_keys``: matrices keyed for deduplication by ``group._grow``,
+  both as the cached word ball grows and as it forms the uncached,
+  height-screened last level of each ``orbit``; each growth rekeys the
+  stack it grows from, and a screened level keys only the products
+  that pass its screen; the keys of the whole ball that ``low_images``
+  reads are not counted;
 - ``merge_tests``: (stored, query) point pairs that share a probe cell
   and so go through the exact same-point test (``group._is_same``),
   both in the orbit merges and in the ``OrbitSet`` lookups.
@@ -97,8 +98,8 @@ def counting(counts):
         counts["hits"] += len(hits[0])
         return hits
 
-    def counted_greedy(A, B, tol=np.inf):
-        dev = greedy(A, B, tol)
+    def counted_greedy(A, B):
+        dev = greedy(A, B)
         if screening[0]:
             counts["survivors"] += np.size(dev)
         return dev
