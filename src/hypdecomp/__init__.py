@@ -23,7 +23,7 @@ from .doubling import (MixedCell, MixedDecomposition, check_hull_symmetry,
                        symmetry_direction_check)
 from .cutlocus import (CutComplex, ReturnPath, cross_validate,
                        cut_locus_complex, dual_decomposition,
-                       enumerate_return_paths)
+                       enumerate_return_paths, return_pairs)
 from .io_cli import ManifoldSpec, RunReport, emit, load_spec, run
 
 # The public API.  Besides the pipeline (load_spec, run, emit) and its
@@ -44,7 +44,7 @@ __all__ = [
     "MixedCell", "MixedDecomposition", "check_hull_symmetry", "polar_vertex",
     "quotient_classify", "symmetrize_decorations", "symmetry_direction_check",
     "CutComplex", "ReturnPath", "cross_validate", "cut_locus_complex",
-    "dual_decomposition", "enumerate_return_paths",
+    "dual_decomposition", "enumerate_return_paths", "return_pairs",
     "ManifoldSpec", "RunReport", "emit", "load_spec", "run",
 ]
 

@@ -1,7 +1,9 @@
 """Cut-locus construction and the decomposition dual to it.
 
-The cut locus of the decoration set is assembled from middle fences.
-The fence of a base horoball p against a competitor q is the
+The cut locus of the decoration set is assembled from middle fences
+between each base horoball and its partners within a length bound
+(``return_pairs``); only a report classifies those pairs into return
+paths.  The fence of a base horoball p against a competitor q is the
 hyperplane {x : <x,p> = <x,q>} with spacelike normal p - q; in Klein
 coordinates it is affine, and ``_klein_constraints`` writes it as the
 row a . k >= b with (b, a) = p - q.  So the nearness domain of each
@@ -40,7 +42,7 @@ class ReturnPath:
     """Orbit class of horoball pairs joined by a shortest segment."""
     class_id: int
     length: float
-    lifts: list                         # (cusp_id, partner OrbitPoint)
+    lifts: list                         # return_pairs tuples
 
 
 @dataclass
@@ -72,29 +74,20 @@ class CrossValidation:
 # Return paths.
 # ---------------------------------------------------------------------------
 
-def enumerate_return_paths(g: GroupSpec, length_bound: float,
-                           word_bound: int, points: OrbitSet):
-    """Orbit classes of horoball pairs in ``points`` within the length bound.
-
-    Deterministic and sorted by length; the decoration symmetry and
-    disjointness conditions are assumed to hold already.  Per base, one
-    batched screen drops the points on its ray or, by their Lorentz
-    products less a rounding bound, beyond the length bound; the rest go
-    in orbit order through ``horoball_distance``, and the pairs within
-    the bound through one ``classify``.
-    """
+def return_pairs(g: GroupSpec, length_bound: float, points: OrbitSet):
+    """(cusp, base, partner, length) of each pair of ``points`` within the
+    length bound whose base is a cusp representative, in cusp order, then
+    orbit order.  Per base, one batched screen drops the points on its
+    ray or, by their Lorentz products less a rounding bound, beyond the
+    length bound; the rest go through ``horoball_distance``."""
     if length_bound <= 0:
         raise GeometryError("length bound must be positive")
-    base_ops = []
-    for c, p in enumerate(g.cusp_reps):
-        op = points.find(p)
-        if op is None:
-            raise GeometryError(f"cusp representative {c} missing from orbit")
-        base_ops.append(op)
-    pairs = []              # (cusp, base, partner, length)
+    pairs = []
     Q = np.array([q.point for q in points]).reshape(-1, g.dimension + 1)
     rays = _rays(Q)
-    for c, base in enumerate(base_ops):
+    for c, rep in enumerate(g.cusp_reps):
+        if (base := points.find(rep)) is None:
+            raise GeometryError(f"cusp representative {c} missing from orbit")
         p = base.point
         gap = rays - p / np.linalg.norm(p)
         apart = ~(np.sqrt(np.vecdot(gap, gap)) < RAY_MERGE_ANGLE)
@@ -106,13 +99,25 @@ def enumerate_return_paths(g: GroupSpec, length_bound: float,
             d = horoball_distance(p, q.point)
             if d <= length_bound + 1e-9:
                 pairs.append((c, base, q, d))
+    return pairs
+
+
+def enumerate_return_paths(g: GroupSpec, length_bound: float,
+                           word_bound: int, points: OrbitSet):
+    """Orbit classes of horoball pairs in ``points`` within the length bound.
+
+    Deterministic and sorted by length; the decoration symmetry and
+    disjointness conditions are assumed to hold already.  The pairs of
+    ``return_pairs`` go through one ``classify``, and each class keeps
+    its pairs, in their order, as its lifts.
+    """
+    pairs = return_pairs(g, length_bound, points)
     ids = GammaClasses(g, word_bound).classify(
         [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
     paths = {}
-    for cid, (c, _, q, d) in zip(ids, pairs):
-        if cid not in paths:
-            paths[cid] = ReturnPath(class_id=cid, length=max(0.0, d), lifts=[])
-        paths[cid].lifts.append((c, q))
+    for cid, pair in zip(ids, pairs):
+        rp = paths.setdefault(cid, ReturnPath(cid, max(0.0, pair[3]), []))
+        rp.lifts.append(pair)
     return sorted(paths.values(), key=lambda rp: (round(rp.length, 9), rp.class_id))
 
 
@@ -193,31 +198,25 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                       points: OrbitSet) -> CutComplex:
     """Stratified cell complex of the cut locus near the base horoballs.
 
-    For each cusp the nearness domain is intersected from fence
+    ``paths`` holds ``return_pairs`` tuples, each partner once per cusp,
+    taken in ``points``; a cusp's partners, in order, compete with its
+    base.  For each cusp the nearness domain is intersected from fence
     half-spaces; vertices, edges and fence facets strictly inside the
     unit ball become 0-, 1- and (n-1)-cells.  Nearest sets come from one
     ``_nearest_sets`` call for all vertices, one for all edge midpoints
     and one per round of facet samples, which takes the next sample of
     every fence without a facet cell yet.  Each stratum's cells are
     grouped into group orbits by one ``classify``.
-    ``points`` is the orbit the paths were enumerated in.
     """
     if not paths:
         raise GeometryError("empty return path list")
     n = g.dimension
-    competitors = {c: [] for c in range(len(g.cusp_reps))}
-    seen = {c: set() for c in range(len(g.cusp_reps))}
-    for rp in paths:
-        for c, q in rp.lifts:
-            if q.index not in seen[c]:
-                seen[c].add(q.index)
-                competitors[c].append(q)
+    competitors = {}                # cusp -> (base, partners)
+    for c, base, q, _ in paths:
+        competitors.setdefault(c, (base, []))[1].append(q)
     cells = {k: [] for k in range(n)}
-    for c, p_vec in enumerate(g.cusp_reps):
-        comp = competitors[c]
-        if not comp:
-            continue
-        base_op = points.find(p_vec)
+    for c, (base_op, comp) in sorted(competitors.items()):
+        p_vec = g.cusp_reps[c]
         Af, bf = _klein_constraints(p_vec, comp)
         Ab, bb = _box_constraints(n)
         A = np.vstack([Af, Ab])
@@ -234,8 +233,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                 raise GeometryError("inconsistent stratification at a vertex")
             ids = tuple(sorted([base_op.index] + [comp[i - 1].index
                                                   for i in near if i > 0]))
-            ops = [points[i] for i in ids]
-            cells[0].append(CutCell(0, ids, ops, x))
+            cells[0].append(CutCell(0, ids, [points[i] for i in ids], x))
         # (n-1)-cells: one per fence with a sample near it alone; each
         # round tests the next sample of every fence still open at once
         samples = {}
@@ -291,6 +289,20 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
         class_counts[k] = len(classes.reps)
     return CutComplex(dimension=n, cells=cells, class_counts=class_counts,
                       orbit_points=points)
+
+
+def _complex_signature(cx: CutComplex):
+    """Per stratum, the sorted (size, rounded Gram) of each class's first cell."""
+    sig = {}
+    for k, cells in cx.cells.items():
+        reps = {}
+        for cell in cells:
+            if cell.class_id not in reps:
+                coords = np.array([op.point for op in cell.nearest_points])
+                gram = np.sort(np.round(lorentz_gram(coords, coords).ravel(), 6))
+                reps[cell.class_id] = (len(cell.nearest_ids), tuple(gram))
+        sig[k] = sorted(reps.values())
+    return sig
 
 
 def _facet_samples(witnesses, A, b, qi):

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cutlocus import (CutComplex, cross_validate, cut_locus_complex,
-                       dual_count_identity, dual_decomposition,
-                       enumerate_return_paths)
+from .cutlocus import (CutComplex, _complex_signature, cross_validate,
+                       cut_locus_complex, dual_count_identity,
+                       dual_decomposition, enumerate_return_paths,
+                       return_pairs)
 from .doubling import (ORTHO_TOL, MixedDecomposition, SymmetrizeError,
                        check_hull_symmetry, quotient_classify,
                        symmetrize_decorations)
@@ -29,8 +30,7 @@ from .ep_hull import (COPLANAR_TOL, assemble_decomposition, certified_faces,
 from .group import (GroupSpec, OrbitSet, orbit, reflection_normal,
                     validate_group, validate_reflection)
 from .matching import PAIR_TOL
-from .minkowski import (LIGHTLIKE_EPS, GeometryError, hyperboloid_to_klein,
-                        lorentz_gram)
+from .minkowski import LIGHTLIKE_EPS, GeometryError, hyperboloid_to_klein
 
 SCHEMA_VERSION = 1
 
@@ -183,19 +183,6 @@ def check_options(opts: PipelineOptions) -> None:
 # Pipeline.
 # ---------------------------------------------------------------------------
 
-def _complex_signature(cx: CutComplex):
-    sig = {}
-    for k, cells in cx.cells.items():
-        reps = {}
-        for cell in cells:
-            if cell.class_id not in reps:
-                coords = np.array([op.point for op in cell.nearest_points])
-                gram = np.sort(np.round(lorentz_gram(coords, coords).ravel(), 6))
-                reps[cell.class_id] = (len(cell.nearest_ids), tuple(gram))
-        sig[k] = sorted(reps.values())
-    return sig
-
-
 def run(spec: ManifoldSpec) -> RunReport:
     """Execute the requested pipelines with all their certificates."""
     g = spec.group
@@ -252,14 +239,15 @@ def run(spec: ManifoldSpec) -> RunReport:
     dual_dec = None
     if opts.algorithm in ("cutlocus", "both"):
         try:
-            # one enumeration at the doubled bound serves both complexes:
-            # the paths within the bound keep their order in it
-            paths2 = enumerate_return_paths(gs, 2.0 * opts.length_bound,
-                                            opts.word_bound, points)
-            paths = [rp for rp in paths2
-                     if rp.length <= opts.length_bound + 1e-9]
-            cx = cut_locus_complex(paths, gs, opts.word_bound, points=points)
-            cx2 = cut_locus_complex(paths2, gs, opts.word_bound, points=points)
+            # the complex takes its fences in the report's path order, the
+            # doubled one the unclassified pairs within twice the bound
+            paths = enumerate_return_paths(gs, opts.length_bound,
+                                           opts.word_bound, points)
+            cx = cut_locus_complex([pair for rp in paths for pair in rp.lifts],
+                                   gs, opts.word_bound, points=points)
+            cx2 = cut_locus_complex(
+                return_pairs(gs, 2.0 * opts.length_bound, points), gs,
+                opts.word_bound, points=points)
             stable = _complex_signature(cx) == _complex_signature(cx2)
             certs["cutlocus_stability"] = Certificate(
                 stable, "" if stable else "complex changes when the length "

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import cell_is_convex
-from hypdecomp import cutlocus
+from hypdecomp import cutlocus, io_cli
 from hypdecomp.cutlocus import (STRATUM_TOL, ReturnPath, _concyclic,
                                 cross_validate, cut_locus_complex,
                                 dual_count_identity, dual_decomposition,
-                                enumerate_return_paths)
+                                enumerate_return_paths, return_pairs)
 from hypdecomp.decorations import horoball_distance
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitSet, orbit, reflection_normal
@@ -23,9 +23,9 @@ def trivial(cusps):
     return GroupSpec(2, [], [], [np.asarray(c, dtype=float) for c in cusps])
 
 
-def reference_return_paths(g, length_bound, word_bound, points):
-    """``enumerate_return_paths`` one orbit point at a time, with a ray
-    test and a validated ``horoball_distance`` for every pair."""
+def reference_return_pairs(g, length_bound, points):
+    """``return_pairs`` one orbit point at a time, with a ray test and a
+    validated ``horoball_distance`` for every pair."""
     pairs = []
     for c, p in enumerate(g.cusp_reps):
         base = points.find(p)
@@ -36,12 +36,18 @@ def reference_return_paths(g, length_bound, word_bound, points):
             d = horoball_distance(base.point, q.point)
             if d <= length_bound + 1e-9:
                 pairs.append((c, base, q, d))
+    return pairs
+
+
+def reference_return_paths(g, length_bound, word_bound, points):
+    """``enumerate_return_paths`` over the reference pairs."""
+    pairs = reference_return_pairs(g, length_bound, points)
     ids = GammaClasses(g, word_bound).classify(
         [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
     paths = {}
-    for cid, (c, _, q, d) in zip(ids, pairs):
-        paths.setdefault(cid, ReturnPath(cid, max(0.0, d), [])).lifts.append(
-            (c, q))
+    for cid, pair in zip(ids, pairs):
+        paths.setdefault(cid, ReturnPath(cid, max(0.0, pair[3]), [])).lifts.append(
+            pair)
     return sorted(paths.values(), key=lambda rp: (round(rp.length, 9),
                                                   rp.class_id))
 
@@ -65,18 +71,15 @@ class TestReturnPaths:
 
     @staticmethod
     def _key(paths):
-        return [(rp.length, [(c, q.index) for c, q in rp.lifts])
+        return [(rp.length, [(c, q.index) for c, _, q, _ in rp.lifts])
                 for rp in paths]
 
     def test_run_paths_match_direct_enumeration(self, all_reports):
-        # run() keeps the paths within the bound from its one enumeration
-        # at the doubled bound; they must be the direct enumeration's
+        # run()'s report holds the direct enumeration at its length bound,
+        # and that is the one-point-at-a-time reference's
         for name, report in all_reports.items():
             opts = report.spec.options
-            from hypdecomp.doubling import symmetrize_decorations
-            gs = symmetrize_decorations(report.spec.group, margin=opts.margin,
-                                        word_bound=min(4, opts.word_bound),
-                                        height_bound=opts.height_bound)
+            gs = _symmetrized(report)
             direct = enumerate_return_paths(
                 gs, opts.length_bound, opts.word_bound,
                 report.cut_complex.orbit_points)
@@ -89,6 +92,51 @@ class TestReturnPaths:
                     == [rp.class_id for rp in ref]), name
             assert self._key(direct) == self._key(ref), name
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_pairs_match_one_point_reference(self, all_reports, scale):
+        # at the length bound and at twice it, as a run's two complexes
+        # read them: the same cusp, base and partner, and the same length
+        # bit for bit
+        for name, report in all_reports.items():
+            gs = _symmetrized(report)
+            pts = report.cut_complex.orbit_points
+            bound = scale * report.spec.options.length_bound
+            got, want = ([(c, base.index, q.index, d.hex())
+                          for c, base, q, d in pairs(gs, bound, pts)]
+                         for pairs in (return_pairs, reference_return_pairs))
+            assert got, name
+            assert got == want, name
+
+    @pytest.mark.parametrize("name", ["thrice_punctured_sphere",
+                                      "figure3_surface"])
+    def test_run_classifies_no_pair_beyond_the_bound(self, monkeypatch,
+                                                     name):
+        # the report's paths are the only return pairs a run classifies;
+        # the doubled complex reads its pairs unclassified
+        spec = load_spec(fixture_path(name))
+        enumerate_paths, classify = (io_cli.enumerate_return_paths,
+                                     GammaClasses.classify)
+        enumerating, lengths = [False], []
+
+        def flagged(*args, **kwargs):
+            enumerating[0] = True
+            try:
+                return enumerate_paths(*args, **kwargs)
+            finally:
+                enumerating[0] = False
+
+        def recording(self, objects):
+            if enumerating[0]:
+                lengths.extend(horoball_distance(*coords)
+                               for coords, _ in objects if len(coords) == 2)
+            return classify(self, objects)
+
+        monkeypatch.setattr(io_cli, "enumerate_return_paths", flagged)
+        monkeypatch.setattr(GammaClasses, "classify", recording)
+        run(spec)
+        assert lengths
+        assert max(lengths) <= spec.options.length_bound + 1e-9
+
 
 SYM3 =[2.0 * np.array([1.0, math.cos(t), math.sin(t)])
         for t in (math.pi / 2.0, math.pi / 2.0 + 2 * math.pi / 3,
@@ -99,8 +147,7 @@ class TestCutComplex:
     def test_two_horoballs_single_fence(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, pts)
-        cx = cut_locus_complex(paths, g, 0, points=pts)
+        cx = cut_locus_complex(return_pairs(g, 1.0, pts), g, 0, points=pts)
         assert len(cx.cells[0]) == 0
         assert cx.class_counts[1] == 1
         pair = {tuple(np.round(pts[i].point, 9))
@@ -113,9 +160,10 @@ class TestCutComplex:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        paths = enumerate_return_paths(g, d + 0.1, 0, pts)
-        assert len(paths) == 3
-        cx = cut_locus_complex(paths, g, 0, points=pts)
+        assert len(enumerate_return_paths(g, d + 0.1, 0, pts)) == 3
+        pairs = return_pairs(g, d + 0.1, pts)
+        assert len(pairs) == 6
+        cx = cut_locus_complex(pairs, g, 0, points=pts)
         assert cx.class_counts == {0: 1, 1: 3}
         # independent solve of <x, p_i - p_j> = 0 on the hyperboloid
         A = np.array([SYM3[0] - SYM3[1], SYM3[0] - SYM3[2]])
@@ -208,8 +256,8 @@ class TestNearestSets:
         # the base's own domain has a nearest set of one center
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, horoball_distance(SYM3[0], SYM3[1])
-                                       + 0.1, 0, pts)
+        paths = return_pairs(g, horoball_distance(SYM3[0], SYM3[1]) + 0.1,
+                             pts)
         enumerate_vertices = cutlocus._vertex_enumeration
 
         def with_fake(A, b, n):
@@ -233,8 +281,8 @@ class TestFenceWalk:
     def _sym3():
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, horoball_distance(SYM3[0], SYM3[1])
-                                       + 0.1, 0, pts)
+        paths = return_pairs(g, horoball_distance(SYM3[0], SYM3[1]) + 0.1,
+                             pts)
         return g, pts, paths
 
     @staticmethod
@@ -283,8 +331,8 @@ class TestDual:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        paths = enumerate_return_paths(g, d + 0.1, 0, pts)
-        cx = cut_locus_complex(paths, g, 0, points=pts)
+        cx = cut_locus_complex(return_pairs(g, d + 0.1, pts), g, 0,
+                               points=pts)
         dec = dual_decomposition(cx, g, 0)
         assert len(dec.cells) == 1
         assert len(dec.cells[0].vertex_ids) == 3
@@ -295,8 +343,8 @@ class TestDual:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        cx = cut_locus_complex(enumerate_return_paths(g, d + 0.1, 0, pts),
-                               g, 0, points=pts)
+        cx = cut_locus_complex(return_pairs(g, d + 0.1, pts), g, 0,
+                               points=pts)
 
         def no_lookup(self, Q):
             raise AssertionError("looked up images without letters")
@@ -308,8 +356,7 @@ class TestDual:
     def test_no_zero_cells_rejected(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, pts)
-        cx = cut_locus_complex(paths, g, 0, points=pts)
+        cx = cut_locus_complex(return_pairs(g, 1.0, pts), g, 0, points=pts)
         with pytest.raises(GeometryError):
             dual_decomposition(cx, g, 0)
 

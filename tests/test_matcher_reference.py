@@ -250,7 +250,7 @@ def _symmetrized(spec):
 
 
 def _path_classes(report):
-    return [(rp.class_id, rp.length, [(c, q.index) for c, q in rp.lifts])
+    return [(rp.class_id, rp.length, [(c, q.index) for c, _, q, _ in rp.lifts])
             for rp in report.return_paths]
 
 

@@ -1,11 +1,13 @@
-"""Presentation invariance: a Nielsen rewrite of the generators changes
-the input, not the manifold, so a run must not raise on it, and when it
-certifies its cells must be those of the unrewritten input.
+"""Presentation invariance: a Nielsen rewrite of the generators, or
+another lift gamma.c of a cusp vector c, changes the input, not the
+manifold, so a run must not raise on it, and when it certifies its
+cells must be those of the unrewritten input.
 
 Each fixture runs at its shipped bounds under four rewrites of its
-first two generators a, b (any further generators follow unchanged).
-The rewrites that do not certify today are strict xfails naming their
-cause (ROADMAP open item 20).
+first two generators a, b (any further generators follow unchanged),
+and with every cusp vector c replaced by gamma.c for gamma in a, a^-1
+and b.  The inputs that do not certify today are strict xfails naming
+their failing certificates and cause (ROADMAP open item 20).
 """
 
 import functools
@@ -38,6 +40,36 @@ NOT_CERTIFIED = {
 }
 
 
+# every cusp vector c becomes gamma.c for one of the first two
+# generators a, b or an inverse
+CUSP_REWRITES = {
+    "a": lambda a, b: a,
+    "a^-1": lambda a, b: lorentz_inverse(a),
+    "b": lambda a, b: b,
+}
+CUSP_CASES = [(name, gamma) for name in NAMES for gamma in CUSP_REWRITES]
+
+HIGH_BASE = ("the cut-locus route builds its complex around the given "
+             "representative as base horoball, and its verdict depends on "
+             "which lift of the cusp that is (ROADMAP item 20)")
+# the failing certificates of each cusp rewrite that does not certify,
+# and their cause
+CUSP_NOT_CERTIFIED = {
+    ("once_punctured_torus", "a"): (["dual_count_identity"], HIGH_BASE),
+    ("once_punctured_torus", "a^-1"): (["dual_count_identity"], HIGH_BASE),
+    ("once_punctured_torus", "b"): (["dual_count_identity"], HIGH_BASE),
+    ("figure3_surface", "a"): (["cross_validation", "dual_count_identity"],
+                               HIGH_BASE),
+    ("figure3_surface", "a^-1"): (["cross_validation",
+                                   "dual_count_identity"], HIGH_BASE),
+    ("figure3_surface", "b"): (
+        ["decoration_symmetry"],
+        "the margin's scale e is refused because it lifts the given "
+        "representative of cusp 1 from height 69.4 to 188.8, above "
+        "H = 160; it lifts the lowest lift to 2.7 (ROADMAP item 20)"),
+}
+
+
 def rewritten_generators(name, rewrite):
     a, b, *rest = load_spec(fixture_path(name)).group.generators
     return REWRITES[rewrite](a, b) + rest
@@ -50,6 +82,20 @@ def rewritten_run(name, rewrite):
     spec.group = GroupSpec(g.dimension, rewritten_generators(name, rewrite),
                            g.reflections, g.cusp_reps, g.name)
     return run(spec)
+
+
+@functools.cache
+def cusp_rewritten_run(name, gamma):
+    spec = load_spec(fixture_path(name))
+    g = spec.group
+    m = CUSP_REWRITES[gamma](*g.generators[:2])
+    spec.group = GroupSpec(g.dimension, g.generators, g.reflections,
+                           [m @ c for c in g.cusp_reps], g.name)
+    return run(spec)
+
+
+def _failing(report):
+    return sorted(k for k, c in report.certificates.items() if not c.ok)
 
 
 @pytest.mark.parametrize("name,rewrite", CASES)
@@ -66,9 +112,35 @@ def test_rewrite_runs_to_a_verdict(name, rewrite, all_reports):
     if case in NOT_CERTIFIED else case for case in CASES])
 def test_rewrite_certifies_the_same_cells(name, rewrite, all_reports):
     report = rewritten_run(name, rewrite)
-    assert report.ok, [k for k, c in report.certificates.items() if not c.ok]
+    assert report.ok, _failing(report)
     assert same_cells(gram_signature(report),
                       gram_signature(all_reports[name]))
+
+
+@pytest.mark.parametrize("name,gamma", CUSP_CASES)
+def test_cusp_rewrite_runs_to_a_verdict(name, gamma, all_reports):
+    report = cusp_rewritten_run(name, gamma)
+    if report.ok:
+        assert same_cells(gram_signature(report),
+                          gram_signature(all_reports[name]))
+
+
+@pytest.mark.parametrize("name,gamma", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason=f"fails {', '.join(CUSP_NOT_CERTIFIED[case][0])}: "
+                            f"{CUSP_NOT_CERTIFIED[case][1]}"))
+    if case in CUSP_NOT_CERTIFIED else case for case in CUSP_CASES])
+def test_cusp_rewrite_certifies_the_same_cells(name, gamma, all_reports):
+    report = cusp_rewritten_run(name, gamma)
+    assert report.ok, _failing(report)
+    assert same_cells(gram_signature(report),
+                      gram_signature(all_reports[name]))
+
+
+@pytest.mark.parametrize("name,gamma", sorted(CUSP_NOT_CERTIFIED))
+def test_cusp_rewrite_fails_only_the_named_certificates(name, gamma):
+    assert (_failing(cusp_rewritten_run(name, gamma))
+            == CUSP_NOT_CERTIFIED[name, gamma][0])
 
 
 def test_duplicate_horoball_fails_decoration_symmetry(tmp_path, capsys):

@@ -26,7 +26,10 @@ the figure-eight knot at H = 12, and counts, per run:
   reads are not counted;
 - ``merge_tests``: (stored, query) point pairs that share a probe cell
   and so go through the exact same-point test (``group._is_same``),
-  both in the orbit merges and in the ``OrbitSet`` lookups.
+  both in the orbit merges and in the ``OrbitSet`` lookups;
+- ``classified``: objects handed to ``GammaClasses.classify``: the
+  return pairs within the length bound, which the report classifies
+  once, and the cells of each stratum of both cut-locus complexes.
 
 Run from the repository root:
 
@@ -57,10 +60,11 @@ SETTINGS = [(name, {}) for name in NAMES] + [
 def counting(counts):
     """Patch the counted functions; returns the undo list."""
     (find, first_hits, hits_of, pair_hits, greedy, orbit, first_new,
-     is_same) = (matching.find_group_element, matching._first_hits,
-                 matching.stack_hits, matching.pair_hits,
-                 matching.greedy_deviation, group.orbit, group._first_new,
-                 group._is_same)
+     is_same, classify) = (matching.find_group_element, matching._first_hits,
+                           matching.stack_hits, matching.pair_hits,
+                           matching.greedy_deviation, group.orbit,
+                           group._first_new, group._is_same,
+                           matching.GammaClasses.classify)
     finding, screening, keying = [False], [False], [True]
 
     def counted_find(*args, **kwargs):
@@ -127,6 +131,10 @@ def counting(counts):
         counts["merge_tests"] += len(a)
         return is_same(P, P_rays, a, Q, Q_rays, b)
 
+    def counted_classify(self, objects):
+        counts["classified"] += len(objects)
+        return classify(self, objects)
+
     patches = [(mod, "find_group_element", counted_find)
                for mod in (matching, ep_hull, cutlocus)]
     patches += [(matching, "_first_hits", counted_first_hits),
@@ -134,7 +142,8 @@ def counting(counts):
                 (doubling, "stack_hits", counted_stack_hits),
                 (matching, "greedy_deviation", counted_greedy)]
     patches += [(group, "_first_new", counted_first_new),
-                (group, "_is_same", counted_is_same)]
+                (group, "_is_same", counted_is_same),
+                (matching.GammaClasses, "classify", counted_classify)]
     patches += [(mod, "orbit", counted_orbit)
                 for mod in (group, io_cli, ep_hull, doubling)]
     undo = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
@@ -160,7 +169,7 @@ def count(name, overrides):
         key: counts[key] for key in ("searches", "searches_made", "candidates",
                                      "survivors", "hits", "low_images",
                                      "kept_points", "ball_keys",
-                                     "merge_tests")}
+                                     "merge_tests", "classified")}
 
 
 def main():
