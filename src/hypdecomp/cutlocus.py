@@ -102,18 +102,16 @@ def return_pairs(g: GroupSpec, length_bound: float, points: OrbitSet):
     return pairs
 
 
-def enumerate_return_paths(g: GroupSpec, length_bound: float,
-                           word_bound: int, points: OrbitSet):
-    """Orbit classes of horoball pairs in ``points`` within the length bound.
+def enumerate_return_paths(pairs, g: GroupSpec, word_bound: int):
+    """Orbit classes of the given ``return_pairs`` tuples.
 
     Deterministic and sorted by length; the decoration symmetry and
-    disjointness conditions are assumed to hold already.  The pairs of
-    ``return_pairs`` go through one ``classify``, and each class keeps
-    its pairs, in their order, as its lifts.
+    disjointness conditions are assumed to hold already.  The pairs go
+    through one ``classify``, and each class keeps its pairs, in their
+    order, as its lifts.
     """
-    pairs = return_pairs(g, length_bound, points)
     ids = GammaClasses(g, word_bound).classify(
-        [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
+        [[base, q] for _, base, q, _ in pairs])
     paths = {}
     for cid, pair in zip(ids, pairs):
         rp = paths.setdefault(cid, ReturnPath(cid, max(0.0, pair[3]), []))
@@ -282,8 +280,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
     class_counts = {}
     for k in range(n):
         classes = GammaClasses(g, word_bound)
-        ids = classes.classify([(np.array([op.point for op in cell.nearest_points]),
-                                 cell.nearest_points) for cell in cells[k]])
+        ids = classes.classify([cell.nearest_points for cell in cells[k]])
         for cell, cid in zip(cells[k], ids):
             cell.class_id = cid
         class_counts[k] = len(classes.reps)
@@ -291,7 +288,7 @@ def cut_locus_complex(paths, g: GroupSpec, word_bound: int,
                       orbit_points=points)
 
 
-def _complex_signature(cx: CutComplex):
+def complex_signature(cx: CutComplex):
     """Per stratum, the sorted (size, rounded Gram) of each class's first cell."""
     sig = {}
     for k, cells in cx.cells.items():
@@ -450,14 +447,12 @@ def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
     used = set()
     worst = 0.0
     for ci in range(len(a.cells)):
-        A = np.array([op.point for op in a.cell_points[ci]])
         hit = None
         for cj in range(len(b.cells)):
             if cj in used:
                 continue
-            B = np.array([op.point for op in b.cell_points[cj]])
-            M = find_group_element(g, word_bound, A, B,
-                                   a.cell_points[ci], b.cell_points[cj])
+            M = find_group_element(g, word_bound, a.cell_points[ci],
+                                   b.cell_points[cj])
             if M is not None:
                 hit = (cj, M)
                 break
@@ -465,6 +460,7 @@ def cross_validate(a: Decomposition, b: Decomposition, g: GroupSpec,
             return CrossValidation(False, f"cell {ci} has no partner", ci, worst)
         cj, M = hit
         used.add(cj)
+        A = np.array([op.point for op in a.cell_points[ci]])
         B = np.array([op.point for op in b.cell_points[cj]])
         img = A @ M.T
         dev = float(greedy_deviation(img, B))

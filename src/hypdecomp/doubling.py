@@ -17,7 +17,7 @@ from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
 from .group import (RAY_MERGE_ANGLE, GroupSpec, lorentz_inverse, orbit,
                     reflection_normal)
-from .matching import PAIR_TOL, _scale, match_index, stack_hits
+from .matching import first_images, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
 
@@ -258,18 +258,12 @@ def check_hull_symmetry(faces, points, tau, height_bound: float) -> SymmetryRepo
     tau = np.asarray(tau, dtype=float)
     coords = np.array([op.point for op in points])
     face_sets = [coords[list(f.vertex_ids)] for f in faces]
-    band = height_bound / 2.0
-    unmatched = []
-    checked = 0
-    for fi, f in enumerate(faces):
-        img = face_sets[fi] @ tau.T
-        if np.max(img[:, 0]) > band:
-            continue
-        checked += 1
-        scale = max(1.0, float(np.max(np.abs(img))))
-        if match_index(face_sets, img, PAIR_TOL * scale) is None:
-            unmatched.append(f.vertex_ids)
-    return SymmetryReport(unmatched=unmatched, checked=checked)
+    kept = [fi for fi, fs in enumerate(face_sets)
+            if np.max((fs @ tau.T)[:, 0]) <= height_bound / 2.0]
+    first = first_images(face_sets, tau[None])
+    return SymmetryReport(unmatched=[faces[fi].vertex_ids for fi in kept
+                                     if (fi, 0) not in first],
+                          checked=len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +425,15 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
     errors = []
     case2 = {}
     mirrored_away = set()
+    cell_coords = [np.array([op.point for op in cops])
+                   for cops in dec.cell_points]
     if g.reflections:
         ball = g.word_ball(word_bound).matrices
         lifts = wall_lifts(g, word_bound)
-        for ci, cell in enumerate(dec.cells):
-            coords = np.array([op.point for op in dec.cell_points[ci]])
-            scale = max(1.0, float(np.max(np.abs(coords))))
+        for ci, coords in enumerate(cell_coords):
             planes = []
             # a lift that repeats an earlier one repeats its plane
-            for idx in stack_hits(lifts, coords, coords, PAIR_TOL * scale):
+            for _, idx in stack_hits(lifts, coords, [coords]):
                 m = lifts[idx]
                 u = reflection_normal(m, strict=False)
                 if u is None:
@@ -453,22 +447,14 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
                 case2[ci] = planes[0]
 
         tau0 = g.reflections[0]
-        for ci, cell in enumerate(dec.cells):
-            if ci in case2 or ci in mirrored_away:
+        off_wall = [ci for ci in range(len(dec.cells)) if ci not in case2]
+        dsts = [cell_coords[ci] for ci in off_wall]
+        for ci in off_wall:
+            if ci in mirrored_away:
                 continue
-            coords = np.array([op.point for op in dec.cell_points[ci]])
-            img = coords @ tau0.T
-            images = ball @ img.mean(axis=0)
-            partner = None
-            for cj in range(len(dec.cells)):
-                if cj in case2:
-                    continue
-                dst = np.array([op.point for op in dec.cell_points[cj]])
-                tol = PAIR_TOL * _scale(img, dst)
-                if next(stack_hits(ball, img, dst, tol, images),
-                        None) is not None:
-                    partner = cj
-                    break
+            t, _ = next(stack_hits(ball, cell_coords[ci] @ tau0.T, dsts),
+                        (None, None))
+            partner = None if t is None else off_wall[t]
             if partner is None:
                 errors.append((ci, "mirror cell class not found among "
                                    "certified cells"))
@@ -495,7 +481,7 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
                 errors.append((ci, f"external face not orthogonal ({worst})"))
             cells_out.append(mc)
         else:
-            coords = np.array([op.point for op in cops])
+            coords = cell_coords[ci]
             cells_out.append(MixedCell(
                 kind="ideal", klein_vertices=cell.klein_vertices,
                 ambient_vertices=coords,
@@ -512,48 +498,31 @@ def _same_plane(u, v) -> bool:
     return min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) < 1e-7
 
 
-def _star_stack(g: GroupSpec, word_bound: int):
-    stack = g.word_ball(word_bound).matrices
-    if not g.reflections:
-        return stack
-    tau0 = g.reflections[0]
-    return np.concatenate([stack, stack @ tau0])
-
-
 def _quotient_pairings(cells, g: GroupSpec, word_bound: int):
     """Match internal facets across quotient cells.
 
     Candidate isometries live in the extended group generated by the
-    deck group and one mirror lift; candidates are screened by facet
-    centroid images.
+    deck group and one mirror lift: the word ball, then the ball times
+    the first reflection.  A facet glues to the first other unpaired
+    facet that a candidate maps it onto, else to itself by the first
+    candidate that is not the identity.
     """
-    stack = _star_stack(g, word_bound)
-    slots = []
-    for ci, mc in enumerate(cells):
-        for fi, facet in enumerate(mc.internal_facets):
-            slots.append(((ci, fi), np.asarray(facet, float)))
+    ball = g.word_ball(word_bound).matrices
+    stack = np.concatenate([ball] + [ball @ tau for tau in g.reflections[:1]])
+    eye = np.eye(stack.shape[1])
+    facets = {(ci, fi): np.asarray(facet, float)
+              for ci, mc in enumerate(cells)
+              for fi, facet in enumerate(mc.internal_facets)}
     pairings = {}
     unpaired = []
-    for (key, coords) in slots:
+    for key, coords in facets.items():
         if key in pairings:
             continue
-        tol = PAIR_TOL * max(1.0, float(np.max(np.abs(coords))))
-        images = stack @ coords.mean(axis=0)
-        found = None
-        for (key2, coords2) in slots:
-            if key2 == key or key2 in pairings:
-                continue
-            idx = next(stack_hits(stack, coords, coords2, tol, images), None)
-            if idx is not None:
-                found = (key2, stack[idx].copy())
-                break
-        if found is None:
-            # self-gluing: facet maps onto itself by a nontrivial element
-            eye = np.eye(stack.shape[1])
-            idx = next((i for i in stack_hits(stack, coords, coords, tol, images)
-                        if np.max(np.abs(stack[i] - eye)) >= 1e-9), None)
-            if idx is not None:
-                found = (key, stack[idx].copy())
+        # the other unpaired facets, then the facet itself
+        dsts = [k for k in facets if k != key and k not in pairings] + [key]
+        found = next(((dsts[t], stack[e].copy()) for t, e in stack_hits(
+            stack, coords, [facets[k] for k in dsts])
+            if dsts[t] != key or np.max(np.abs(stack[e] - eye)) >= 1e-9), None)
         if found is None:
             unpaired.append(key)
             continue

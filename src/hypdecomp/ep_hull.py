@@ -20,8 +20,7 @@ import numpy as np
 
 from .group import GroupSpec, orbit
 from .hull import IncrementalHull
-from .matching import (PAIR_TOL, find_group_element, greedy_deviation,
-                       match_index)
+from .matching import find_group_element, first_images, match_index
 from .minkowski import (CausalClass, GeometryError, classify,
                         hyperboloid_to_klein, lorentz_product,
                         minkowski_form)
@@ -216,7 +215,7 @@ def face_sets_equal(faces_a, points_a, faces_b, points_b) -> bool:
     unused = [cb[list(f.vertex_ids)] for f in faces_b]
     for f in faces_a:
         A = ca[list(f.vertex_ids)]
-        j = match_index(unused, A, PAIR_TOL * max(1.0, float(np.max(np.abs(A)))))
+        j = match_index(unused, A)
         if j is None:
             return False
         del unused[j]
@@ -380,31 +379,15 @@ def project_face(face: HullFace, points):
 # Quotient assembly.
 # ---------------------------------------------------------------------------
 
-def _face_walk(face_sets, L, tol: float) -> _UnionFind:
+def _face_walk(face_sets, L) -> _UnionFind:
     """Union-find of the faces that the generator walk joins.
 
     Face i under letter L[l] joins the first face, in index order, that
-    its image matches within the absolute ``tol`` (a centroid screen,
-    then ``match_index``'s greedy test), unless that face is i.  Per
-    shape, the images under all letters are one product, screened in
-    blocks of about 2^14 differences and confirmed by one stacked
-    ``greedy_deviation``; unions run in (face, letter) order, so each
-    root is the one a face-by-face walk leaves."""
-    first = {}          # (face, letter) -> first face its image matches
-    for shape in sorted({fs.shape for fs in face_sets}):
-        idx = [i for i, fs in enumerate(face_sets) if fs.shape == shape]
-        F = np.array([face_sets[i] for i in idx])
-        images = F[:, None] @ np.swapaxes(L, 1, 2)   # [f, l] = F[f] @ L[l].T
-        centroids = F.mean(axis=1)
-        rows = max(1, 2 ** 14 // (len(L) * centroids.size + 1))
-        for b in range(0, len(idx), rows):
-            shift = images[b:b + rows].mean(axis=2)[:, :, None] - centroids
-            f, l, j = np.nonzero(np.abs(shift, out=shift).max(axis=3) <= tol)
-            ok = greedy_deviation(images[b + f, l], F[j]) <= tol
-            for fi, li, ji in np.stack([b + f, l, j])[:, ok].T.tolist():
-                first.setdefault((idx[fi], li), idx[ji])
+    its image matches (``first_images``), unless that face is i; unions
+    run in (face, letter) order, so each root is the one a face-by-face
+    walk leaves."""
     uf = _UnionFind(range(len(face_sets)))
-    for (i, _), j in sorted(first.items()):
+    for (i, _), j in sorted(first_images(face_sets, L).items()):
         if j != i:
             uf.union(i, j)
     return uf
@@ -432,14 +415,13 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     certified_idx = [i for i, f in enumerate(all_faces) if id(f) in wanted]
 
     def face_element(i, j):
-        return find_group_element(g, word_bound, face_sets[i], face_sets[j],
+        return find_group_element(g, word_bound,
                                   [ops[v] for v in all_faces[i].vertex_ids],
                                   [ops[v] for v in all_faces[j].vertex_ids])
 
     d = g.dimension + 1
     L = np.array([m for _, m in g.letters()]).reshape(-1, d, d)
-    uf = _face_walk(face_sets, L,
-                    PAIR_TOL * max(1.0, float(np.max(np.abs(coords)))))
+    uf = _face_walk(face_sets, L)
 
     # fallback: merge remaining certified components pairwise
     for ra, rb in combinations(sorted({uf.find(i) for i in certified_idx}), 2):
@@ -495,8 +477,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                 continue
             img = np.array([ops[v].point for v in facet_global]) @ M.T
             fj = match_index((np.array([cell_points[cj][v].point for v in f])
-                              for f in cells[cj].facets), img,
-                             PAIR_TOL * max(1.0, float(np.max(np.abs(img)))))
+                              for f in cells[cj].facets), img)
             if fj is None:
                 unpaired.append(((ci, fi), "no matching facet on paired cell"))
                 continue
@@ -527,8 +508,7 @@ def count_face_classes(dec: Decomposition, k: int) -> int:
             if not set(sub) <= set(facet):
                 continue
             img = np.array([dec.cell_points[ci][v].point for v in sub]) @ M.T
-            j = match_index(own_j, img,
-                            PAIR_TOL * max(1.0, float(np.max(np.abs(img)))))
+            j = match_index(own_j, img)
             if j is not None:
                 uf.union((ci, sub), (cj, subs_j[j]))
     return len(uf.groups())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cutlocus import (CutComplex, _complex_signature, cross_validate,
+from .cutlocus import (CutComplex, complex_signature, cross_validate,
                        cut_locus_complex, dual_count_identity,
                        dual_decomposition, enumerate_return_paths,
                        return_pairs)
@@ -239,16 +239,18 @@ def run(spec: ManifoldSpec) -> RunReport:
     dual_dec = None
     if opts.algorithm in ("cutlocus", "both"):
         try:
-            # the complex takes its fences in the report's path order, the
-            # doubled one the unclassified pairs within twice the bound
-            paths = enumerate_return_paths(gs, opts.length_bound,
-                                           opts.word_bound, points)
+            # one pair list, at twice the bound, which the doubled complex
+            # takes unclassified; its pairs within the bound (with
+            # return_pairs' slack) are the report's paths, and the kept
+            # complex takes its fences in their order
+            pairs2 = return_pairs(gs, 2.0 * opts.length_bound, points)
+            paths = enumerate_return_paths(
+                [p for p in pairs2 if p[3] <= opts.length_bound + 1e-9], gs,
+                opts.word_bound)
             cx = cut_locus_complex([pair for rp in paths for pair in rp.lifts],
                                    gs, opts.word_bound, points=points)
-            cx2 = cut_locus_complex(
-                return_pairs(gs, 2.0 * opts.length_bound, points), gs,
-                opts.word_bound, points=points)
-            stable = _complex_signature(cx) == _complex_signature(cx2)
+            cx2 = cut_locus_complex(pairs2, gs, opts.word_bound, points=points)
+            stable = complex_signature(cx) == complex_signature(cx2)
             certs["cutlocus_stability"] = Certificate(
                 stable, "" if stable else "complex changes when the length "
                                           "bound doubles")

@@ -2,25 +2,34 @@
 
 Everything downstream that talks about "orbits of faces", "orbits of
 cut-locus cells" or "orbits of return paths" reduces to one question:
-is there a group element mapping one finite decorated point set onto
-another?  ``_first_hits`` is the one search that answers it, for any
-number of source sets onto one destination.  Its candidates are vertex
-matrices composed with cusp stabilizer elements, which cover elements
-well outside the word ball; a group element is its matrix, whose
-inverse is exactly J M^T J.  It builds them as one stack per cusp and
-scans it with ``pair_hits``: a cheap screen by the image of each set
-centroid, an exact one of its survivors, then one batched greedy
-confirmation.  It alone reads and fills the spec's cache of search
-results, so a run that asks the same question twice (the doubled
-cut-locus complex has the cells of the kept one) searches once.
-``find_group_element`` asks it about one source;
-``GammaClasses.classify`` sorts a list of objects into classes in
-rounds, one per representative, each one ``_first_hits`` over the
-pending objects whose Gram key is close to the representative's.
-``stack_hits`` finds the hits in one matrix stack for one set, with
-the exact screen alone; it serves the quotient's wall lifts, mirror
-partners and facet gluings.  ``match_index`` confirms a query against
-a list of candidate sets as one stack.  All searches are deterministic.
+does a matrix carry one decorated vertex set onto another?  Only this
+module decides it, by one rule: a source set matches a destination set
+under a matrix when ``greedy_deviation`` of the source's image and the
+destination is at most ``PAIR_TOL`` times ``_scale`` of the source and
+the destination.  ``match_index`` and ``first_images`` match images
+already formed, so there the image is the source.  No caller passes a
+tolerance.
+
+``_first_hits`` is the one group search, for any number of source sets
+onto one destination.  Its candidates are vertex matrices composed with
+cusp stabilizer elements, which cover elements well outside the word
+ball; a group element is its matrix, whose inverse is exactly J M^T J.
+It scans them with ``pair_hits``, one stack per cusp: a cheap screen by
+the image of each set centroid, an exact one of its survivors, then one
+batched greedy confirmation.  It alone reads and fills the spec's cache
+of search results, so a run that asks the same question twice (the
+doubled cut-locus complex has the cells of the kept one) searches once.
+``find_group_element`` asks it about one list of orbit points;
+``GammaClasses.classify`` sorts lists of orbit points into classes in
+rounds, one ``_first_hits`` per representative.
+
+Two kernels take fixed matrices.  ``first_images`` maps many sets under
+a few matrices (the face walk's letters, a wall reflection) and tables
+the first set each image matches.  ``stack_hits`` maps one set under a
+large stack and yields its hits lazily, one destination at a time, so
+the quotient's searches stop at the first destination with a hit.
+``match_index`` confirms one query against a list of candidate sets.
+All searches are deterministic.
 """
 
 from __future__ import annotations
@@ -33,8 +42,11 @@ from .minkowski import lorentz_gram
 PAIR_TOL = 1e-6
 
 
-def _scale(A, B) -> float:
-    return max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
+def _scale(A, B):
+    """max(1, max |A|, max |B|) of each pair of sets; ``A`` and ``B``
+    are each one (m, d) set or a stack of them on the leading axes."""
+    return np.maximum(np.maximum(1.0, np.abs(A).max(axis=(-2, -1))),
+                      np.abs(B).max(axis=(-2, -1)))
 
 
 def greedy_deviation(A, B):
@@ -63,8 +75,8 @@ def greedy_deviation(A, B):
     return worst.reshape(lead)[()]
 
 
-def match_index(candidates, query, tol: float):
-    """Index of the first candidate set matching ``query``, or None.
+def match_index(candidates, query):
+    """Index of the first candidate set that ``query`` matches, or None.
 
     Candidates of another shape never match.  The rest are confirmed
     at once, as one stack, by ``greedy_deviation`` with the query's
@@ -75,9 +87,66 @@ def match_index(candidates, query, tol: float):
     same = [i for i, B in enumerate(cands) if B.shape == query.shape]
     if not same:
         return None
-    dev = greedy_deviation(query, np.array([cands[i] for i in same]))
-    hit = np.flatnonzero(dev <= tol)
+    B = np.array([cands[i] for i in same])
+    hit = np.flatnonzero(greedy_deviation(query, B)
+                         <= PAIR_TOL * _scale(query, B))
     return same[hit[0]] if len(hit) else None
+
+
+def first_images(sets, L):
+    """{(i, l): j} for each set i and matrix ``L[l]`` whose image of
+    ``sets[i]`` matches a set j: the first such j, in index order, as
+    ``match_index(sets, sets[i] @ L[l].T)`` finds it, the image being
+    the source.
+
+    Per shape, the images under all matrices are one product.  A set
+    whose centroid is farther from the image's centroid than the pair
+    tolerance cannot match it, so the images are screened by centroid,
+    in blocks of about 2^14 differences, and the survivors confirmed by
+    one stacked ``greedy_deviation``.
+    """
+    first = {}
+    by_shape = {}
+    for i, s in enumerate(sets):
+        by_shape.setdefault(s.shape, []).append(i)
+    for idx in by_shape.values():
+        F = np.array([sets[i] for i in idx])
+        images = F[:, None] @ np.swapaxes(L, 1, 2)   # [f, l] = F[f] @ L[l].T
+        centroids = F.mean(axis=1)
+        rows = max(1, 2 ** 14 // (len(L) * centroids.size + 1))
+        for b in range(0, len(idx), rows):
+            block = images[b:b + rows]
+            tol = PAIR_TOL * _scale(block[:, :, None], F)
+            shift = block.mean(axis=2)[:, :, None] - centroids
+            f, l, j = np.nonzero(np.abs(shift, out=shift).max(axis=3) <= tol)
+            ok = greedy_deviation(block[f, l], F[j]) <= tol[f, l, j]
+            for fi, li, ji in np.stack([b + f, l, j])[:, ok].T.tolist():
+                first.setdefault((idx[fi], li), idx[ji])
+    return first
+
+
+def stack_hits(stack, src, dsts):
+    """(t, e) of each stack matrix e mapping ``src`` onto ``dsts[t]``,
+    in (t, e) order, one destination at a time.
+
+    The centroid images ``stack @ src.mean(axis=0)`` are formed once.
+    Per destination, a matrix passes the screen when it carries the
+    source centroid within the pair tolerance of the destination
+    centroid, and the images of ``src`` under all survivors are
+    confirmed at once by ``greedy_deviation``.  A consumer that stops at
+    a hit screens no later destination.
+    """
+    images = stack @ src.mean(axis=0)
+    for t, dst in enumerate(dsts):
+        if dst.shape != src.shape:
+            continue
+        tol = PAIR_TOL * _scale(src, dst)
+        close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)),
+                                      axis=1) <= tol)
+        if len(close):
+            dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst)
+            for e in close[dev <= tol].tolist():
+                yield t, e
 
 
 def _gram_key(coords):
@@ -85,48 +154,29 @@ def _gram_key(coords):
     return np.sort(G.ravel())
 
 
-def _gram_close(keys, key, scale, tol: float):
+def _gram_close(keys, key, scale):
     """Whether each Gram key of ``keys`` (one, or a stack on the leading
     axis) and ``key``, of one shape, can belong to one group orbit.
 
     ``scale`` is ``_scale`` of each pair of sets; the keys are quadratic
     in the coordinates, hence the squared scale.
     """
-    return ~(np.max(np.abs(keys - key), axis=-1) > tol * scale * scale)
+    return ~(np.max(np.abs(keys - key), axis=-1) > PAIR_TOL * scale * scale)
 
 
-def stack_hits(stack, src, dst, tol: float, images=None):
-    """Indices of the stack matrices mapping ``src`` onto ``dst``, in order.
-
-    A matrix passes the screen when it carries the source centroid
-    within the absolute ``tol`` of the destination centroid;
-    ``images`` may supply ``stack @ src.mean(axis=0)`` when the caller
-    reuses it.  The images of ``src`` under all survivors are then
-    confirmed at once, as one stack, by ``greedy_deviation``.
-    """
-    if src.shape != dst.shape:
-        return
-    if images is None:
-        images = stack @ src.mean(axis=0)
-    close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)), axis=1)
-                           <= tol)
-    if len(close):
-        dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst)
-        yield from close[dev <= tol].tolist()
-
-
-def pair_hits(left, right, srcs, dst, tols):
+def pair_hits(left, right, srcs, dst):
     """Hits of the candidates ``left[j] @ right[k]`` mapping ``srcs[k]``
-    onto ``dst`` within ``tols[k]``.
+    onto ``dst``.
 
     Candidate (j, k) is a hit exactly when ``stack_hits`` finds j in
-    the stack ``left @ right[k]`` for ``srcs[k]`` at ``tols[k]``.
-    Returns the hits' k, j and matrices, in (j, k) order.  All pairs are
-    screened at once with the cheap images ``left[j] @ (right[k] @ c)``
-    of the source centroids c.  Only the survivors form their exact
-    matrix and centroid image, as ``stack_hits`` forms them, for the
-    exact screen; its survivors go through one ``greedy_deviation``.
+    the stack ``left @ right[k]`` for ``srcs[k]``.  Returns the hits'
+    k, j and matrices, in (j, k) order.  All pairs are screened at once
+    with the cheap images ``left[j] @ (right[k] @ c)`` of the source
+    centroids c.  Only the survivors form their exact matrix and
+    centroid image, as ``stack_hits`` forms them, for the exact screen;
+    its survivors go through one ``greedy_deviation``.
     """
+    tols = PAIR_TOL * _scale(srcs, dst)
     cents = np.array([src.mean(axis=0) for src in srcs])
     goal = dst.mean(axis=0)
     cheap = left @ (right @ cents[..., None])[..., 0].T
@@ -148,22 +198,20 @@ def pair_hits(left, right, srcs, dst, tols):
     return k, j, M
 
 
-def _search_key(word_bound: int, tol: float, src, dst, src_points,
-                dst_points):
-    """Every input bit of a search: the bound, the tolerance, the shapes
-    and bytes of the two float coordinate arrays and the cusp and matrix
-    bytes of the first two source vertices and of every destination
-    vertex."""
-    return (word_bound, tol, src.shape, dst.shape, src.tobytes(),
-            dst.tobytes(),
+def _search_key(word_bound: int, src, dst, src_points, dst_points):
+    """Every input bit of a search: the bound, the shapes and bytes of
+    the two float coordinate arrays (which fix the tolerance) and the
+    cusp and matrix bytes of the first two source vertices and of every
+    destination vertex."""
+    return (word_bound, src.shape, dst.shape, src.tobytes(), dst.tobytes(),
             tuple((P.cusp_id, P.matrix.tobytes()) for P in src_points[:2]),
             tuple((Q.cusp_id, Q.matrix.tobytes()) for Q in dst_points))
 
 
-def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
+def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, dst,
                 dst_points):
-    """First matrix mapping each ``srcs[k]`` onto ``dst`` within the
-    absolute ``tols[k]``, or None, one per source.
+    """First matrix mapping each ``srcs[k]`` onto ``dst``, or None, one
+    per source.
 
     The candidates of a source are Q.matrix @ s @ lorentz_inverse(P.matrix)
     for each of its first two vertices P, each destination vertex Q on
@@ -177,8 +225,8 @@ def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
     lives as long as the spec: in ``run()``, the one symmetrized spec.
     """
     cache = g._search_cache
-    keys = [_search_key(word_bound, tol, src, dst, points, dst_points)
-            for src, points, tol in zip(srcs, src_points, tols)]
+    keys = [_search_key(word_bound, src, dst, points, dst_points)
+            for src, points in zip(srcs, src_points)]
     todo = {}           # key -> the first source that has it
     for k, key in enumerate(keys):
         if key not in cache:
@@ -201,8 +249,7 @@ def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
             right = lorentz_inverse(np.array([src_points[k][pos].matrix
                                               for k in group]))
             which, _, M = pair_hits(lefts[cusp], right,
-                                    np.array([srcs[k] for k in group]), dst,
-                                    np.array([tols[k] for k in group]))
+                                    np.array([srcs[k] for k in group]), dst)
             for first in np.unique(which, return_index=True)[1]:
                 hits[group[which[first]]] = M[first].copy()
     for key, k in todo.items():
@@ -210,78 +257,67 @@ def _first_hits(g: GroupSpec, word_bound: int, srcs, src_points, tols, dst,
     return [cache[key] for key in keys]
 
 
-def find_group_element(g: GroupSpec, word_bound: int, src_coords, dst_coords,
-                       src_points, dst_points):
-    """Group element mapping the source set onto the destination set.
+def find_group_element(g: GroupSpec, word_bound: int, src_points, dst_points):
+    """Group element mapping one set of OrbitPoints onto another.
 
-    ``src_points`` / ``dst_points`` are the sets' OrbitPoints, whose
-    matrices carry their cusp vectors onto them.  Sets whose Gram keys
-    differ are refused without a search; otherwise ``_first_hits`` of
-    the one source runs at ``PAIR_TOL`` times the sets' scale.
-    Returns a copy of the first matrix, in (P, Q, s) order, that maps
-    the set within tolerance, or None.
+    The points' matrices carry their cusp vectors onto them.  Sets whose
+    Gram keys differ are refused without a search; otherwise the one
+    source goes through ``_first_hits``.  Returns a copy of the first
+    matrix, in (P, Q, s) order, that maps the set, or None.
     """
-    src = np.atleast_2d(np.asarray(src_coords, dtype=float))
-    dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
+    src, dst = (np.array([P.point for P in points])
+                for points in (src_points, dst_points))
     if src.shape != dst.shape:
         return None
-    scale = _scale(src, dst)
-    if not _gram_close(_gram_key(src), _gram_key(dst), scale, PAIR_TOL):
+    if not _gram_close(_gram_key(src), _gram_key(dst), _scale(src, dst)):
         return None
-    [M] = _first_hits(g, word_bound, [src], [src_points], [PAIR_TOL * scale],
-                      dst, dst_points)
+    [M] = _first_hits(g, word_bound, [src], [src_points], dst, dst_points)
     return None if M is None else M.copy()
 
 
 class GammaClasses:
     """Deterministic grouping of decorated point sets into group orbits."""
 
-    tol = PAIR_TOL
-
     def __init__(self, g: GroupSpec, word_bound: int):
         self.g = g
         self.word_bound = word_bound
-        self.reps = []          # (coords, points, Gram key, max |coord|)
+        self.reps = []          # (coords, points, Gram key)
 
-    def classify(self, objects):
-        """Class index of each (coords, points) object, in order.
+    def classify(self, point_lists):
+        """Class index of each list of OrbitPoints, in order.
 
-        The ids, and the reps appended, are those of taking the objects
+        The ids, and the reps appended, are those of taking the lists
         in turn, trying each against the reps in order and making it a
-        new rep when none matches.  An object only tries the reps of
-        its shape whose Gram key is close to its own, with the search
-        of ``_first_hits`` at the scale that screen used.  The work
-        goes in rounds, one per rep: every pending object is screened
-        against it at once and the survivors are searched in one
-        ``_first_hits`` call; the first object still pending after a
-        round over the last rep becomes the next rep.
+        new rep when none matches.  A list only tries the reps of its
+        shape whose Gram key is close to its own.  The work goes in
+        rounds, one per rep: every pending list is screened against it
+        at once and the survivors are searched in one ``_first_hits``
+        call; the first list still pending after a round over the last
+        rep becomes the next rep.
         """
-        coords = [np.atleast_2d(np.asarray(c, dtype=float)) for c, _ in objects]
-        points = [p for _, p in objects]
+        coords = [np.array([P.point for P in points]) for points in point_lists]
         keys = [_gram_key(c) for c in coords]
-        tops = [float(np.max(np.abs(c))) for c in coords]
         by_shape = {}
         for i, c in enumerate(coords):
             by_shape.setdefault(c.shape, []).append(i)
         stacks = {shape: (np.array(idx), np.array([keys[i] for i in idx]),
-                          np.array([tops[i] for i in idx]))
+                          np.array([coords[i] for i in idx]))
                   for shape, idx in by_shape.items()}
         ids = np.full(len(coords), -1)
         ci = 0
         while (pending := np.flatnonzero(ids < 0)).size:
             if ci == len(self.reps):
                 i = pending[0]
-                self.reps.append((coords[i], points[i], keys[i], tops[i]))
+                self.reps.append((coords[i], point_lists[i], keys[i]))
                 ids[i] = ci
-            rc, rp, rkey, rtop = self.reps[ci]
+            rc, rp, rkey = self.reps[ci]
             if rc.shape in stacks:
-                idx, K, T = stacks[rc.shape]
-                scale = np.maximum(np.maximum(1.0, T), rtop)
-                tried = _gram_close(K, rkey, scale, self.tol) & (ids[idx] < 0)
+                idx, K, C = stacks[rc.shape]
+                tried = _gram_close(K, rkey, _scale(C, rc)) & (ids[idx] < 0)
                 found = _first_hits(self.g, self.word_bound,
                                     [coords[i] for i in idx[tried]],
-                                    [points[i] for i in idx[tried]],
-                                    self.tol * scale[tried], rc, rp)
+                                    [point_lists[i] for i in idx[tried]],
+                                    rc, rp)
                 ids[idx[tried][[M is not None for M in found]]] = ci
             ci += 1
         return ids.tolist()

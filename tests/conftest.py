@@ -9,7 +9,7 @@ from hypdecomp.ep_hull import _UnionFind
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
-from hypdecomp.matching import greedy_deviation, match_index
+from hypdecomp.matching import PAIR_TOL, _scale, greedy_deviation
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -29,8 +29,7 @@ def rng():
 
 
 def set_match(A, B, tol: float) -> bool:
-    """Greedy matching of two point sets within an absolute tolerance:
-    one candidate of ``matching.match_index``, checked alone."""
+    """Greedy matching of two point sets within an absolute tolerance."""
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     if A.shape != B.shape:
@@ -38,21 +37,31 @@ def set_match(A, B, tol: float) -> bool:
     return bool(greedy_deviation(A, B) <= tol)
 
 
-def face_walk(face_sets, L, tol: float):
+def pair_match(A, B) -> bool:
+    """The pair rule of ``matching``, one pair of sets checked alone: the
+    greedy deviation is at most ``PAIR_TOL`` times ``_scale`` of both."""
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    return A.shape == B.shape and set_match(A, B, PAIR_TOL * _scale(A, B))
+
+
+def face_walk(face_sets, L):
     """The generator walk of ``ep_hull._face_walk``, one (face, letter)
     pair at a time: face i joins the first face, in index order, that
-    ``match_index`` confirms among those whose centroid lies within
-    ``tol`` of the centroid of its image."""
+    its image matches by the pair rule, one candidate at a time among
+    those whose centroid is within the pair tolerance of the image's."""
     centroids = np.array([fs.mean(axis=0) for fs in face_sets])
+    tops = np.array([np.max(np.abs(fs)) for fs in face_sets])
     uf = _UnionFind(range(len(face_sets)))
     for i, fs in enumerate(face_sets):
         for m in L:
             img = fs @ m.T
-            close = np.nonzero(np.max(np.abs(centroids - img.mean(axis=0)),
-                                      axis=1) <= tol)[0]
-            k = match_index((face_sets[j] for j in close), img, tol)
-            if k is not None and close[k] != i:
-                uf.union(i, int(close[k]))
+            tol = PAIR_TOL * np.maximum(max(1.0, np.max(np.abs(img))), tops)
+            close = np.flatnonzero(np.max(np.abs(centroids - img.mean(axis=0)),
+                                          axis=1) <= tol)
+            k = next((j for j in close if pair_match(img, face_sets[j])), None)
+            if k is not None and k != i:
+                uf.union(i, int(k))
     return uf
 
 

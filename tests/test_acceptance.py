@@ -13,7 +13,8 @@ import numpy as np
 from conftest import random_lightlike, set_match
 from test_decorations import halfspace_distance_oracle, shadow_projection_oracle
 
-from hypdecomp.cutlocus import dual_count_identity, enumerate_return_paths
+from hypdecomp.cutlocus import (dual_count_identity, enumerate_return_paths,
+                               return_pairs)
 from hypdecomp.decorations import horoball_distance, shadow_radius
 from hypdecomp.doubling import symmetrize_decorations, symmetry_direction_check
 from hypdecomp.ep_hull import (certified_faces, count_face_classes,
@@ -36,11 +37,12 @@ def _symmetrized(spec):
 
 def _return_paths_stable(g, length_bound, word_bound, height_bound):
     """Return-path classes stable under enlarged orbit bounds."""
-    a = enumerate_return_paths(g, length_bound, word_bound,
-                               OrbitSet(orbit(g, word_bound, height_bound)))
-    b = enumerate_return_paths(
-        g, length_bound, word_bound + 1,
-        OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound)))
+    small = OrbitSet(orbit(g, word_bound, height_bound))
+    big = OrbitSet(orbit(g, word_bound + 1, 2.0 * height_bound))
+    a = enumerate_return_paths(return_pairs(g, length_bound, small), g,
+                               word_bound)
+    b = enumerate_return_paths(return_pairs(g, length_bound, big), g,
+                               word_bound + 1)
     if len(a) != len(b):
         return False
     return all(abs(x.length - y.length) < 1e-8 for x, y in zip(a, b))

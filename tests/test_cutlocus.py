@@ -43,7 +43,7 @@ def reference_return_paths(g, length_bound, word_bound, points):
     """``enumerate_return_paths`` over the reference pairs."""
     pairs = reference_return_pairs(g, length_bound, points)
     ids = GammaClasses(g, word_bound).classify(
-        [(np.array([base.point, q.point]), [base, q]) for _, base, q, _ in pairs])
+        [[base, q] for _, base, q, _ in pairs])
     paths = {}
     for cid, pair in zip(ids, pairs):
         paths.setdefault(cid, ReturnPath(cid, max(0.0, pair[3]), [])).lifts.append(
@@ -56,13 +56,14 @@ class TestReturnPaths:
     def test_two_tangent_horoballs(self):
         g = trivial([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         pts = OrbitSet(orbit(g, 0, 10.0))
-        paths = enumerate_return_paths(g, 1.0, 0, pts)
+        paths = enumerate_return_paths(return_pairs(g, 1.0, pts), g, 0)
         assert len(paths) == 1
         assert paths[0].length == 0.0
 
     def test_bound_below_minimum(self):
         g = trivial([[1.0, 1.0, 0.0], math.e * np.array([1.0, -1.0, 0.0])])
-        paths = enumerate_return_paths(g, 0.5, 0, OrbitSet(orbit(g, 0, 10.0)))
+        pts = OrbitSet(orbit(g, 0, 10.0))
+        paths = enumerate_return_paths(return_pairs(g, 0.5, pts), g, 0)
         assert paths == []
 
     def test_sorted_by_length(self, report_3ps):
@@ -80,14 +81,13 @@ class TestReturnPaths:
         for name, report in all_reports.items():
             opts = report.spec.options
             gs = _symmetrized(report)
+            pts = report.cut_complex.orbit_points
             direct = enumerate_return_paths(
-                gs, opts.length_bound, opts.word_bound,
-                report.cut_complex.orbit_points)
+                return_pairs(gs, opts.length_bound, pts), gs, opts.word_bound)
             assert direct, name
             assert self._key(report.return_paths) == self._key(direct), name
             ref = reference_return_paths(gs, opts.length_bound,
-                                         opts.word_bound,
-                                         report.cut_complex.orbit_points)
+                                         opts.word_bound, pts)
             assert ([rp.class_id for rp in direct]
                     == [rp.class_id for rp in ref]), name
             assert self._key(direct) == self._key(ref), name
@@ -107,6 +107,26 @@ class TestReturnPaths:
             assert got, name
             assert got == want, name
 
+    def test_pairs_at_twice_the_bound_hold_the_pairs_at_it(self,
+                                                          all_reports):
+        # run() lists the pairs once, at twice the length bound, and keeps
+        # those within the bound with return_pairs' slack: the same cusp,
+        # base, partner and length bit for bit, in the same order, as the
+        # pairs listed at the bound
+        for name, report in all_reports.items():
+            gs = _symmetrized(report)
+            pts = report.cut_complex.orbit_points
+            bound = report.spec.options.length_bound
+            twice = return_pairs(gs, 2.0 * bound, pts)
+            got, want = ([(c, base.index, q.index, d.hex())
+                          for c, base, q, d in pairs]
+                         for pairs in ([p for p in twice
+                                        if p[3] <= bound + 1e-9],
+                                       return_pairs(gs, bound, pts)))
+            assert want, name
+            assert got == want, name
+            assert len(twice) > len(want), name
+
     @pytest.mark.parametrize("name", ["thrice_punctured_sphere",
                                       "figure3_surface"])
     def test_run_classifies_no_pair_beyond_the_bound(self, monkeypatch,
@@ -125,11 +145,11 @@ class TestReturnPaths:
             finally:
                 enumerating[0] = False
 
-        def recording(self, objects):
+        def recording(self, point_lists):
             if enumerating[0]:
-                lengths.extend(horoball_distance(*coords)
-                               for coords, _ in objects if len(coords) == 2)
-            return classify(self, objects)
+                lengths.extend(horoball_distance(p.point, q.point)
+                               for p, q in point_lists)
+            return classify(self, point_lists)
 
         monkeypatch.setattr(io_cli, "enumerate_return_paths", flagged)
         monkeypatch.setattr(GammaClasses, "classify", recording)
@@ -160,8 +180,8 @@ class TestCutComplex:
         g = trivial(SYM3)
         pts = OrbitSet(orbit(g, 0, 10.0))
         d = horoball_distance(SYM3[0], SYM3[1])
-        assert len(enumerate_return_paths(g, d + 0.1, 0, pts)) == 3
         pairs = return_pairs(g, d + 0.1, pts)
+        assert len(enumerate_return_paths(pairs, g, 0)) == 3
         assert len(pairs) == 6
         cx = cut_locus_complex(pairs, g, 0, points=pts)
         assert cx.class_counts == {0: 1, 1: 3}
@@ -404,7 +424,7 @@ class TestSymmetryLemma:
         assert on_wall > 0
 
     def test_off_wall_cells_in_mirror_pairs(self, report_fig3):
-        from hypdecomp.matching import PAIR_TOL, _scale, stack_hits
+        from hypdecomp.matching import stack_hits
         gs = _symmetrized(report_fig3)
         ball = gs.word_ball(5).matrices
         cx = report_fig3.cut_complex
@@ -412,18 +432,12 @@ class TestSymmetryLemma:
         reps = {}
         for cell in cx.cells[1]:
             if cell.class_id not in reps:
-                reps[cell.class_id] = cell
-        for cell in reps.values():
-            coords = np.array([op.point for op in cell.nearest_points])
-            img = coords @ tau0.T
-            found = False
-            for other in reps.values():
-                dst = np.array([op.point for op in other.nearest_points])
-                tol = PAIR_TOL * _scale(img, dst)
-                if next(stack_hits(ball, img, dst, tol), None) is not None:
-                    found = True
-                    break
-            assert found
+                reps[cell.class_id] = np.array([op.point
+                                                for op in cell.nearest_points])
+        dsts = list(reps.values())
+        for coords in dsts:
+            assert next(stack_hits(ball, coords @ tau0.T, dsts),
+                        None) is not None
 
     def test_cross_validation_on_all_fixtures(self, all_reports):
         for name, report in all_reports.items():

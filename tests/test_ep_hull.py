@@ -400,17 +400,16 @@ class TestFaceWalk:
         walks = []
         walk = ep_hull._face_walk
 
-        def recording(face_sets, L, tol):
-            uf = walk(face_sets, L, tol)
-            walks.append((face_sets, L, tol, _roots(uf, len(face_sets))))
+        def recording(face_sets, L):
+            uf = walk(face_sets, L)
+            walks.append((face_sets, L, _roots(uf, len(face_sets))))
             return uf
 
         monkeypatch.setattr(ep_hull, "_face_walk", recording)
         run(_spec(name, draw, **overrides))
         assert len(walks) == 2
-        for face_sets, L, tol, roots in walks:
-            assert roots == _roots(face_walk(face_sets, L, tol),
-                                   len(face_sets))
+        for face_sets, L, roots in walks:
+            assert roots == _roots(face_walk(face_sets, L), len(face_sets))
             assert any(r != i for i, r in enumerate(roots))
 
     def test_screen_blocks_and_first_match(self, rng):
@@ -424,16 +423,15 @@ class TestFaceWalk:
             img = faces[i] @ L[rng.integers(len(L))].T
             faces.append(img[rng.permutation(len(img))])
         faces += [faces[i].copy() for i in rng.integers(0, len(faces), 120)]
-        # _face_walk screens 2^14 differences at a time
+        # first_images screens 2^14 differences at a time
         assert 2 ** 14 // (len(L) * 4 * len(faces)) < len(faces) // 4
-        tol = 1e-6 * max(1.0, float(max(np.max(np.abs(f)) for f in faces)))
-        got = _roots(ep_hull._face_walk(faces, L, tol), len(faces))
-        assert got == _roots(face_walk(faces, L, tol), len(faces))
+        got = _roots(ep_hull._face_walk(faces, L), len(faces))
+        assert got == _roots(face_walk(faces, L), len(faces))
         assert sum(r != i for i, r in enumerate(got)) > 300
 
     def test_no_letters_joins_nothing(self):
         faces = [TRIANGLE, TRIANGLE.copy()]
-        uf = ep_hull._face_walk(faces, np.zeros((0, 3, 3)), 1e-6)
+        uf = ep_hull._face_walk(faces, np.zeros((0, 3, 3)))
         assert _roots(uf, 2) == [0, 1]
 
 

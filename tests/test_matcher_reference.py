@@ -26,7 +26,7 @@ from conftest import _load, set_match
 from hypdecomp import cutlocus, ep_hull, io_cli, matching
 from hypdecomp.cutlocus import cross_validate
 from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
-                                _same_plane, _star_stack, _truncate_cell,
+                                _same_plane, _truncate_cell,
                                 external_orthogonality, quotient_classify,
                                 symmetrize_decorations)
 from hypdecomp.group import (GroupSpec, _first_new, lorentz_inverse, orbit,
@@ -40,18 +40,28 @@ from test_doubling import _ray, _synthetic_decomposition
 # References: the two-source matcher and the inline quotient loops.
 # ---------------------------------------------------------------------------
 
-def ref_find_group_element(g, word_bound, src_coords, dst_coords,
-                           src_points=None, dst_points=None, tol=PAIR_TOL):
+def _points(points):
+    return np.array([op.point for op in points])
+
+
+def ref_find_group_element(g, word_bound, src_points, dst_points):
+    return ref_search(g, word_bound, _points(src_points), _points(dst_points),
+                      src_points, dst_points)
+
+
+def ref_search(g, word_bound, src_coords, dst_coords, src_points=None,
+               dst_points=None):
     src = np.atleast_2d(np.asarray(src_coords, dtype=float))
     dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
     if src.shape != dst.shape:
         return None
     scale = _scale(src, dst)
-    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
+    tol = PAIR_TOL * scale
+    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale:
         return None
 
     def verify(M):
-        return set_match(src @ M.T, dst, tol * scale)
+        return set_match(src @ M.T, dst, tol)
 
     if src_points is not None and dst_points is not None:
         for i, P in enumerate(src_points):
@@ -70,7 +80,7 @@ def ref_find_group_element(g, word_bound, src_coords, dst_coords,
     c_src = src.mean(axis=0)
     c_dst = dst.mean(axis=0)
     images = stack @ c_src
-    close = np.nonzero(np.max(np.abs(images - c_dst), axis=1) <= tol * scale)[0]
+    close = np.nonzero(np.max(np.abs(images - c_dst), axis=1) <= tol)[0]
     for idx in close:
         if verify(stack[idx]):
             return stack[idx]
@@ -111,15 +121,15 @@ def ref_quotient_classify(dec, g, word_bound=4):
     case2 = {}
     for ci, cell in enumerate(dec.cells):
         coords = np.array([op.point for op in dec.cell_points[ci]])
-        scale = max(1.0, float(np.max(np.abs(coords))))
+        tol = PAIR_TOL * _scale(coords, coords)
         planes = []
         centroid = coords.mean(axis=0)
         close = np.nonzero(np.max(np.abs(stack @ centroid - centroid), axis=1)
-                           <= PAIR_TOL * scale)[0]
+                           <= tol)[0]
         for idx in close:
             r, m = lifts[idx]
             img = coords @ m.T
-            if set_match(img, coords, PAIR_TOL * scale):
+            if set_match(img, coords, tol):
                 u = reflection_normal(m, strict=False)
                 if u is None:
                     continue
@@ -141,9 +151,8 @@ def ref_quotient_classify(dec, g, word_bound=4):
         for cj in range(len(dec.cells)):
             if cj in case2:
                 continue
-            M = ref_find_group_element(
-                g, word_bound, img,
-                np.array([op.point for op in dec.cell_points[cj]]))
+            M = ref_search(g, word_bound, img,
+                           np.array([op.point for op in dec.cell_points[cj]]))
             if M is not None:
                 partner = cj
                 break
@@ -177,7 +186,9 @@ def ref_quotient_classify(dec, g, word_bound=4):
 
 
 def ref_quotient_pairings(cells, g, word_bound):
-    stack = _star_stack(g, word_bound)
+    stack = g.word_ball(word_bound).matrices
+    if g.reflections:
+        stack = np.concatenate([stack, stack @ g.reflections[0]])
     slots = []
     for ci, mc in enumerate(cells):
         for fi, facet in enumerate(mc.internal_facets):
@@ -188,30 +199,31 @@ def ref_quotient_pairings(cells, g, word_bound):
         if key in pairings:
             continue
         c_src = coords.mean(axis=0)
-        scale = max(1.0, float(np.max(np.abs(coords))))
         found = None
         images = stack @ c_src
         for (key2, coords2) in slots:
             if key2 == key or key2 in pairings or coords2.shape != coords.shape:
                 continue
             c_dst = coords2.mean(axis=0)
+            tol = PAIR_TOL * _scale(coords, coords2)
             close = np.nonzero(np.max(np.abs(images - c_dst), axis=1)
-                               <= PAIR_TOL * scale)[0]
+                               <= tol)[0]
             for idx in close:
                 M = stack[idx]
-                if set_match(coords @ M.T, coords2, PAIR_TOL * scale):
+                if set_match(coords @ M.T, coords2, tol):
                     found = (key2, M)
                     break
             if found:
                 break
         if found is None:
+            tol = PAIR_TOL * _scale(coords, coords)
             close = np.nonzero(np.max(np.abs(images - c_src), axis=1)
-                               <= PAIR_TOL * scale)[0]
+                               <= tol)[0]
             for idx in close:
                 M = stack[idx]
                 if np.max(np.abs(M - np.eye(M.shape[0]))) < 1e-9:
                     continue
-                if set_match(coords @ M.T, coords, PAIR_TOL * scale):
+                if set_match(coords @ M.T, coords, tol):
                     found = (key, M)
                     break
         if found is None:
@@ -358,40 +370,41 @@ class TestStackHits:
 
     def test_hits_in_stack_order(self):
         stack = self._stack()
-        assert list(stack_hits(stack, self.SRC, self.SRC, 1e-9)) == [1, 2, 3]
+        assert list(stack_hits(stack, self.SRC, [self.SRC])) == [
+            (0, 1), (0, 2), (0, 3)]
         dst = self.SRC @ stack[4].T
-        assert list(stack_hits(stack, self.SRC, dst, 1e-9)) == [0, 4]
+        assert list(stack_hits(stack, self.SRC, [dst])) == [(0, 0), (0, 4)]
 
-    def test_passed_images_equal_computed(self):
+    def test_destinations_at_once_equal_one_at_a_time(self):
         stack = self._stack()
-        images = stack @ self.SRC.mean(axis=0)
-        for dst in (self.SRC, self.SRC @ stack[0].T):
-            assert (list(stack_hits(stack, self.SRC, dst, 1e-9, images))
-                    == list(stack_hits(stack, self.SRC, dst, 1e-9)))
+        dsts = [self.SRC @ stack[4].T, self.SRC[:1], self.SRC,
+                self.SRC + 0.5]
+        assert list(stack_hits(stack, self.SRC, dsts)) == [
+            (t, e) for t, dst in enumerate(dsts)
+            for _, e in stack_hits(stack, self.SRC, [dst])]
 
     def test_miss_yields_nothing(self):
         stack = self._stack()
         far = self.SRC + np.array([0.0, 0.5, 0.0])
-        assert list(stack_hits(stack, self.SRC, far, 1e-6)) == []
+        assert list(stack_hits(stack, self.SRC, [far])) == []
         # another shape never matches
-        assert list(stack_hits(stack, self.SRC, self.SRC[:1], 1e-6)) == []
+        assert list(stack_hits(stack, self.SRC, [self.SRC[:1]])) == []
         # same centroid, different set: screened in, refused by set_match
         other = np.array([[1.0, 0.5, 0.5], [1.0, 0.5, 0.5]])
-        assert list(stack_hits(stack, self.SRC, other, 1e-6)) == []
+        assert list(stack_hits(stack, self.SRC, [other])) == []
 
 
 # ---------------------------------------------------------------------------
 # References: one candidate, one representative, one system at a time.
 # ---------------------------------------------------------------------------
 
-def loop_find_group_element(g, word_bound, src_coords, dst_coords,
-                            src_points, dst_points, tol=PAIR_TOL):
-    src = np.atleast_2d(np.asarray(src_coords, dtype=float))
-    dst = np.atleast_2d(np.asarray(dst_coords, dtype=float))
+def loop_find_group_element(g, word_bound, src_points, dst_points):
+    src, dst = _points(src_points), _points(dst_points)
     if src.shape != dst.shape:
         return None
     scale = _scale(src, dst)
-    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale * scale:
+    tol = PAIR_TOL * scale
+    if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale:
         return None
     for P in src_points[:2]:
         inv = lorentz_inverse(P.matrix)
@@ -400,25 +413,23 @@ def loop_find_group_element(g, word_bound, src_coords, dst_coords,
                 continue
             for s in g.stabilizer_stack(P.cusp_id, word_bound):
                 M = Q.matrix @ s @ inv
-                if set_match(src @ M.T, dst, tol * scale):
+                if set_match(src @ M.T, dst, tol):
                     return M
     return None
 
 
-def loop_classify(classes, objects):
-    """The ids and reps ``classes.classify(objects)`` must give: the
-    objects one at a time, each searched against every rep in turn."""
+def loop_classify(classes, point_lists):
+    """The ids and reps ``classes.classify(point_lists)`` must give: the
+    lists one at a time, each searched against every rep in turn."""
     reps = [(rc, rp) for rc, rp, *_ in classes.reps]
     ids = []
-    for coords, points in objects:
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        ci = next((ci for ci, (rc, rp) in enumerate(reps)
+    for points in point_lists:
+        ci = next((ci for ci, (_, rp) in enumerate(reps)
                    if loop_find_group_element(classes.g, classes.word_bound,
-                                              coords, rc, points, rp,
-                                              classes.tol) is not None),
+                                              points, rp) is not None),
                   len(reps))
         if ci == len(reps):
-            reps.append((coords, points))
+            reps.append((_points(points), points))
         ids.append(ci)
     return ids, reps
 
@@ -486,9 +497,9 @@ def loop_pairs(request):
                                                                 **kwargs))))
         return got
 
-    def classify(self, objects):
-        want_ids, want_reps = loop_classify(self, objects)
-        got = stacked_classify(self, objects)
+    def classify(self, point_lists):
+        want_ids, want_reps = loop_classify(self, point_lists)
+        got = stacked_classify(self, point_lists)
         classes.append(((got, _rep_bits(self.reps)),
                         (want_ids, _rep_bits(want_reps))))
         return got
@@ -539,10 +550,8 @@ class TestFirstCandidate:
         assert len(g.stabilizer_stack(0, wb)) > 1
         for P in points[:3]:
             for Q in points[:6]:
-                got = matching.find_group_element(
-                    g, wb, [P.point], [Q.point], [P], [Q])
-                want = loop_find_group_element(
-                    g, wb, [P.point], [Q.point], [P], [Q])
+                got = matching.find_group_element(g, wb, [P], [Q])
+                want = loop_find_group_element(g, wb, [P], [Q])
                 assert _bits(got) == _bits(want)
                 if got is not None:
                     inv = lorentz_inverse(P.matrix)

@@ -10,11 +10,13 @@ the figure-eight knot at H = 12, and counts, per run:
   cache and so search (the entries they add to it);
 - ``candidates``: (source, matrix) pairs that ``matching.pair_hits``
   screens, for the searches and for the rounds of
-  ``GammaClasses.classify``, and matrices in the stacks that the
-  quotient's ``stack_hits`` scans screen;
+  ``GammaClasses.classify``, and the (matrix, destination) pairs that
+  the quotient's ``stack_hits`` scans screen, over the destinations of
+  the source's shape that they reach;
 - ``survivors``: pairs or matrices that pass the centroid screen and
   go to the greedy confirmation;
-- ``hits``: survivors that the confirmation accepts;
+- ``hits``: survivors that the confirmation accepts (for a ``stack_hits``
+  scan, every hit of each destination it screens, taken or not);
 - ``low_images``: images of the cusp vectors under the word ball with
   x0 at most the height bound, over every ``orbit`` call;
 - ``kept_points``: the points those ``orbit`` calls keep after merging;
@@ -82,21 +84,24 @@ def counting(counts):
             counts["searches_made"] += len(g._search_cache) - kept
         return hits
 
-    def counted_stack_hits(stack, src, dst, tol, images=None):
-        counts["candidates"] += len(stack)
-        screening[0] = True
-        try:
-            hits = list(hits_of(stack, src, dst, tol, images))
-        finally:
-            screening[0] = False
-        counts["hits"] += len(hits)
-        return iter(hits)
+    def counted_stack_hits(stack, src, dsts):
+        # one destination at a time, as far as the consumer reads: each
+        # destination's hits are confirmed together, so all are counted
+        for t, dst in enumerate(dsts):
+            counts["candidates"] += len(stack) * (dst.shape == src.shape)
+            screening[0] = True
+            try:
+                hits = list(hits_of(stack, src, [dst]))
+            finally:
+                screening[0] = False
+            counts["hits"] += len(hits)
+            yield from ((t, e) for _, e in hits)
 
-    def counted_pair_hits(left, right, srcs, dst, tols):
+    def counted_pair_hits(left, right, srcs, dst):
         counts["candidates"] += len(left) * len(right)
         screening[0] = True
         try:
-            hits = pair_hits(left, right, srcs, dst, tols)
+            hits = pair_hits(left, right, srcs, dst)
         finally:
             screening[0] = False
         counts["hits"] += len(hits[0])
