@@ -16,7 +16,7 @@ import numpy as np
 from .decorations import horoball_distance, horoball_plane_distance
 from .ep_hull import Decomposition, IdealCell, _k_faces, facet_normal
 from .group import (RAY_MERGE_ANGLE, GroupSpec, lorentz_inverse, orbit,
-                    reflection_normal)
+                    reflection_normal, stack_product)
 from .matching import first_images, stack_hits
 from .minkowski import (CausalClass, GeometryError, classify,
                         klein_to_hyperboloid, lorentz_gram, lorentz_product)
@@ -104,12 +104,12 @@ def _ray_hit(ball, q, vectors):
     ray_q = q / np.linalg.norm(q)
     hits = []
     for j, v in enumerate(vectors):
-        images = ball.matrices @ v
-        rays = images / np.linalg.norm(images, axis=1)[:, None]
+        images = stack_product(ball.matrices, v)    # (d, N)
+        shift = images / np.linalg.norm(images, axis=0) - ray_q[:, None]
         # the batched norms may round differently from the per-element
         # test below, so screen with slack and confirm each candidate
-        close = np.flatnonzero(np.linalg.norm(ray_q - rays, axis=1) < 2e-8)
-        hits.extend((int(e), j, images[e]) for e in close)
+        close = np.flatnonzero(np.linalg.norm(shift, axis=0) < 2e-8)
+        hits.extend((int(e), j, images[:, e]) for e in close)
     for e, j, img in sorted(hits, key=lambda h: h[:2]):
         if np.linalg.norm(ray_q - img / np.linalg.norm(img)) < 1e-8:
             return e, j
@@ -307,10 +307,10 @@ def wall_lifts(g: GroupSpec, word_bound: int) -> np.ndarray:
     """
     stack = g.word_ball(word_bound).matrices
     inverses = lorentz_inverse(stack)
-    dim = stack.shape[-1]
-    # empty seed: a group without reflections has an empty stack
-    lifts = np.concatenate([np.empty((0, dim, dim))]
-                           + [stack @ tau @ inverses for tau in g.reflections])
+    lifts = np.empty((len(g.reflections), *stack.shape))
+    for tau, out in zip(g.reflections, lifts):
+        np.matmul(stack_product(stack, tau), inverses, out=out)
+    lifts = lifts.reshape(-1, *stack.shape[1:])
     lifts.flags.writeable = False
     return lifts
 
@@ -508,7 +508,8 @@ def _quotient_pairings(cells, g: GroupSpec, word_bound: int):
     candidate that is not the identity.
     """
     ball = g.word_ball(word_bound).matrices
-    stack = np.concatenate([ball] + [ball @ tau for tau in g.reflections[:1]])
+    stack = np.concatenate([ball] + [stack_product(ball, tau)
+                                     for tau in g.reflections[:1]])
     eye = np.eye(stack.shape[1])
     facets = {(ci, fi): np.asarray(facet, float)
               for ci, mc in enumerate(cells)

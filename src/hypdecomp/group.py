@@ -53,9 +53,22 @@ class ValidationReport:
 
 
 def lorentz_inverse(A: np.ndarray) -> np.ndarray:
-    """Exact inverse J A^T J of a Lorentz matrix or of a stack of them."""
-    J = minkowski_form(A.shape[-1])
-    return J @ np.swapaxes(A, -1, -2) @ J
+    """Exact inverse J A^T J of a Lorentz matrix or a stack of them: the
+    transpose, signs flipped off the corner of row and column 0, and -0.0
+    made +0.0 as the products' sums make it; bitwise J A^T J for finite A."""
+    j = np.diag(minkowski_form(A.shape[-1]))
+    inv = np.swapaxes(A, -1, -2) * np.outer(j, j)
+    inv += 0.0
+    return inv
+
+
+def stack_product(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``stack @ x``, bitwise, for an (N, d, d) stack and a vector or matrix
+    x, from one flat product, not one BLAS call per matrix.  A vector's
+    images come back as a contiguous (d, N) array, to reduce along N."""
+    d = stack.shape[-1]
+    out = (stack.reshape(-1, d) @ x).reshape(len(stack), d, *x.shape[1:])
+    return np.ascontiguousarray(out.T) if x.ndim == 1 else out
 
 
 @dataclass(eq=False)
@@ -124,7 +137,7 @@ class GroupSpec:
         if key not in self._stab_cache:
             p = self.cusp_reps[cusp_id]
             matrices = self.word_ball(word_bound).matrices
-            dev = np.max(np.abs(matrices @ p - p), axis=1)
+            dev = np.abs(stack_product(matrices, p) - p[:, None]).max(axis=0)
             stack = matrices[dev <= 1e-8 * float(np.max(np.abs(p)))]
             stack.flags.writeable = False
             self._stab_cache[key] = stack
@@ -311,7 +324,7 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     images = np.empty((len(pairs), P.shape[1]))
     for c, p in enumerate(P):
         of_c = pairs[:, 1] == c
-        images[of_c] = matrices[pairs[of_c, 0]] @ p
+        images[of_c] = stack_product(matrices[pairs[of_c, 0]], p).T
     low = images[:, 0] <= height_bound
     pairs, Q = pairs[low], images[low]
     # first wins: a point is dropped when it is the same as an earlier
@@ -480,11 +493,11 @@ def validate_reflection(tau: np.ndarray, g: GroupSpec,
         raise GeometryError("tau is not an involution")
     if not g.generators:
         return True
-    stack = g.word_ball(word_bound).matrices
+    flat = g.word_ball(word_bound).matrices.reshape(-1, tau.size).T.copy()
     tau_inv = lorentz_inverse(tau)
     for gen in g.generators:
         m = tau_inv @ gen @ tau
         tol = MATRIX_MATCH_TOL * max(1.0, float(np.max(np.abs(m))))
-        if not np.any(np.max(np.abs(stack - m), axis=(1, 2)) <= tol):
+        if not np.any(np.max(np.abs(flat - m.reshape(-1, 1)), axis=0) <= tol):
             return False
     return True

@@ -26,17 +26,17 @@ rounds, one ``_first_hits`` per representative.
 Two kernels take fixed matrices.  ``first_images`` maps many sets under
 a few matrices (the face walk's letters, a wall reflection) and tables
 the first set each image matches.  ``stack_hits`` maps one set under a
-large stack and yields its hits lazily, one destination at a time, so
-the quotient's searches stop at the first destination with a hit.
-``match_index`` confirms one query against a list of candidate sets.
-All searches are deterministic.
+large stack, forming its centroid images once as one flat product, and
+yields its hits lazily, one destination at a time, so the quotient's
+searches stop at the first destination with a hit.  ``match_index``
+confirms one query against a candidate list.  All searches are deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupSpec, lorentz_inverse
+from .group import GroupSpec, lorentz_inverse, stack_product
 from .minkowski import lorentz_gram
 
 PAIR_TOL = 1e-6
@@ -129,20 +129,21 @@ def stack_hits(stack, src, dsts):
     """(t, e) of each stack matrix e mapping ``src`` onto ``dsts[t]``,
     in (t, e) order, one destination at a time.
 
-    The centroid images ``stack @ src.mean(axis=0)`` are formed once.
-    Per destination, a matrix passes the screen when it carries the
-    source centroid within the pair tolerance of the destination
-    centroid, and the images of ``src`` under all survivors are
-    confirmed at once by ``greedy_deviation``.  A consumer that stops at
-    a hit screens no later destination.
+    The centroid images ``stack @ src.mean(axis=0)`` are formed once, as
+    one (d, N) ``stack_product``.  Per destination, a matrix passes the
+    screen when it carries the source centroid within the pair tolerance
+    of the destination centroid, and the images of ``src`` under all
+    survivors are confirmed at once by ``greedy_deviation``.  A consumer
+    that stops at a hit screens no later destination.
     """
-    images = stack @ src.mean(axis=0)
+    images = stack_product(stack, src.mean(axis=0))
+    shift = np.empty_like(images)
     for t, dst in enumerate(dsts):
         if dst.shape != src.shape:
             continue
         tol = PAIR_TOL * _scale(src, dst)
-        close = np.flatnonzero(np.max(np.abs(images - dst.mean(axis=0)),
-                                      axis=1) <= tol)
+        np.subtract(images, dst.mean(axis=0)[:, None], out=shift)
+        close = np.flatnonzero(np.abs(shift, out=shift).max(axis=0) <= tol)
         if len(close):
             dev = greedy_deviation(src @ np.swapaxes(stack[close], 1, 2), dst)
             for e in close[dev <= tol].tolist():

@@ -10,6 +10,7 @@ from hypdecomp.fixtures import fixture_path
 from hypdecomp.hull import IncrementalHull
 from hypdecomp.io_cli import load_spec, run
 from hypdecomp.matching import PAIR_TOL, _scale, greedy_deviation
+from hypdecomp.minkowski import minkowski_form
 
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
@@ -26,6 +27,13 @@ def load_tool(name):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250810)
+
+
+def j_inverse(A):
+    """Inverse J A^T J of a Lorentz matrix or stack, written as the two
+    products, so that no oracle shares code with ``lorentz_inverse``."""
+    J = minkowski_form(A.shape[-1])
+    return J @ np.swapaxes(A, -1, -2) @ J
 
 
 def set_match(A, B, tol: float) -> bool:

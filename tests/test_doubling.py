@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import load_tool, random_boost, random_lightlike, set_match
+from conftest import (j_inverse, load_tool, random_boost, random_lightlike,
+                      set_match)
 from hypdecomp.decorations import horoball_distance, horoball_plane_distance
 from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
                                 _edge_wall_point, _overlap_log_scale,
@@ -17,8 +18,8 @@ from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
 from hypdecomp.ep_hull import (certified_faces, hull_faces,
                                ideal_cell_from_points)
 from hypdecomp.fixtures import NAMES, fixture_path
-from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
-                             orbit, reflection_normal)
+from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, orbit,
+                             reflection_normal)
 from hypdecomp.io_cli import load_spec, main, run
 from hypdecomp.minkowski import (GeometryError, hyperboloid_to_klein,
                                  klein_to_hyperboloid, lorentz_product)
@@ -51,7 +52,7 @@ def ref_symmetrize_decorations(g, margin, word_bound, height_bound):
         q = tau @ assigned[i]
         hit = _ray_hit(ball, q, [assigned[j]])
         assert hit is not None
-        return lorentz_inverse(ball.matrices[hit[0]]) @ q
+        return j_inverse(ball.matrices[hit[0]]) @ q
 
     primary = {}
     for idx, (i, j, tau) in enumerate(constraints):

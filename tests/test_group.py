@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import load_tool
+from conftest import j_inverse, load_tool
 from hypdecomp import group
 from hypdecomp.doubling import symmetrize_decorations, wall_lifts
 from hypdecomp.fixtures import fixture_path
@@ -387,11 +387,13 @@ def _key(m):
 
 
 def reference_ball(g, word_bound):
-    """Per-element BFS: (word, matrix) pairs, deduplicated on 1e-8 keys."""
+    """Per-element BFS: (word, matrix) pairs, deduplicated on 1e-8 keys.
+    The letters are ``g.letters()``'s, each inverse the literal J A^T J."""
     ball = [((), np.eye(g.dimension + 1))]
     seen = {_key(ball[0][1])}
     frontier = ball[:]
-    letters = g.letters()
+    letters = [(s * (i + 1), m) for i, a in enumerate(g.generators)
+               for s, m in ((1, a), (-1, j_inverse(a)))]
     for _ in range(word_bound):
         new_frontier = []
         for word, A in frontier:

@@ -22,15 +22,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import _load, set_match
+from conftest import _load, j_inverse, set_match
 from hypdecomp import cutlocus, ep_hull, io_cli, matching
 from hypdecomp.cutlocus import cross_validate
 from hypdecomp.doubling import (ORTHO_TOL, MixedCell, MixedDecomposition,
                                 _same_plane, _truncate_cell,
                                 external_orthogonality, quotient_classify,
                                 symmetrize_decorations)
-from hypdecomp.group import (GroupSpec, _first_new, lorentz_inverse, orbit,
-                             reflection_normal)
+from hypdecomp.group import GroupSpec, _first_new, orbit, reflection_normal
 from hypdecomp.matching import PAIR_TOL, _gram_key, _scale, stack_hits
 from hypdecomp.minkowski import GeometryError
 from test_doubling import _ray, _synthetic_decomposition
@@ -65,7 +64,7 @@ def ref_search(g, word_bound, src_coords, dst_coords, src_points=None,
 
     if src_points is not None and dst_points is not None:
         for i, P in enumerate(src_points):
-            inv = lorentz_inverse(P.matrix)
+            inv = j_inverse(P.matrix)
             for Q in dst_points:
                 if Q.cusp_id != P.cusp_id:
                     continue
@@ -98,7 +97,7 @@ def ref_wall_lifts(g, word_bound):
     """(wall, matrix) pairs of the conjugates, wall by wall and in ball
     order, each matrix kept at its first occurrence only."""
     stack = g.word_ball(word_bound).matrices
-    inverses = lorentz_inverse(stack)
+    inverses = j_inverse(stack)
     out, seen = [], set()
     for r, tau in enumerate(g.reflections):
         conj = stack @ tau @ inverses
@@ -232,7 +231,7 @@ def ref_quotient_pairings(cells, g, word_bound):
         key2, M = found
         pairings[key] = (key2, M)
         if key2 != key:
-            pairings[key2] = (key, lorentz_inverse(M))
+            pairings[key2] = (key, j_inverse(M))
     return pairings, unpaired
 
 
@@ -407,7 +406,7 @@ def loop_find_group_element(g, word_bound, src_points, dst_points):
     if np.max(np.abs(_gram_key(src) - _gram_key(dst))) > tol * scale:
         return None
     for P in src_points[:2]:
-        inv = lorentz_inverse(P.matrix)
+        inv = j_inverse(P.matrix)
         for Q in dst_points:
             if Q.cusp_id != P.cusp_id:
                 continue
@@ -554,7 +553,7 @@ class TestFirstCandidate:
                 want = loop_find_group_element(g, wb, [P], [Q])
                 assert _bits(got) == _bits(want)
                 if got is not None:
-                    inv = lorentz_inverse(P.matrix)
+                    inv = j_inverse(P.matrix)
                     assert _bits(got) == _bits(Q.matrix @ np.eye(3) @ inv)
 
 

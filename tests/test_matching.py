@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import pair_match, set_match
+from conftest import j_inverse, pair_match, set_match
 from hypdecomp import matching
 from hypdecomp.doubling import symmetrize_decorations
-from hypdecomp.group import (GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
-                             orbit)
+from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
 from hypdecomp.io_cli import run
 from hypdecomp.matching import (PAIR_TOL, GammaClasses, _first_hits, _scale,
                                 _search_key, find_group_element, first_images,
@@ -178,7 +177,7 @@ def loop_first_hit(g, word_bound, src, src_points, dst, dst_points):
     onto ``dst`` by the pair rule, trying one candidate at a time."""
     tol = PAIR_TOL * _scale(src, dst)
     for P in src_points[:2]:
-        inv = lorentz_inverse(P.matrix)
+        inv = j_inverse(P.matrix)
         for Q in dst_points:
             if Q.cusp_id == P.cusp_id:
                 for s in g.stabilizer_stack(P.cusp_id, word_bound):
