@@ -35,6 +35,7 @@ BALL_MARGIN = 1e-7
 BOX = 1.5
 # row combinations solved per batch in _vertex_enumeration
 VERTEX_BLOCK = 512
+LENGTH_SLACK = 1e-9     # a return pair this far past the bound is within it
 
 
 @dataclass
@@ -93,13 +94,16 @@ def return_pairs(g: GroupSpec, length_bound: float, points: OrbitSet):
         apart = ~(np.sqrt(np.vecdot(gap, gap)) < RAY_MERGE_ANGLE)
         # -<p, q> for every q, less a bound on its rounding error
         low = ~(Q[:, 0] * p[0] - Q[:, 1:] @ p[1:] - 1e-12 * (abs(Q) @ abs(p))
-                > 2.0 * np.exp(length_bound + 1e-9))
-        for i in np.flatnonzero(apart & low).tolist():
-            q = points[i]
-            d = horoball_distance(p, q.point)
-            if d <= length_bound + 1e-9:
-                pairs.append((c, base, q, d))
-    return pairs
+                > 2.0 * np.exp(length_bound + LENGTH_SLACK))
+        pairs += [(c, base, points[i], horoball_distance(p, points[i].point))
+                  for i in np.flatnonzero(apart & low).tolist()]
+    return pairs_within(pairs, length_bound)
+
+
+def pairs_within(pairs, length_bound: float):
+    """The ``return_pairs`` tuples within the bound (up to LENGTH_SLACK), in
+    order: of the list at a larger bound, the list at this one."""
+    return [pair for pair in pairs if pair[3] <= length_bound + LENGTH_SLACK]
 
 
 def enumerate_return_paths(pairs, g: GroupSpec, word_bound: int):

@@ -329,8 +329,10 @@ def _truncate_cell(cell: IdealCell, cops, tau, u, wall_orbit: int,
     sides = np.array([lorentz_product(p, u) for p in coords])
     if np.min(np.abs(sides)) <= 1e-9 * np.max(np.abs(sides)):
         raise GeometryError("cell vertex lies on the wall plane")
-    keep_pos = _canonical_side(coords, sides)
-    kept = [i for i in range(len(cops)) if (sides[i] > 0) == keep_pos]
+    # the side whose sorted orbit indices come first is kept
+    pos, neg = (sorted(op.index for op, s in zip(cops, sides) if (s > 0) == b)
+                for b in (True, False))
+    kept = [i for i in range(len(cops)) if (sides[i] > 0) == (pos <= neg)]
     dropped = [i for i in range(len(cops)) if i not in kept]
     if len(kept) != len(dropped):
         raise GeometryError("wall reflection does not halve the vertex set")
@@ -377,17 +379,8 @@ def _truncate_cell(cell: IdealCell, cops, tau, u, wall_orbit: int,
                      external_face=external,
                      wall_normal=u,
                      wall_orbit=wall_orbit,
-                     reflection=tau.copy(),     # not a view of the lifts
+                     reflection=tau,
                      source_class=source_class)
-
-
-def _canonical_side(coords, sides):
-    """Deterministic side choice: smaller sorted vertex key wins."""
-    pos = sorted(tuple(np.round(coords[i], 9)) for i in range(len(sides))
-                 if sides[i] > 0)
-    neg = sorted(tuple(np.round(coords[i], 9)) for i in range(len(sides))
-                 if sides[i] < 0)
-    return pos <= neg
 
 
 def external_orthogonality(mc: MixedCell) -> float:
@@ -434,17 +427,18 @@ def quotient_classify(dec: Decomposition, g: GroupSpec,
             planes = []
             # a lift that repeats an earlier one repeats its plane
             for _, idx in stack_hits(lifts, coords, [coords]):
-                m = lifts[idx]
-                u = reflection_normal(m, strict=False)
+                u = reflection_normal(lifts[idx], strict=False)
                 if u is None:
                     continue   # lift too deep in the ball to be usable
                 if not any(_same_plane(u, u2) for _, u2, _ in planes):
-                    planes.append((idx // len(ball), u, m))
+                    # a copy: no view keeps the lifts alive past this pass
+                    planes.append((idx // len(ball), u, lifts[idx].copy()))
             if len(planes) > 1:
                 errors.append((ci, "cell meets two distinct wall orbits"))
                 continue
             if planes:
                 case2[ci] = planes[0]
+        del lifts
 
         tau0 = g.reflections[0]
         off_wall = [ci for ci in range(len(dec.cells)) if ci not in case2]

@@ -93,7 +93,8 @@ def support_vector(points, tol: float = SUPPORT_RESIDUAL_TOL) -> np.ndarray:
 def hull_faces(points):
     """Canonical faces of the hull of a truncated orbit.
 
-    Returns merged maximal faces sorted canonically; side and top
+    The points must come in orbit order (or be a sub-list of an orbit),
+    and the merged maximal faces come sorted by ``vertex_ids``; side and top
     facets created by the truncation (support not future timelike) are
     dropped here and the stability certificate guards the rest.
     """
@@ -149,12 +150,8 @@ def hull_faces(points):
             w = np.mean([ep[i][1] for i in members], axis=0)
         faces.append(HullFace(vertex_ids=tuple(vs), support=w,
                               max_height=float(np.max(coords[vs, 0]))))
-    faces.sort(key=lambda F: _face_sort_key(F, coords))
+    faces.sort(key=lambda F: F.vertex_ids)
     return faces
-
-
-def _face_sort_key(face: HullFace, coords):
-    return tuple(sorted(tuple(np.round(coords[v], 9)) for v in face.vertex_ids))
 
 
 class _UnionFind:
@@ -406,6 +403,8 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     the facet onto its class representative, never a product chain.
     ``all_faces`` holds ``faces`` and any uncertified faces used to
     locate hull neighbors; unpaired facets are reported, never dropped.
+    The points come in orbit order, as for ``hull_faces``, and each class's
+    member with the least ``vertex_ids`` represents it, in that order.
     """
     ops = list(points)
     coords = np.array([op.point for op in ops])
@@ -432,7 +431,7 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
     members = {}
     for i in certified_idx:
         members.setdefault(uf.find(i), []).append(i)
-    key = lambda i: _face_sort_key(all_faces[i], coords)
+    key = lambda i: all_faces[i].vertex_ids
     order = sorted((min(mem, key=key) for mem in members.values()), key=key)
     class_of = {uf.find(rep_idx): ci for ci, rep_idx in enumerate(order)}
 

@@ -306,7 +306,8 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
 
     Enumerates {gamma p : |gamma| <= word_bound, p cusp rep}, keeps
     points with x0 <= height_bound, merges coincident points (the first
-    in ball order wins) and returns them sorted canonically.
+    in ball order wins) and returns them in the canonical order, by
+    coordinates rounded to 9 digits, with ``index`` their position.
     """
     if word_bound < 0 or height_bound <= 0:
         raise GeometryError("orbit bounds must be nonnegative / positive")
@@ -335,21 +336,11 @@ def orbit(g: GroupSpec, word_bound: int, height_bound: float):
     a, b = a[a < b], b[a < b]
     same = _is_same(Q, index.rays, a, Q, index.rays, b)
     kept = np.flatnonzero(_first_wins(len(Q), a[same], b[same]))
+    # the run's one canonical order, ties in ball order; later choices read it
+    kept = kept[np.lexsort(np.round(Q[kept], 9).T[::-1])]
     M = matrices[pairs[kept, 0]]    # a copy: no view of the ball is kept
-    points = [OrbitPoint(point=q, cusp_id=c, matrix=m) for q, c, m
-              in zip(Q[kept], pairs[kept, 1].tolist(), M)]
-    points.sort(key=_canonical_key)
-    for i, op in enumerate(points):
-        op.index = i
-    return points
-
-
-def _canonical_key(op):
-    # the same values as (round(x0, 9), tuple(np.round(point, 9))), but
-    # numpy's scalar round leaves a pymalloc arena allocated after each
-    # large orbit, so memory crept up run after run in one process
-    r = np.round(op.point, 9)
-    return r[0], tuple(r)
+    return [OrbitPoint(point=q, cusp_id=c, matrix=m, index=i) for i, (q, c, m)
+            in enumerate(zip(Q[kept], pairs[kept, 1].tolist(), M))]
 
 
 # The ray cell of a point q is floor((q / |q|) / _GRID).  A point that

@@ -21,7 +21,7 @@ import numpy as np
 from .cutlocus import (CutComplex, complex_signature, cross_validate,
                        cut_locus_complex, dual_count_identity,
                        dual_decomposition, enumerate_return_paths,
-                       return_pairs)
+                       pairs_within, return_pairs)
 from .doubling import (ORTHO_TOL, MixedDecomposition, SymmetrizeError,
                        check_hull_symmetry, quotient_classify,
                        symmetrize_decorations)
@@ -239,16 +239,13 @@ def run(spec: ManifoldSpec) -> RunReport:
     dual_dec = None
     if opts.algorithm in ("cutlocus", "both"):
         try:
-            # one pair list, at twice the bound, which the doubled complex
-            # takes unclassified; its pairs within the bound (with
-            # return_pairs' slack) are the report's paths, and the kept
-            # complex takes its fences in their order
+            # one pair list, at twice the bound, in orbit order; both
+            # complexes take their fences in that order, the kept one the
+            # pairs within the bound, which only the report classifies
             pairs2 = return_pairs(gs, 2.0 * opts.length_bound, points)
-            paths = enumerate_return_paths(
-                [p for p in pairs2 if p[3] <= opts.length_bound + 1e-9], gs,
-                opts.word_bound)
-            cx = cut_locus_complex([pair for rp in paths for pair in rp.lifts],
-                                   gs, opts.word_bound, points=points)
+            pairs = pairs_within(pairs2, opts.length_bound)
+            paths = enumerate_return_paths(pairs, gs, opts.word_bound)
+            cx = cut_locus_complex(pairs, gs, opts.word_bound, points=points)
             cx2 = cut_locus_complex(pairs2, gs, opts.word_bound, points=points)
             stable = complex_signature(cx) == complex_signature(cx2)
             certs["cutlocus_stability"] = Certificate(

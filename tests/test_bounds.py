@@ -6,11 +6,14 @@ strict xfails naming their cause (ROADMAP open item 1), so they turn
 into failures the moment they start to pass.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from conftest import load_tool
 from hypdecomp.fixtures import fixture_path
-from hypdecomp.io_cli import load_spec, run
+from hypdecomp.io_cli import load_spec, parse_spec, run
 from hypdecomp.minkowski import lorentz_gram, minkowski_form
 
 LORENTZ_DEFECT_TOL = 1e-9
@@ -105,6 +108,20 @@ class TestBoundSweep:
     def test_knot_height_12_certifies(self, knot_h12, report_fig8):
         assert knot_h12.ok
         assert same_cells(gram_signature(knot_h12), gram_signature(report_fig8))
+
+    @pytest.mark.parametrize("draw", [2, 5])
+    def test_rotated_knot_height_12_certifies(self, draw, report_fig8):
+        # seed-1 rotations of the knot at height 12, as the benchmark's
+        # ladder reads them, certify with the shipped knot's cells; the
+        # shipped coordinates still fail (cause (d), above)
+        W = load_tool("output_digests").W      # bench/workloads.py
+        doc = json.loads(fixture_path("figure_eight_knot").read_text())
+        spec = parse_spec(W.conjugate_doc(doc, 1, draw))
+        spec.options.height_bound = 12.0
+        report = run(spec)
+        assert report.ok, [k for k, c in report.certificates.items()
+                           if not c.ok]
+        assert same_cells(gram_signature(report), gram_signature(report_fig8))
 
     @pytest.mark.xfail(strict=True, reason="cause (d): the dual route builds "
                        "6 regions at height 320")

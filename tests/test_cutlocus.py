@@ -127,6 +127,30 @@ class TestReturnPaths:
             assert got == want, name
             assert len(twice) > len(want), name
 
+    @pytest.mark.parametrize("name", sorted(
+        ["thrice_punctured_sphere", "once_punctured_torus", "figure3_surface",
+         "figure_eight_knot"]))
+    def test_kept_complex_takes_the_doubled_pairs_within_the_bound(
+            self, monkeypatch, name):
+        # both complexes take their fences in orbit order, cusp by cusp;
+        # the kept complex's are exactly the doubled one's pairs within
+        # the length bound, in the same order
+        spec = load_spec(fixture_path(name))
+        build, fences = io_cli.cut_locus_complex, []
+
+        def recording(paths, *args, **kwargs):
+            fences.append([(c, base.index, q.index, d)
+                           for c, base, q, d in paths])
+            return build(paths, *args, **kwargs)
+
+        monkeypatch.setattr(io_cli, "cut_locus_complex", recording)
+        run(spec)
+        kept, doubled = fences
+        assert doubled == sorted(doubled, key=lambda f: (f[0], f[2]))
+        assert kept == [f for f in doubled
+                        if f[3] <= spec.options.length_bound + 1e-9]
+        assert len(kept) < len(doubled)
+
     @pytest.mark.parametrize("name", ["thrice_punctured_sphere",
                                       "figure3_surface"])
     def test_run_classifies_no_pair_beyond_the_bound(self, monkeypatch,

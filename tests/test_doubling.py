@@ -1,5 +1,6 @@
 import json
 import warnings
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -8,12 +9,13 @@ import pytest
 
 from conftest import (j_inverse, load_tool, random_boost, random_lightlike,
                       set_match)
+from hypdecomp import doubling
 from hypdecomp.decorations import horoball_distance, horoball_plane_distance
-from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _canonical_side,
-                                _edge_wall_point, _overlap_log_scale,
-                                _ray_hit, _truncate_cell, check_hull_symmetry,
-                                external_orthogonality, polar_vertex,
-                                quotient_classify, symmetrize_decorations,
+from hypdecomp.doubling import (ORTHO_TOL, SymmetrizeError, _edge_wall_point,
+                                _overlap_log_scale, _ray_hit, _truncate_cell,
+                                check_hull_symmetry, external_orthogonality,
+                                polar_vertex, quotient_classify,
+                                symmetrize_decorations,
                                 symmetry_direction_check, wall_lifts)
 from hypdecomp.ep_hull import (certified_faces, hull_faces,
                                ideal_cell_from_points)
@@ -441,6 +443,28 @@ class TestWallLifts:
                 np.abs(ball), axis=(1, 2))
             assert np.all(err < 1e-12 * scale)
 
+    def test_no_lift_stack_alive_in_the_pairing_pass(self, monkeypatch):
+        # the wall pass copies the lifts it picks, so neither the stack
+        # wall_lifts returned nor the buffer under it outlives the pass
+        refs, alive = [], []
+        lifts_of, pairings_of = doubling.wall_lifts, doubling._quotient_pairings
+
+        def recording(*args):
+            lifts = lifts_of(*args)
+            refs.extend(weakref.ref(a) for a in (lifts, lifts.base)
+                        if a is not None)
+            return lifts
+
+        def checking(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return pairings_of(*args)
+
+        monkeypatch.setattr(doubling, "wall_lifts", recording)
+        monkeypatch.setattr(doubling, "_quotient_pairings", checking)
+        report = run(load_spec(fixture_path("figure3_surface")))
+        assert report.ok
+        assert len(refs) == 2 and alive == [False, False]
+
     def test_no_reflections_no_lifts(self, spec_3ps):
         lifts = wall_lifts(spec_3ps.group, 2)
         assert lifts.shape == (0, 3, 3)
@@ -507,8 +531,10 @@ def _ref_truncation(cell, cops, u):
     common facets.  Returns the internal facets and the external face."""
     coords = np.array([op.point for op in cops])
     sides = np.array([lorentz_product(p, u) for p in coords])
-    keep_pos = _canonical_side(coords, sides)
-    kept = [i for i in range(len(cops)) if (sides[i] > 0) == keep_pos]
+    # the side with the smaller sorted rounded coordinates is kept
+    pos, neg = (sorted(tuple(np.round(p, 9)) for p, s in zip(coords, sides)
+                       if (s > 0) == b) for b in (True, False))
+    kept = [i for i in range(len(cops)) if (sides[i] > 0) == (pos <= neg)]
     dropped = [i for i in range(len(cops)) if i not in kept]
     klein = cell.klein_vertices
     section = []

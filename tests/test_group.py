@@ -12,9 +12,9 @@ from hypdecomp import group
 from hypdecomp.doubling import symmetrize_decorations, wall_lifts
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import (_GRID, HEIGHT_MERGE_REL, RAY_MERGE_ANGLE,
-                             GroupSpec, OrbitPoint, OrbitSet, _canonical_key,
-                             lorentz_inverse, orbit, reflection_normal,
-                             validate_group, validate_reflection)
+                             GroupSpec, OrbitPoint, OrbitSet, lorentz_inverse,
+                             orbit, reflection_normal, validate_group,
+                             validate_reflection)
 from hypdecomp.io_cli import load_spec, parse_spec, run
 from hypdecomp.minkowski import (GeometryError, classify, CausalClass,
                                  minkowski_form)
@@ -94,6 +94,25 @@ class TestOrbit:
             ref = sorted(pts, key=lambda op: (round(op.point[0], 9),
                                               tuple(np.round(op.point, 9))))
             assert [op.index for op in ref] == list(range(len(pts)))
+
+    @pytest.mark.parametrize("name", sorted(
+        ["thrice_punctured_sphere", "once_punctured_torus", "figure3_surface",
+         "figure_eight_knot"]))
+    def test_run_orbits_strictly_increase_in_rounded_key(self, all_reports,
+                                                         name):
+        # a run's orbit, and its stability orbit at (W + 1, 2H), are
+        # strictly increasing in the coordinates rounded to 1e-9: no two
+        # points tie, so every later choice can read orbit indices
+        report = all_reports[name]
+        opts = report.spec.options
+        gs = symmetrize_decorations(report.spec.group, margin=opts.margin,
+                                    word_bound=min(4, opts.word_bound),
+                                    height_bound=opts.height_bound)
+        for pts in (report.cut_complex.orbit_points,
+                    orbit(gs, opts.word_bound + 1, 2.0 * opts.height_bound)):
+            keys = [tuple(np.round(op.point, 9)) for op in pts]
+            assert [op.index for op in pts] == list(range(len(pts)))
+            assert all(k < k2 for k, k2 in zip(keys, keys[1:])), name
 
     def test_monotone_in_word_bound(self, spec_3ps):
         small = OrbitSet(orbit(spec_3ps.group, 4, 20.0))
@@ -420,7 +439,7 @@ def reference_orbit(g, matrices, height_bound):
             if _merge_lookup(buckets, points, q) is not None:
                 continue
             _merge_insert(buckets, points, OrbitPoint(q, cusp_id, A))
-    points.sort(key=_canonical_key)
+    points.sort(key=lambda op: tuple(np.round(op.point, 9)))
     return points
 
 
