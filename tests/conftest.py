@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -22,6 +23,21 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def ledger():
+    """The committed output ledger, tools/output_digests.jsonl: every
+    line by its input name, in file order."""
+    lines = (TOOLS / "output_digests.jsonl").read_text().splitlines()
+    return {line["input"]: line for line in map(json.loads, lines)}
+
+
+def shipped_lines():
+    """The ledger's lines on the shipped coordinates (seed 0), by spec
+    label."""
+    return {name.split(" draw=0 ", 1)[1]: line
+            for name, line in ledger().items() if " seed=0 draw=0 " in name}
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import load_tool
+from conftest import load_tool, shipped_lines
 from hypdecomp.fixtures import NAMES, fixture_path
 from hypdecomp.io_cli import (SpecError, emit, load_spec, main, parse_spec,
                               run)
@@ -169,35 +173,22 @@ def load_and_copy(spec):
     return load_spec(fixture_path(spec.name))
 
 
-# SHA-256 of the canonical JSON of each shipped fixture at its own
-# bounds; a refactor must leave every byte of it unchanged.
-GOLDEN_SHA256 = {
-    "thrice_punctured_sphere":
-        "b996e42bec4a6ec012e5a2f69d77b9556223218c2c9d5fbede3b9a094aae80cf",
-    "once_punctured_torus":
-        "03794b54e851c1f3896dc7312171ee0fcda894d4282664e3d5eb95187bedc825",
-    "figure3_surface":
-        "6dc962e0daabf904b450124e554654e655ae7aa19029b12a9e9277d200e70f38",
-    "figure_eight_knot":
-        "764b8b10e4c840d7a2626fdf978349d67147345f537fdd6393473a797ddfd6a9",
-    "figure_eight_knot --exact":
-        "566b32fb2dce5e1dce8501e546f925812505705d9d58170079f092522a70e858",
-}
-
-
 def _sha256(report):
     return hashlib.sha256(emit(report, "json")).hexdigest()
 
 
+# the committed output ledger holds the SHA-256 of each shipped input's
+# canonical JSON; a refactor must leave every byte of it unchanged
 class TestGoldenJson:
     @pytest.mark.parametrize("name", sorted(NAMES))
     def test_fixture_json_unchanged(self, name, all_reports):
-        assert _sha256(all_reports[name]) == GOLDEN_SHA256[name]
+        assert _sha256(all_reports[name]) == shipped_lines()[name]["sha256"]
 
     def test_exact_figure_eight_json_unchanged(self, spec_fig8):
         spec = load_and_copy(spec_fig8)
         spec.options.exact = True
-        assert _sha256(run(spec)) == GOLDEN_SHA256["figure_eight_knot --exact"]
+        exact = shipped_lines()["figure_eight_knot --exact"]
+        assert _sha256(run(spec)) == exact["sha256"]
 
 
 # SHA-256 of the single-route JSON reports and of the n = 2 SVGs, at the
@@ -373,6 +364,19 @@ class TestCli:
         assert out_json.exists() and out_svg.exists()
         doc = json.loads(out_json.read_text())
         assert len(doc["cells"]) == 2
+
+    def test_module_entry_point_writes_the_ledger_report(self, tmp_path):
+        out_json = tmp_path / "out.json"
+        out_svg = tmp_path / "out.svg"
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "hypdecomp",
+                        "--input", str(fixture_path("figure3_surface")),
+                        "--json", str(out_json), "--svg", str(out_svg)],
+                       env=env, check=True, capture_output=True)
+        assert out_svg.exists()
+        assert (hashlib.sha256(out_json.read_bytes()).hexdigest()
+                == shipped_lines()["figure3_surface"]["sha256"])
 
     @pytest.mark.parametrize("name", NAMES)
     def test_exact_predicates_same_cells(self, name, tmp_path, all_reports):

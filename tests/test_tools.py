@@ -1,16 +1,15 @@
-"""The work-count tools that CI gates on."""
+"""The work-count tools and the output ledger that CI gates on."""
 
 import json
 from types import SimpleNamespace
 
-from conftest import TOOLS, load_tool
+from conftest import TOOLS, ledger, load_tool, shipped_lines
 from hypdecomp import io_cli
 from hypdecomp.minkowski import GeometryError
 
 check_counts = load_tool("check_counts")
 match_counts = load_tool("match_counts")
 output_digests = load_tool("output_digests")
-verdict_counts = load_tool("verdict_counts")
 
 OLD = [{"orbit": "a", "points": 3, "bad_pairs": 0}]
 
@@ -61,17 +60,6 @@ def test_gate_fails_on_a_nonzero_bad_count(tmp_path):
     assert _gate(tmp_path, bad, bad) == 1
 
 
-def test_committed_verdict_counts_are_current():
-    committed = {r["run"]: r for r in
-                 json.loads((TOOLS / "verdict_counts.json").read_text())}
-    for workload in ("knot", "ladder"):
-        record = verdict_counts.record(workload, 0)
-        assert record == committed[record["run"]]
-    # the height-12 knot rung fails two certificates on the shipped input
-    assert record == {"run": "ladder seed=0", "failed": 1,
-                      "failing_certificates": 2, "raised": 0}
-
-
 def test_committed_match_counts_are_current():
     committed = {r["setting"]: r for r in
                  json.loads((TOOLS / "match_counts.json").read_text())}
@@ -91,15 +79,37 @@ def test_output_digests_cover_every_benchmark_input():
         specs * sum(W.input_count(seed) for seed in output_digests.SEEDS)
         + len(output_digests.EXTRAS))
     assert "ladder seed=12 draw=5 figure_eight_knot --height-bound 12" in names
+    assert list(ledger()) == names
+
+
+def test_committed_ledger_holds_every_unrotated_run():
+    # the shipped coordinates: every seed-0 spec, knot H = 16 and
+    # figure3 H = 320; CI reruns the rotated lines
+    W = output_digests.W
+    shipped = [(name, path, overrides)
+               for name, path, overrides in output_digests.inputs()
+               if path.parent == W.FIXTURES]
+    assert len(shipped) == (sum(map(len, W.WORKLOADS.values()))
+                            + len(output_digests.EXTRAS))
+    for name, path, overrides in shipped:
+        assert output_digests.digest(io_cli, name, path,
+                                     overrides) == ledger()[name]
 
 
 def test_output_digest_is_the_golden_hash_or_the_raised_error():
+    # the ledger's seed-0 lines agree with bench/golden.json: the same
+    # verdicts, and the same bytes where the golden spec certifies
     W = output_digests.W
+    golden = W.load_golden()["specs"]
+    seed0 = shipped_lines()
+    assert seed0.keys() == golden.keys()
+    for label, spec in golden.items():
+        assert seed0[label]["verdicts"] == spec["verdicts"], label
+        assert seed0[label]["ok"] == spec["certifies"], label
+        if spec["certifies"]:
+            assert seed0[label]["sha256"] == spec["sha256"], label
+
     path = W.FIXTURES / "figure3_surface.json"
-    golden = W.load_golden()["specs"]["figure3_surface"]
-    line = output_digests.digest(io_cli, "figure3_surface", path, {})
-    assert line == {"input": "figure3_surface", "sha256": golden["sha256"],
-                    "ok": True, "verdicts": golden["verdicts"]}
 
     def fails(spec):
         raise GeometryError("no orbit")
