@@ -56,6 +56,7 @@ class IdealCell:
 class Pairing:
     target: tuple            # (cell index, facet index)
     matrix: np.ndarray
+    vertex_map: dict         # facet's local vertex -> target cell's local vertex
 
 
 @dataclass
@@ -455,13 +456,14 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
         others = sorted(idx for idx in common if idx != face_idx)
         return others[0] if others else None
 
+    target_coords = [np.array([op.point for op in cops]) for cops in cell_points]
+    facet_index = [{f: fi for fi, f in enumerate(cell.facets)} for cell in cells]
     pairings = {}
     unpaired = []
     for ci, cell in enumerate(cells):
-        rep_idx = order[ci]
         for fi, facet in enumerate(cell.facets):
             facet_global = tuple(cell_points[ci][v].index for v in facet)
-            nb = neighbor_of(rep_idx, facet_global)
+            nb = neighbor_of(order[ci], facet_global)
             if nb is None:
                 unpaired.append(((ci, fi), "no hull neighbor (truncation)"))
                 continue
@@ -474,13 +476,15 @@ def assemble_decomposition(faces, g: GroupSpec, points, word_bound: int,
                 unpaired.append(((ci, fi), "no group element onto the class "
                                            "representative"))
                 continue
+            # M carries the neighbor onto cell cj, each facet vertex near its image
             img = np.array([ops[v].point for v in facet_global]) @ M.T
-            fj = match_index((np.array([cell_points[cj][v].point for v in f])
-                              for f in cells[cj].facets), img)
+            near = np.abs(img[:, None] - target_coords[cj]).max(axis=2).argmin(axis=1)
+            vmap = dict(zip(facet, near.tolist()))
+            fj = facet_index[cj].get(tuple(sorted(vmap.values())))
             if fj is None:
                 unpaired.append(((ci, fi), "no matching facet on paired cell"))
                 continue
-            pairings[(ci, fi)] = Pairing(target=(cj, fj), matrix=M)
+            pairings[(ci, fi)] = Pairing((cj, fj), M, vmap)
     return Decomposition(dimension=g.dimension, cells=cells,
                          cell_points=cell_points, pairings=pairings,
                          unpaired=unpaired)
@@ -490,26 +494,20 @@ def count_face_classes(dec: Decomposition, k: int) -> int:
     """Number of orbit classes of k-dimensional cell faces.
 
     k = n-1 counts facet classes (edge classes for n = 2), k = 1 counts
-    edge classes for n = 3; identifications are generated by the facet
-    pairings.
+    edge classes for n = 3.  Each k-face inside a paired facet joins its
+    image under the pairing's vertex map, if that is a k-face of the target.
     """
     n = dec.dimension
-    uf = _UnionFind((ci, sub) for ci, cell in enumerate(dec.cells)
-                    for sub in _k_faces(cell, k, n))
-    for (ci, fi), pairing in dec.pairings.items():
-        cj = pairing.target[0]
-        facet = dec.cells[ci].facets[fi]
-        M = pairing.matrix
-        subs_j = _k_faces(dec.cells[cj], k, n)
-        own_j = [np.array([dec.cell_points[cj][v].point for v in sub_j])
-                 for sub_j in subs_j]
-        for sub in _k_faces(dec.cells[ci], k, n):
-            if not set(sub) <= set(facet):
-                continue
-            img = np.array([dec.cell_points[ci][v].point for v in sub]) @ M.T
-            j = match_index(own_j, img)
-            if j is not None:
-                uf.union((ci, sub), (cj, subs_j[j]))
+    subs = [_k_faces(cell, k, n) for cell in dec.cells]
+    uf = _UnionFind((ci, sub) for ci, cell_subs in enumerate(subs)
+                    for sub in cell_subs)
+    for (ci, _), pairing in dec.pairings.items():
+        cj, vmap = pairing.target[0], pairing.vertex_map
+        for sub in subs[ci]:
+            if set(sub) <= vmap.keys():
+                img = (cj, tuple(sorted(vmap[v] for v in sub)))
+                if img in uf.parent:
+                    uf.union((ci, sub), img)
     return len(uf.groups())
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypdecomp.ep_hull import (HullFace, assemble_decomposition,
 from hypdecomp.fixtures import fixture_path
 from hypdecomp.group import GroupSpec, OrbitPoint, OrbitSet, orbit
 from hypdecomp.io_cli import load_spec, parse_spec, run
+from hypdecomp.matching import PAIR_TOL
 from hypdecomp.minkowski import GeometryError, lorentz_gram, lorentz_product
 
 TRIANGLE = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
@@ -369,6 +371,44 @@ class TestAssemble:
                 back = dec.pairings.get(pairing.target)
                 assert back is not None
                 assert back.target == src
+
+    def test_pairings_carry_their_vertex_maps(self, all_reports):
+        # each facet vertex goes to a distinct vertex of the target facet,
+        # the one its image under the pairing matrix lands on
+        for report in all_reports.values():
+            for dec in (report.ep_decomposition, report.dual_decomposition):
+                assert dec.pairings
+                for (ci, fi), pairing in dec.pairings.items():
+                    cj, fj = pairing.target
+                    vmap = pairing.vertex_map
+                    assert tuple(sorted(vmap)) == dec.cells[ci].facets[fi]
+                    image = sorted(vmap.values())
+                    assert len(set(image)) == len(image)
+                    assert tuple(image) == dec.cells[cj].facets[fj]
+                    for v, w in vmap.items():
+                        img = dec.cell_points[ci][v].point @ pairing.matrix.T
+                        dst = dec.cell_points[cj][w].point
+                        tol = PAIR_TOL * max(1.0, np.max(np.abs(dst)))
+                        assert np.max(np.abs(img - dst)) <= tol
+
+    def test_face_classes_are_combinatorial(self, all_reports):
+        # the counts read only the vertex maps: blanking every coordinate
+        # and matrix leaves them, and the vertex classes are the cusps
+        for report in all_reports.values():
+            n = report.spec.group.dimension
+            for dec in (report.ep_decomposition, report.dual_decomposition):
+                counts = [count_face_classes(dec, k) for k in range(n)]
+                blank = copy.deepcopy(dec)
+                for cell, cops in zip(blank.cells, blank.cell_points):
+                    cell.klein_vertices[:] = np.nan
+                    for op in cops:
+                        op.point[:] = np.nan
+                for pairing in blank.pairings.values():
+                    pairing.matrix[:] = np.nan
+                assert [count_face_classes(blank, k) for k in range(n)] == counts
+                assert counts[0] == len(report.spec.group.cusp_reps)
+                if n == 3:
+                    assert -counts[1] + counts[2] - len(dec.cells) == 0
 
     def test_figure_eight_dihedral_angles(self, report_fig8):
         dec = report_fig8.ep_decomposition

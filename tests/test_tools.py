@@ -8,6 +8,7 @@ from hypdecomp import io_cli
 from hypdecomp.minkowski import GeometryError
 
 check_counts = load_tool("check_counts")
+hull_counts = load_tool("hull_counts")
 match_counts = load_tool("match_counts")
 output_digests = load_tool("output_digests")
 
@@ -69,6 +70,14 @@ def test_committed_match_counts_are_current():
         assert 0 < record["hits"] <= record["survivors"] <= record["candidates"]
         assert 0 < record["searches_made"] <= record["searches"]
         assert 0 < record["kept_points"] <= record["low_images"]
+
+
+def test_committed_hull_counts_are_current():
+    # CI gates the hull counts against rises only; a fall must be recorded
+    records = hull_counts.records()
+    assert records == json.loads((TOOLS / "hull_counts.json").read_text())
+    for record in records:
+        assert all(v == 0 for k, v in record.items() if k.startswith("bad_"))
 
 
 def test_output_digests_cover_every_benchmark_input():

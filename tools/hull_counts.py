@@ -12,8 +12,9 @@ wrong.  Run from the repository root:
     python3 tools/hull_counts.py > counts.json
 
 Every count is deterministic at a given commit; ``tools/hull_counts.json``
-holds the committed values, and CI fails when a count grows or a
-validity count is nonzero.
+holds the committed values.  CI fails when a count grows or a validity
+count is nonzero, and the Tier-1 tests when ``records()`` differs from
+the committed values at all.
 """
 
 import json
@@ -109,8 +110,9 @@ def stability_hulls(gs, o):
     return built
 
 
-def main():
-    records = []
+def records():
+    """The records of every hull, in print order."""
+    out = []
     for height in (None, 12.0):
         spec = load_spec(fixture_path("figure_eight_knot"))
         o = spec.options
@@ -123,12 +125,16 @@ def main():
         for name, wb, hb in (("main", o.word_bound, o.height_bound),
                              ("stability", o.word_bound + 1, 2 * o.height_bound)):
             P = np.array([op.point for op in orbit(gs, wb, hb)])
-            records.append(record(f"{label} {name}", CountingHull(P)))
+            out.append(record(f"{label} {name}", CountingHull(P)))
         hulls = stability_hulls(gs, o)
         for i, hull in enumerate(hulls, 1):
-            records.append(record(f"{label} stability hull {i} of {len(hulls)}",
-                                  hull))
-    print(json.dumps(records, indent=1))
+            out.append(record(f"{label} stability hull {i} of {len(hulls)}",
+                              hull))
+    return out
+
+
+def main():
+    print(json.dumps(records(), indent=1))
 
 
 if __name__ == "__main__":
